@@ -8,7 +8,9 @@ paths) must decode at least **10x** faster than the pre-refactor decoder
 ``logical_error_sweep(engine="frame")`` at that scale must run at least
 **5x** faster end-to-end, with decode no longer dominating the profile.
 The weighted decoder's LER must also not exceed the unweighted one's on
-the same syndromes.
+the same syndromes.  The report names the union-find kernel that ran
+(``native`` C or the ``python`` fallback, with the reason) and the JSON
+records it.
 
 Run directly::
 
@@ -193,7 +195,8 @@ def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
         return elapsed
 
     t_legacy = time_decoder("legacy (PR 2)", LegacyUnionFindDecoder(experiment.graph))
-    t_weighted = time_decoder("union_find", experiment.decoder_for(model))
+    weighted = experiment.decoder_for(model)
+    t_weighted = time_decoder("union_find", weighted)
     t_unweighted = time_decoder(
         "union_find_unweighted", experiment.decoder_for(model, "union_find_unweighted")
     )
@@ -211,6 +214,8 @@ def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
         "d": d,
         "shots": shots,
         "noise": model.name,
+        "kernel": weighted.kernel,
+        "kernel_fallback_reason": weighted.fallback_reason,
         "detectors": experiment.n_detectors,
         "schedule_edges": experiment.graph.n_edges,
         "dem_edges": experiment.matching_graph(model).n_edges,
@@ -332,6 +337,8 @@ def run_window_bench(quick: bool = False, seed: int = 0) -> dict:
 
     return {
         "mode": "window",
+        "kernel": whole.kernel,
+        "kernel_fallback_reason": whole.fallback_reason,
         "quick": quick,
         "shots": shots,
         "points": rows,
@@ -342,7 +349,14 @@ def run_window_bench(quick: bool = False, seed: int = 0) -> dict:
     }
 
 
+def kernel_line(res: dict) -> str:
+    """Which union-find kernel decoded, and why when it is the fallback."""
+    reason = res["kernel_fallback_reason"]
+    return f"union-find kernel: {res['kernel']}" + (f" ({reason})" if reason else "")
+
+
 def report_window(res: dict) -> None:
+    print(kernel_line(res))
     print_table(
         f"sliding-window vs whole-block union-find ({res['shots']} shots/point)",
         ["d", "noise", "w/c", "LER whole", "LER windowed", "overlap", "win shots/s"],
@@ -372,6 +386,7 @@ def report_window(res: dict) -> None:
 
 
 def report(res: dict) -> None:
+    print(kernel_line(res))
     print_table(
         f"batched decode throughput (d={res['d']}, {res['shots']} shots, "
         f"{res['noise']}, {res['detectors']} detectors, "

@@ -1,8 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index) and prints the reproduced rows, so running
-``pytest benchmarks/ --benchmark-only -s`` emits the full evaluation.
+Each ``bench_table*``/``bench_fig*`` file regenerates the paper table or
+figure its name gives and prints the reproduced rows; the other benches
+time one pipeline layer (README.md quotes their numbers, ROADMAP.md lists
+the gates still open).  ``bench_*`` files are not collected by a bare
+``pytest benchmarks/``: name one, e.g.
+``pytest benchmarks/bench_table1_instructions.py -s``, or run it as a script.
 """
 
 from __future__ import annotations

@@ -80,7 +80,7 @@ class Decoder(abc.ABC):
 
     def decode(self, syndrome: np.ndarray) -> int:
         """Predicted logical-frame flip (0/1) for one detector bit vector."""
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        syndrome = np.asarray(syndrome)
         if syndrome.shape != (self.n,):
             raise ValueError(
                 f"syndrome shape {syndrome.shape} does not match {self.n} detectors"
@@ -89,13 +89,28 @@ class Decoder(abc.ABC):
 
     # ------------------------------------------------------------- helpers
     def _validate_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        syndromes = np.asarray(syndromes)
         if syndromes.ndim != 2 or syndromes.shape[1] != self.n:
             raise ValueError(
                 f"syndromes shape {syndromes.shape} does not match "
                 f"(n_shots, {self.n})"
             )
-        return syndromes
+        return self._as_bits(syndromes)
+
+    @staticmethod
+    def _as_bits(values) -> np.ndarray:
+        """``values`` as a uint8 array, rejecting any entry other than 0 or 1.
+
+        A bare uint8 cast would wrap ``-1`` to 255, and a ``2`` counts as two
+        defects where rows are summed but as one where nonzeros are found.
+        """
+        values = np.asarray(values)
+        bits = values.astype(np.uint8, copy=False)
+        if bits.size and (
+            bits.max() > 1 or (bits is not values and not np.array_equal(bits, values))
+        ):
+            raise ValueError("syndrome entries must be 0 or 1")
+        return bits
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r} over {self.graph!r}>"

@@ -706,6 +706,8 @@ class MemoryExperiment:
         engine has no such stream structure; a nonzero offset there is an
         error rather than a silent statistical lie.
         """
+        if n_shots < 1:
+            raise ValueError("need at least one shot")
         if engine not in ("frame", "tableau"):
             raise ValueError(f"engine must be 'frame' or 'tableau', got {engine!r}")
         if engine == "frame":

@@ -27,7 +27,12 @@ The hot path is built for batches:
 * :meth:`UnionFindDecoder.decode_batch` vectorizes at the batch level:
   all-zero shots short-circuit, single-defect shots resolve through a
   precomputed min-weight boundary-matching table, and the remaining rows
-  are deduplicated so each distinct syndrome is decoded exactly once.
+  are deduplicated so each distinct syndrome is decoded exactly once;
+* the grow-and-peel loop runs in a small C kernel (``_uf_kernel.c``,
+  compiled on first use and cached, see :mod:`repro.decode._uf_native`)
+  that decodes a whole batch in one call.  The Python loop below stays
+  unchanged as its bit-identity oracle and as the fallback when no C
+  compiler is available; :attr:`UnionFindDecoder.kernel` says which runs.
 
 Decoding is exact on single faults and linear-time on the grown support.
 """
@@ -56,6 +61,9 @@ class UnionFindDecoder(Decoder):
     Decoding reuses preallocated scratch arrays, so one instance must not
     run concurrent ``decode_batch`` calls; build one decoder per thread
     (see :class:`~repro.decode.base.Decoder`).
+
+    :attr:`kernel` names the grow-and-peel kernel that runs (``"native"``
+    or ``"python"``) and :attr:`fallback_reason` why the Python one does.
     """
 
     name = "union_find"
@@ -115,6 +123,36 @@ class UnionFindDecoder(Decoder):
         ]
 
         self._build_single_defect_table()
+        # Imported here, not at module level: loading the native kernel (and
+        # building it, the first time on a host) is decoder set-up, never
+        # import-time work.
+        from repro.decode import _uf_native
+
+        lib, self._fallback_reason = _uf_native.load_library()
+        self._native = None
+        if lib is not None:
+            self._native = _uf_native.NativeKernel(
+                lib,
+                n,
+                eu,
+                ev,
+                frame,
+                cap,
+                indptr,
+                adj_edge,
+                self._single_verdict,
+                self._single_reachable,
+            )
+
+    @property
+    def kernel(self) -> str:
+        """The grow-and-peel kernel that decodes: ``"native"`` or ``"python"``."""
+        return "python" if self._native is None else "native"
+
+    @property
+    def fallback_reason(self) -> str | None:
+        """Why the Python kernel runs (compiler stderr included); ``None`` when native."""
+        return self._fallback_reason
 
     # ---------------------------------------------------------- fast tables
     def _build_single_defect_table(self) -> None:
@@ -153,12 +191,15 @@ class UnionFindDecoder(Decoder):
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
         """Per-shot predicted logical flips for a ``(n_shots, n_detectors)`` batch.
 
-        Empty batches and all-zero rows return immediately without entering
-        the growth loop; single-defect rows resolve through the precomputed
-        boundary-matching table; the remaining rows are deduplicated and
-        each distinct syndrome is decoded once.
+        The native kernel decodes the whole batch in one call.  The Python
+        kernel returns empty batches and all-zero rows immediately, resolves
+        single-defect rows through the precomputed boundary-matching table,
+        and decodes each distinct remaining syndrome once.  Both give the
+        same verdicts and raise the same errors.
         """
         syndromes = self._validate_batch(syndromes)
+        if self._native is not None:
+            return self._native.decode_batch(syndromes)
         n_shots = syndromes.shape[0]
         out = np.zeros(n_shots, dtype=np.uint8)
         if n_shots == 0:
@@ -195,11 +236,16 @@ class UnionFindDecoder(Decoder):
         the edges the peeling emitted — the explicit correction set a
         sliding-window decoder needs to decide which edges fall inside its
         commit region and which residual defects to carry forward.  An
-        empty ``defect_ids`` returns an empty list.
+        empty ``defect_ids`` returns an empty list; ids outside
+        ``[0, n_detectors)`` are rejected.
         """
         defect_ids = np.asarray(defect_ids, dtype=np.int64)
         if defect_ids.size == 0:
             return []
+        if defect_ids.min() < 0 or defect_ids.max() >= self.n:
+            raise ValueError(f"defect ids must lie in [0, {self.n})")
+        if self._native is not None:
+            return self._native.decode_edges(defect_ids)
         collect: list[int] = []
         self._decode_defects(defect_ids, collect=collect)
         return collect

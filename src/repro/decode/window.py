@@ -252,7 +252,7 @@ class WindowedUnionFindDecoder(Decoder):
                         f"slice stream ended after {filled} of "
                         f"{self.n_slices} time slices"
                     ) from None
-                sl = np.asarray(sl, dtype=np.uint8)
+                sl = self._as_bits(sl)
                 if sl.ndim != 2 or sl.shape[1] != F:
                     raise ValueError(
                         f"slice {filled} has shape {sl.shape}, expected "

@@ -118,6 +118,30 @@ class TestBatchFastPaths:
             with pytest.raises(ValueError, match="does not match"):
                 dec.decode_batch(np.zeros((4, exp3.n_detectors + 1), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "name", ["union_find", "union_find_unweighted", "union_find_windowed", "lookup"]
+    )
+    def test_entries_outside_zero_one_rejected(self, exp3, name):
+        """A 2 counted as two defects where rows are summed but one where
+        nonzeros are found, and an int -1 silently became 255."""
+        dec = build_decoder(name, exp3)
+        for bad in (np.uint8(2), np.int64(2), np.int64(-1)):
+            syndromes = np.zeros((3, exp3.n_detectors), dtype=bad.dtype)
+            syndromes[1, 4] = bad
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                dec.decode_batch(syndromes)
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                dec.decode(syndromes[1])
+
+    @pytest.mark.parametrize(
+        "name", ["union_find", "union_find_unweighted", "union_find_windowed", "lookup"]
+    )
+    def test_bool_batches_accepted(self, exp3, name):
+        dec = build_decoder(name, exp3)
+        syndromes = np.random.default_rng(8).random((16, exp3.n_detectors)) < 0.08
+        expected = dec.decode_batch(syndromes.astype(np.uint8))
+        assert np.array_equal(dec.decode_batch(syndromes), expected)
+
 
 class TestDetectorCountGuard:
     """Satellite: a decoder built for the wrong layout must be rejected loudly."""

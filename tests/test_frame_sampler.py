@@ -103,6 +103,15 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="engine"):
             exp3.run(10, engine="statevector")
 
+    @pytest.mark.parametrize("engine", ["frame", "tableau"])
+    @pytest.mark.parametrize("max_batch", [None, 10])
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_fewer_than_one_shot_rejected(self, exp3, engine, max_batch, shots):
+        """Regression: the frame engine crashed in range() or divided by
+        zero on 0 shots, and reported n_shots=-3 for -3."""
+        with pytest.raises(ValueError, match="need at least one shot"):
+            exp3.run(shots, noise=NoiseModel.uniform(1e-3), engine=engine, max_batch=max_batch)
+
     def test_non_clifford_falls_back_to_tableau(self):
         """engine='frame' on a T-injection schedule silently uses the tableau."""
         from repro.core.compiler import TISCC

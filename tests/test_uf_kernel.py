@@ -1,0 +1,248 @@
+"""Native union-find kernel: bit-identity with the Python kernel, build, fallback.
+
+The C kernel (``repro/decode/_uf_kernel.c``) must reproduce the Python
+grow-and-peel loop exactly (verdicts, correction edge lists and error
+messages), because the windowed decoder and every recorded logical error
+rate depend on its tie-breaking.  The Python kernel is forced by making the
+loader report a failure, so each comparison runs the same decoder class over
+the same graph under both kernels.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.decode import (
+    BOUNDARY,
+    DetectorEdge,
+    MatchingGraph,
+    MemoryExperiment,
+    UnionFindDecoder,
+    WindowedUnionFindDecoder,
+    _uf_native,
+)
+from repro.sim.noise import NoiseModel
+
+SRC = Path(_uf_native.__file__).resolve().parents[2]
+STALLED = "union-find growth stalled: defects cannot reach each other or the boundary"
+LONE = "lone defect on a detector with no path to the boundary"
+
+needs_compiler = pytest.mark.skipif(
+    _uf_native.find_compiler() is None, reason="no C compiler on PATH"
+)
+
+
+@contextlib.contextmanager
+def python_kernel():
+    """Decoders built inside this block run the Python kernel, the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_uf_native, "_library", (None, "forced by the test"))
+        yield
+
+
+def python_decoder(graph: MatchingGraph, **kwargs) -> UnionFindDecoder:
+    with python_kernel():
+        decoder = UnionFindDecoder(graph, **kwargs)
+    assert decoder.kernel == "python"
+    return decoder
+
+
+def native_decoder(graph: MatchingGraph, **kwargs) -> UnionFindDecoder:
+    decoder = UnionFindDecoder(graph, **kwargs)
+    assert decoder.kernel == "native", decoder.fallback_reason
+    return decoder
+
+
+def outcome(call):
+    """A call's result, or its RuntimeError message: the kernels must agree on either."""
+    try:
+        return call()
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
+def assert_same(fast, oracle, call) -> None:
+    assert outcome(lambda: call(fast)) == outcome(lambda: call(oracle))
+
+
+def fresh_interpreter(code: str) -> subprocess.Popen:
+    """``code`` running in a new interpreter on this checkout."""
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def native():
+    """Skips a comparison where no native kernel can be built here."""
+    lib, reason = _uf_native.load_library()
+    if lib is None:
+        pytest.skip(reason)
+
+
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch):
+    """A fresh cache directory, and no kernel loaded yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_uf_native, "_library", None)
+    return tmp_path
+
+
+# ------------------------------------------------------------ bit identity
+@st.composite
+def graphs_with_syndromes(draw):
+    """Small random graphs with boundary and parallel edges, tied or unit
+    weights, and dense syndromes; some leave defects unmatchable."""
+    n = draw(st.integers(1, 9))
+    unit = draw(st.booleans())
+    edges = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(-1, n - 2))
+        v = BOUNDARY if v < 0 else (v + 1 if v >= u else v)
+        weight = 1.0 if unit else draw(st.sampled_from([1.0, 2.0, 2.5, 6.0]))
+        edges.append(DetectorEdge(u, v, draw(st.integers(0, 1)), "dem", weight))
+    density = draw(st.sampled_from([0.15, 0.4, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return MatchingGraph(n, edges), (rng.random((10, n)) < density).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graphs_with_syndromes(), weighted=st.booleans())
+def test_random_graphs_decode_identically(native, case, weighted):
+    graph, syndromes = case
+    fast = native_decoder(graph, weighted=weighted)
+    oracle = python_decoder(graph, weighted=weighted)
+    assert_same(fast, oracle, lambda d: d.decode_batch(syndromes).tolist())
+    for row in syndromes:
+        defects = np.nonzero(row)[0]
+        assert_same(fast, oracle, lambda d: d.decode_batch(row[np.newaxis]).tolist())
+        assert_same(fast, oracle, lambda d: d.decode_edges(defects))
+
+
+@pytest.mark.parametrize("distance", [3, 5, 7])
+def test_near_term_dem_graphs_decode_identically(native, distance):
+    noise = NoiseModel.preset("near_term")
+    exp = MemoryExperiment(distance=distance)
+    graph = exp.matching_graph(noise)
+    sampled = exp.sample_frame(1000, noise=noise, seed=distance).detectors
+    # Dense rows make the orderings matter: at d=7 about 1 row in 200 tells
+    # a flipped merge tie rule apart, by edge order alone.
+    rng = np.random.default_rng(distance)
+    dense = (rng.random((1000, graph.n_detectors)) < 0.1).astype(np.uint8)
+    fast, oracle = native_decoder(graph), python_decoder(graph)
+    for syndromes in (sampled, dense):
+        assert np.array_equal(fast.decode_batch(syndromes), oracle.decode_batch(syndromes))
+    for row in np.concatenate([sampled[:200], dense]):
+        defects = np.nonzero(row)[0]
+        assert fast.decode_edges(defects) == oracle.decode_edges(defects)
+
+
+def test_windowed_verdicts_identical_under_both_kernels(native):
+    noise = NoiseModel.uniform(3e-3)
+    exp = MemoryExperiment(distance=3, rounds=12)
+    graph = exp.matching_graph(noise)
+    layout = dict(n_faces=len(exp.faces), window=6, commit=3)
+    fast = WindowedUnionFindDecoder(graph, **layout)
+    with python_kernel():
+        oracle = WindowedUnionFindDecoder(graph, **layout)
+    assert {kind.decoder.kernel for kind in fast._span_kinds} == {"native"}
+    assert {kind.decoder.kernel for kind in oracle._span_kinds} == {"python"}
+    syndromes = exp.sample_frame(2000, noise=noise, seed=4).detectors
+    assert np.array_equal(fast.decode_batch(syndromes), oracle.decode_batch(syndromes))
+
+
+def test_error_paths_raise_the_same_messages(native):
+    lone = MatchingGraph(2, [DetectorEdge(0, 1)])  # no path to the boundary
+    split = MatchingGraph(4, [DetectorEdge(0, 1), DetectorEdge(2, 3)])
+    cases = [
+        (lone, [[1, 0]], LONE),
+        (split, [[1, 0, 1, 0]], STALLED),
+        # Every lone defect is checked before any growth runs.
+        (split, [[1, 0, 1, 0], [0, 0, 1, 0]], LONE),
+    ]
+    for graph, rows, message in cases:
+        for decoder in (native_decoder(graph), python_decoder(graph)):
+            with pytest.raises(RuntimeError) as batch_error:
+                decoder.decode_batch(np.array(rows, dtype=np.uint8))
+            assert str(batch_error.value) == message
+            with pytest.raises(RuntimeError) as edges_error:
+                decoder.decode_edges(np.nonzero(rows[0])[0])
+            assert str(edges_error.value) == STALLED
+            with pytest.raises(ValueError, match="must lie in"):
+                decoder.decode_edges([graph.n_detectors])
+
+
+# ------------------------------------------------------- build and fallback
+def test_without_a_compiler_the_python_kernel_decodes_identically(tmp_path, monkeypatch):
+    noise = NoiseModel.uniform(3e-3)
+    exp = MemoryExperiment(distance=3)
+    graph = exp.matching_graph(noise)
+    syndromes = exp.sample_frame(500, noise=noise, seed=2).detectors
+    expected = UnionFindDecoder(graph).decode_batch(syndromes)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # no cached build either
+    monkeypatch.setattr(_uf_native, "_library", None)
+    monkeypatch.setattr(_uf_native, "find_compiler", lambda: None)
+    decoder = UnionFindDecoder(graph)
+    assert decoder.kernel == "python"
+    assert "no C compiler" in decoder.fallback_reason
+    assert np.array_equal(decoder.decode_batch(syndromes), expected)
+
+
+@needs_compiler
+def test_a_compiler_on_path_builds_the_native_kernel(empty_cache):
+    """CI guard: with a compiler present a broken build fails here, instead
+    of every run silently decoding on the ~20x slower Python kernel."""
+    decoder = UnionFindDecoder(MatchingGraph(1, [DetectorEdge(0, BOUNDARY)]))
+    assert decoder.kernel == "native", decoder.fallback_reason
+    assert decoder.fallback_reason is None
+    assert _uf_native.cache_path().is_file()
+
+
+@needs_compiler
+def test_a_corrupt_cached_object_is_rebuilt(empty_cache):
+    path = _uf_native.cache_path()
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b"not a shared object")
+    lib, reason = _uf_native.load_library()
+    assert lib is not None, reason
+    assert path.read_bytes() != b"not a shared object"
+
+
+@needs_compiler
+def test_concurrent_first_builds_each_load_a_whole_object(empty_cache):
+    """Workers racing to build into one empty cache never load a torn file."""
+    code = (
+        "from repro.decode import _uf_native\n"
+        "lib, reason = _uf_native.load_library()\n"
+        "print(lib is not None, reason)\n"
+    )
+    workers = [fresh_interpreter(code) for _ in range(3)]
+    for worker in workers:
+        out, err = worker.communicate(timeout=120)
+        assert worker.returncode == 0, err
+        assert out.startswith("True"), out
+    cache = _uf_native.cache_path()
+    assert [p.name for p in cache.parent.iterdir()] == [cache.name]
+
+
+def test_importing_the_package_loads_no_kernel():
+    """The kernel loads with the first decoder, so CLI start-up never pays for it."""
+    worker = fresh_interpreter(
+        "import sys, repro.__main__; print('repro.decode._uf_native' in sys.modules)"
+    )
+    out, err = worker.communicate(timeout=120)
+    assert out.strip() == "False", err
