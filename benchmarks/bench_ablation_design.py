@@ -1,4 +1,4 @@
-"""Ablation benches for DESIGN.md's named design choices.
+"""Ablation benches for the reproduction's named design choices.
 
 Not a paper table — these quantify the trade-offs the paper (and our
 reproduction) takes as given:

@@ -35,7 +35,7 @@ def test_fig3_intermediate_states():
 
 def test_fig3_verified_distances():
     """§4.3: flip verified for odd and mixed-odd distances; even-distance
-    flips need a corner protocol beyond the paper's text (EXPERIMENTS.md)."""
+    flips need a corner protocol beyond the paper's text."""
     rows = []
     for dx, dz in [(3, 3), (5, 3), (3, 5)]:
         grid, _, lq, c, occ0 = fresh_patch(dx, dz)

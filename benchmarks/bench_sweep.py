@@ -1,13 +1,13 @@
 """Sharded-sweep benchmark: process-pool execution and the warm
-content-addressed cache vs the serial in-process oracle.
+content-addressed cache vs an in-process (``jobs=1``) run of the same cells.
 
-Acceptance targets for the job layer (ISSUE 6): on a multi-cell logical-
-error sweep, 4 workers must beat the serial sweep by **>= 3x** wall clock
+Acceptance targets for the job layer: on a multi-cell logical-error
+sweep, 4 workers must beat the in-process sweep by **>= 3x** wall clock
 (on hardware with at least 4 cores — the gate auto-downgrades to
 report-only when the machine cannot physically parallelize), and a warm
 rerun against the checkpoint (every cell a hash-verified file read) must
-beat serial by **>= 50x**.  Both parallel and warm results must be
-bit-identical to the serial oracle, timing columns aside.
+beat in-process by **>= 50x**.  Both parallel and warm results must be
+bit-identical to the in-process run, timing columns aside.
 
 Run directly::
 
@@ -56,7 +56,7 @@ def run_bench(
 
     The parallel run goes first from a cold process so its workers pay
     their own compiles, exactly as a fresh sharded invocation would; the
-    serial oracle then pays its compiles the same way.  Distances are
+    in-process run then pays its compiles the same way.  Distances are
     submitted largest-first so the pool's greedy assignment approximates
     longest-processing-time scheduling.
     """
@@ -112,7 +112,7 @@ def report(res: dict) -> None:
         f"{res['cpu_count']} cpu(s))",
         ["mode", "wall [s]", "speedup", "matches serial"],
         [
-            ["serial (oracle)", f"{res['serial_seconds']:.2f}", "1.0x", "—"],
+            ["serial (jobs=1)", f"{res['serial_seconds']:.2f}", "1.0x", "—"],
             [
                 f"parallel ({res['jobs']} workers)",
                 f"{res['parallel_seconds']:.2f}",
@@ -133,7 +133,7 @@ def crash_smoke(quick: bool = True) -> int:
     """Run a checkpointed sweep, SIGKILL it mid-run, resume, and diff.
 
     The CI robustness step: proves on every PR that a killed sweep resumes
-    to bit-identical reports against an uninterrupted serial run.
+    to bit-identical reports against an uninterrupted in-process run.
     """
     distances, rates, shots = [3], [1e-3, 2e-3, 3e-3, 5e-3], 2000 if quick else 20000
     workdir = tempfile.mkdtemp(prefix="crash_smoke_")
@@ -172,7 +172,7 @@ def crash_smoke(quick: bool = True) -> int:
         f"bit-identical to serial: {ok}"
     )
     if not ok:
-        print("crash smoke FAIL: resumed reports diverge from the serial oracle")
+        print("crash smoke FAIL: resumed reports diverge from the uninterrupted run")
         return 1
     print("crash smoke OK")
     return 0

@@ -8,10 +8,10 @@ the cell's physical parameters (canonical JSON -> SHA-256).  That buys
 three things demonstrated below:
 
 1. **Sharding** — ``jobs=N`` fans the grid out over N worker processes;
-   the merged reports are bit-identical to the serial loop because every
-   cell derives its per-shot randomness from the same
-   ``SeedSequence(seed, spawn_key=(shot,))`` streams the serial oracle
-   uses, independent of which worker (or batch chunking) runs it.
+   ``jobs=1`` (the default) runs the same cells in-process.  The merged
+   reports are bit-identical either way because every cell derives its
+   per-shot randomness from ``SeedSequence(seed, spawn_key=(shot,))``
+   streams, independent of which worker (or batch chunking) runs it.
 2. **Crash tolerance** — each finished cell is written atomically
    (write-then-rename) and recorded in an append-only fsync'd manifest.
    Kill the driver at any instant and rerun with the same checkpoint:

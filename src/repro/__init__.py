@@ -3,8 +3,8 @@
 The Trapped-Ion Surface Code Compiler generates hardware-level circuits and
 resource estimates for surface-code patch operations on trapped-ion
 processors, and verifies them with a quasi-Clifford simulator.  See
-DESIGN.md for the system inventory and EXPERIMENTS.md for the reproduced
-tables and figures.
+README.md for the package layout; the paper's tables and figures are
+reproduced by ``benchmarks/bench_table*.py`` and ``bench_fig*.py``.
 
 Quickstart::
 

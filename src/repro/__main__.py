@@ -75,26 +75,37 @@ def _profile_note(profiles) -> str:
     return f", profile {names[0]}" if len(names) == 1 else f", profiles {names}"
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
+def _op_compiler(args: argparse.Namespace) -> tuple:
+    """``(compiler, program)`` for ``--op`` at ``--dx``/``--dz``/``--rounds``.
+
+    Unknown operations and profiles, distances below 2 and rounds below 1
+    raise one-line ``ValueError``s for the command handlers to print.
+    """
     from repro.core.compiler import TISCC
 
     try:
         build, shape = OPERATION_PROGRAMS[args.op]
     except KeyError:
-        print(f"unknown operation {args.op!r}; choose from {sorted(OPERATION_PROGRAMS)}")
-        return 2
-    try:
-        (prof,) = _resolve_profile_args(args.profile)
-    except ValueError as err:
-        print(err)
-        return 2
+        raise ValueError(
+            f"unknown operation {args.op!r}; choose from {sorted(OPERATION_PROGRAMS)}"
+        ) from None
+    (prof,) = _resolve_profile_args(args.profile)
     compiler = TISCC(
         dx=args.dx, dz=args.dz, tile_rows=shape[0], tile_cols=shape[1], rounds=args.rounds,
         profile=prof,
     )
-    compiled = compiler.compile(build(), operation=args.op, simd=args.simd)
+    return compiler, build()
+
+
+def _cmd_compile(args: argparse.Namespace) -> int:
+    try:
+        compiler, program = _op_compiler(args)
+    except ValueError as err:
+        print(err)
+        return 2
+    compiled = compiler.compile(program, operation=args.op, simd=args.simd)
     print(
-        f"# compiled {args.op} (dx={args.dx}, dz={args.dz}{_profile_note([prof])}): "
+        f"# compiled {args.op} (dx={args.dx}, dz={args.dz}{_profile_note([compiler.profile])}): "
         f"{len(compiled.circuit)} native instructions, "
         f"makespan {compiled.circuit.makespan / 1000:.3f} ms, "
         f"{compiled.logical_timesteps} logical time-step(s), "
@@ -134,26 +145,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    from repro.core.compiler import TISCC
-
-    try:
-        build, shape = OPERATION_PROGRAMS[args.op]
-    except KeyError:
-        print(f"unknown operation {args.op!r}; choose from {sorted(OPERATION_PROGRAMS)}")
-        return 2
     if args.shots < 1:
         print("--shots must be at least 1")
         return 2
     try:
-        (prof,) = _resolve_profile_args(args.profile)
+        compiler, program = _op_compiler(args)
     except ValueError as err:
         print(err)
         return 2
-    compiler = TISCC(
-        dx=args.dx, dz=args.dz, tile_rows=shape[0], tile_cols=shape[1], rounds=args.rounds,
-        profile=prof,
-    )
-    compiled = compiler.compile(build(), operation=args.op)
+    compiled = compiler.compile(program, operation=args.op)
     t0 = time.perf_counter()
     batch = compiler.simulate_shots(
         compiled, args.shots, seed=args.seed, independent_streams=not args.fast
@@ -235,7 +235,7 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for cell execution (1 = in-process, the oracle path)",
+        help="worker processes for cell execution (1 = in-process)",
     )
     parser.add_argument(
         "--checkpoint",
@@ -300,8 +300,6 @@ def _validate_window_args(args: argparse.Namespace) -> str | None:
             )
     if args.shot_shards < 1:
         return f"--shot-shards must be at least 1 (got {args.shot_shards})"
-    if args.shot_shards > 1 and args.jobs <= 1 and args.checkpoint is None:
-        return "--shot-shards needs --jobs N or --checkpoint DIR to fan out over"
     if args.shot_shards > 1 and args.engine != "frame":
         return "--shot-shards requires --engine frame (per-shot seed streams)"
     return None
@@ -412,9 +410,6 @@ def _cmd_dem(args: argparse.Namespace) -> int:
     if complaint:
         print(complaint)
         return 2
-    if args.rounds is not None and args.rounds < 1:
-        print(f"--rounds must be at least 1 (got {args.rounds})")
-        return 2
     try:
         (prof,) = _resolve_profile_args(args.profile)
         model = (
@@ -422,13 +417,14 @@ def _cmd_dem(args: argparse.Namespace) -> int:
             if args.rate is not None
             else NoiseModel.preset(args.noise, profile=prof)
         )
+        experiment = MemoryExperiment(
+            distance=args.distance, rounds=args.rounds, basis=args.basis, profile=prof
+        )
     except ValueError as err:
-        # Unknown presets/profiles surface as one-line messages, not tracebacks.
+        # Unknown presets/profiles and bad --rounds surface as one-line
+        # messages, not tracebacks.
         print(err)
         return 2
-    experiment = MemoryExperiment(
-        distance=args.distance, rounds=args.rounds, basis=args.basis, profile=prof
-    )
     t0 = time.perf_counter()
     table = experiment.fault_table(model)
     extract_seconds = time.perf_counter() - t0

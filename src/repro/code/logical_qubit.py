@@ -164,9 +164,6 @@ class LogicalQubit:
         """Sorted qsites of data qubits currently part of the patch."""
         return sorted(self.layout.data_site(i, j) for (i, j) in self.data_ions)
 
-    def data_site_of(self, ij: tuple[int, int]) -> int:
-        return self.layout.data_site(*ij)
-
     def all_ions(self) -> list[int]:
         return sorted(set(self.data_ions.values()) | set(self.measure_ions.values()))
 

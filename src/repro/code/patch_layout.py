@@ -1,6 +1,6 @@
 """Mapping a surface-code patch onto the trapped-ion grid (paper §3.1, Fig 1).
 
-Geometry (frozen spec, see DESIGN.md): a patch with X/Z code distances
+Geometry (frozen spec): a patch with X/Z code distances
 ``dx``/``dz`` anchored at a tile origin places
 
 * data qubit (i, j), 0 <= i < dz (rows), 0 <= j < dx (cols), on the centre

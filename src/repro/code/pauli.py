@@ -122,10 +122,6 @@ class PauliString:
     def times_i(self) -> "PauliString":
         return PauliString(self._ops, self._phase + 1)
 
-    def conjugate_sign(self) -> "PauliString":
-        """Hermitian conjugate (inverts the i-phase, Paulis are self-adjoint)."""
-        return PauliString(self._ops, -self._phase)
-
     def commutes_with(self, other: "PauliString") -> bool:
         anti = 0
         small, big = (

@@ -69,7 +69,8 @@ class TISCC:
 
     A program is a list of steps ``(mnemonic, *args)``; supported mnemonics
     cover Table 1 and Table 3 (see ``MNEMONICS``).  ``rounds`` overrides the
-    number of error-correction rounds per logical time-step (default dt).
+    number of error-correction rounds per logical time-step (default dt;
+    anything below 1 is a ``ValueError``).
     """
 
     MNEMONICS = (
@@ -88,6 +89,8 @@ class TISCC:
         rounds: int | None = None,
         profile: "HardwareProfile | str | None" = None,
     ):
+        if rounds is not None and rounds < 1:
+            raise ValueError(f"rounds must be at least 1 (got {rounds})")
         self.tiles = TileGrid(tile_rows, tile_cols, dx, dz, profile=profile)
         self.ops = DerivedInstructions(self.tiles, rounds=rounds)
 

@@ -385,22 +385,6 @@ class MemoryExperiment:
         _CORE_CACHE.clear()
         _TEMPLATE_CACHE.clear()
 
-    def cache_key(self, noise: NoiseModel | None = None) -> tuple:
-        """This experiment's canonical cache-key components under ``noise``.
-
-        See :func:`memory_cache_key` — the identity the sharded sweep layer
-        hashes into content-addressed result keys.
-        """
-        return memory_cache_key(
-            self.dx,
-            self.dz,
-            self.rounds,
-            self.basis,
-            noise,
-            profile=self.profile,
-            simd=self.simd,
-        )
-
     # ------------------------------------------------------------- plumbing
     @property
     def dx(self) -> int:

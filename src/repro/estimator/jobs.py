@@ -4,28 +4,30 @@ A sweep — ``logical_error_sweep``, ``sweep_operation``, ``sweep_all`` — is
 decomposed into independent :class:`SweepCell` units, each a pure function
 of its parameters: one ``(op, dx/dz, rounds, basis, noise, decoder,
 engine, shots, seed)`` point.  Each cell has a deterministic content key
-(:func:`cell_key`: SHA-256 over the canonical cell parameters, with the
-noise model fingerprinted via
+(:meth:`SweepCell.key`: SHA-256 over the canonical cell parameters, with
+the noise model fingerprinted via
 :func:`repro.decode.memory.memory_cache_key`), which addresses its result
-in an on-disk :class:`~repro.estimator.cache.ResultCache`.  The driver
+in an on-disk :class:`~repro.estimator.cache.ResultCache`.  The driver,
+:func:`run_cells`,
 
 * serves every cached cell with a hash-verified file read,
-* executes missing cells on a ``ProcessPoolExecutor`` (``jobs > 1``) with
-  per-cell retry and timeout, degrading gracefully to in-process execution
-  when workers die (``BrokenProcessPool`` after a SIGKILL, say),
+* executes missing cells in-process and in order (``jobs=1``, the
+  default) or on a ``ProcessPoolExecutor`` (``jobs > 1``) with per-cell
+  retry and timeout, degrading gracefully to in-process execution when
+  workers die (``BrokenProcessPool`` after a SIGKILL, say),
 * appends each completed cell to the checkpoint (atomic result write +
   manifest append), so a killed sweep resumes by replaying the manifest
   and submitting only the missing cells.
 
-**Determinism contract.**  A cell's randomness is rooted in the sweep seed
-exactly as the serial oracle roots it: the engines spawn per-shot streams
-via ``SeedSequence(seed, spawn_key=(shot,))`` (PR 3), a derivation that
-depends on neither the executing worker, the submission order, nor any
-chunk size — so *any* sharding of the cell list merges to bit-identical
-reports vs the single-process sweep (the property suite in
-``tests/test_sweep_jobs.py`` locks this down).  ``max_batch`` is therefore
-an execution knob excluded from the cell key.  Wall-clock timing fields
-are the one nondeterministic part of a payload; compare runs with
+**Determinism contract.**  Every cell's randomness is rooted in the sweep
+seed itself: the engines spawn per-shot streams via
+``SeedSequence(seed, spawn_key=(shot,))``, a derivation that depends on
+neither the executing worker, the submission order, nor any chunk size —
+so *any* sharding of the cell list merges to bit-identical reports (the
+property suite in ``tests/test_sweep_jobs.py`` checks every mode against
+the plain loops in ``tests/oracles.py``).  ``max_batch`` is therefore an
+execution knob excluded from the cell key.  Wall-clock timing fields are
+the one nondeterministic part of a payload; compare runs with
 :func:`payload_fingerprint`, which drops them.
 """
 
@@ -44,8 +46,6 @@ from repro.sim.noise import NoiseModel, NoiseParams
 
 __all__ = [
     "SweepCell",
-    "cell_key",
-    "cell_seed",
     "sweep_fingerprint",
     "payload_fingerprint",
     "logical_error_cells",
@@ -162,24 +162,6 @@ class SweepCell:
         return content_hash(self.key_payload())
 
 
-def cell_key(cell: SweepCell) -> str:
-    """Content-address of one cell: SHA-256 of its canonical parameters."""
-    return cell.key()
-
-
-def cell_seed(cell: SweepCell) -> int:
-    """The seed a cell's engines are rooted in — the sweep seed, verbatim.
-
-    The serial oracle hands every ``(distance, noise)`` point the same
-    sweep-level seed; reproducing that here (rather than deriving a
-    per-cell seed) is what makes the process-parallel merge bit-identical
-    to the serial sweep.  Chunk-invariance *within* the cell comes from the
-    engines' per-shot ``SeedSequence(seed, spawn_key=(shot,))`` streams,
-    which never see the worker or chunk layout.
-    """
-    return cell.seed
-
-
 def sweep_fingerprint(keys: list[str]) -> str:
     """Order-independent identity of a whole sweep: hash of its cell keys."""
     return content_hash(sorted(set(keys)))
@@ -193,7 +175,7 @@ def payload_fingerprint(payload: dict) -> str:
 # ------------------------------------------------------------- cell builders
 def logical_error_cells(
     distances: list[int],
-    noise_models: list[NoiseModel],
+    noise_models: list[NoiseModel | None],
     *,
     shots: int,
     basis: str = "Z",
@@ -207,7 +189,7 @@ def logical_error_cells(
     commit: int | None = None,
     simd: bool = False,
 ) -> list[SweepCell]:
-    """Cells of a logical-error sweep, distance-major like the serial loop."""
+    """Cells of a logical-error sweep, distance-major; a ``None`` model is noiseless."""
     prof = get_profile(profile)
     return [
         SweepCell(
@@ -217,7 +199,7 @@ def logical_error_cells(
             dz=d,
             rounds=rounds,
             basis=basis,
-            noise=model.params,
+            noise=model.params if model is not None else None,
             decoder=decoder if decoder is not None else "union_find",
             engine=engine,
             shots=shots,
@@ -374,7 +356,7 @@ def execute_cell(cell: SweepCell) -> dict:
         report = experiment.run(
             cell.shots,
             noise=model,
-            seed=cell_seed(cell),
+            seed=cell.seed,
             engine=cell.engine,
             max_batch=cell.max_batch,
             decoder=cell.decoder,
@@ -382,12 +364,20 @@ def execute_cell(cell: SweepCell) -> dict:
         )
         return report.to_dict()
     if cell.kind == "resource":
-        from repro.estimator.sweep import sweep_operation
+        from repro.core.compiler import TISCC
+        from repro.estimator.sweep import OPERATION_PROGRAMS
 
-        report = sweep_operation(
-            cell.op, [cell.dx], rounds=cell.rounds, profile=cell.profile, simd=cell.simd
-        )[0]
-        return report.to_dict()
+        build, shape = OPERATION_PROGRAMS[cell.op]
+        compiler = TISCC(
+            dx=cell.dx,
+            dz=cell.dz,
+            tile_rows=shape[0],
+            tile_cols=shape[1],
+            rounds=cell.rounds,
+            profile=cell.profile,
+        )
+        compiled = compiler.compile(build(), operation=cell.op, simd=cell.simd)
+        return compiled.resources.to_dict()
     raise ValueError(f"unknown sweep cell kind {cell.kind!r}")
 
 

@@ -16,8 +16,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.compiler import TISCC
 from repro.core.router import lattice_surgery_cnot_program
+from repro.estimator.jobs import (
+    logical_error_cells,
+    merge_shard_payloads,
+    resource_cells,
+    run_cells,
+    shard_cell,
+)
 from repro.estimator.report import LogicalErrorReport
 from repro.hardware.profile import HardwareProfile, get_profile
 from repro.hardware.resources import ResourceReport
@@ -29,6 +35,7 @@ __all__ = [
     "sweep_all",
     "logical_error_sweep",
 ]
+
 
 def _profiles(
     profile: HardwareProfile | str | Sequence[HardwareProfile | str] | None,
@@ -89,6 +96,25 @@ OPERATION_PROGRAMS: dict[str, tuple] = {
 }
 
 
+def _resource_sweep(
+    ops: list[str],
+    distances: list[int],
+    rounds: int | None,
+    profile: HardwareProfile | str | Sequence[HardwareProfile | str] | None,
+    simd: bool,
+    **run,
+) -> list[ResourceReport]:
+    """Resource reports for ``ops`` x profiles x ``distances``, in that nesting."""
+    profs = _profiles(profile)
+    cells = [
+        cell
+        for op in ops
+        for prof in profs
+        for cell in resource_cells([op], distances, rounds, profile=prof, simd=simd)
+    ]
+    return [ResourceReport.from_dict(p) for p in run_cells(cells, **run)]
+
+
 def sweep_operation(
     name: str,
     distances: list[int],
@@ -104,11 +130,11 @@ def sweep_operation(
 ) -> list[ResourceReport]:
     """Compile ``name`` at each distance and collect resource reports.
 
-    With the default ``jobs=1`` and no ``checkpoint`` this is the serial
-    in-process oracle.  ``jobs > 1`` shards the distances over a process
-    pool and ``checkpoint`` persists (and, on a rerun, serves) each
-    distance's report through the content-addressed cache — see
-    :mod:`repro.estimator.jobs`.
+    Each distance is one resource cell of :mod:`repro.estimator.jobs`.
+    With the default ``jobs=1`` the cells run in-process, in order;
+    ``jobs > 1`` shards them over a process pool, and ``checkpoint``
+    persists (and, on a rerun, serves) each distance's report through the
+    content-addressed cache.
 
     ``profile`` selects the hardware calibration (name, path, instance, or
     a list of those).  A list makes the profile a sweep axis: reports come
@@ -120,41 +146,22 @@ def sweep_operation(
     carry beam-pass counts; cache keys extend only for SIMD cells, so
     existing checkpoints stay valid.
     """
-    try:
-        build, shape = OPERATION_PROGRAMS[name]
-    except KeyError:
+    if name not in OPERATION_PROGRAMS:
         raise ValueError(
             f"unknown operation {name!r}; choose from {sorted(OPERATION_PROGRAMS)}"
-        ) from None
-    profs = _profiles(profile)
-    if jobs > 1 or checkpoint is not None:
-        from repro.estimator.jobs import resource_cells, run_cells
-
-        cells = []
-        for prof in profs:
-            cells.extend(
-                resource_cells([name], distances, rounds, profile=prof, simd=simd)
-            )
-        payloads = run_cells(
-            cells,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            use_cache=use_cache,
-            resume=resume,
-            stats=stats,
         )
-        return [ResourceReport.from_dict(p) for p in payloads]
-    reports = []
-    for prof in profs:
-        for d in distances:
-            compiler = TISCC(
-                dx=d, dz=d, tile_rows=shape[0], tile_cols=shape[1], rounds=rounds,
-                profile=prof,
-            )
-            compiled = compiler.compile(build(), operation=name, simd=simd)
-            assert compiled.resources is not None
-            reports.append(compiled.resources)
-    return reports
+    return _resource_sweep(
+        [name],
+        distances,
+        rounds,
+        profile,
+        simd,
+        jobs=jobs,
+        checkpoint=checkpoint,
+        use_cache=use_cache,
+        resume=resume,
+        stats=stats,
+    )
 
 
 def sweep_all(
@@ -171,38 +178,27 @@ def sweep_all(
 ) -> dict[str, list[ResourceReport]]:
     """Resource sweeps for every registered operation.
 
-    ``jobs``/``checkpoint`` shard the full (operation x distance) cell grid
-    over the job layer in one batch — one pool, one checkpoint — instead
-    of one sweep per operation.  ``profile`` threads a hardware profile (or
-    a list of them — profile-major within each operation) through every
+    The full (operation x distance) cell grid runs as one batch — one pool
+    and one checkpoint under ``jobs``/``checkpoint`` — instead of one
+    sweep per operation.  ``profile`` threads a hardware profile (or a
+    list of them — profile-major within each operation) through every
     compile.
     """
-    if jobs > 1 or checkpoint is not None:
-        from repro.estimator.jobs import resource_cells, run_cells
-
-        ops = list(OPERATION_PROGRAMS)
-        profs = _profiles(profile)
-        cells = []
-        for op in ops:
-            for prof in profs:
-                cells.extend(
-                    resource_cells([op], distances, rounds, profile=prof, simd=simd)
-                )
-        payloads = run_cells(
-            cells,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            use_cache=use_cache,
-            resume=resume,
-            stats=stats,
-        )
-        reports = [ResourceReport.from_dict(p) for p in payloads]
-        n = len(profs) * len(distances)
-        return {op: reports[i * n : (i + 1) * n] for i, op in enumerate(ops)}
-    return {
-        name: sweep_operation(name, distances, rounds, profile=profile, simd=simd)
-        for name in OPERATION_PROGRAMS
-    }
+    ops = list(OPERATION_PROGRAMS)
+    reports = _resource_sweep(
+        ops,
+        distances,
+        rounds,
+        profile,
+        simd,
+        jobs=jobs,
+        checkpoint=checkpoint,
+        use_cache=use_cache,
+        resume=resume,
+        stats=stats,
+    )
+    n = len(reports) // len(ops)
+    return {op: reports[i * n : (i + 1) * n] for i, op in enumerate(ops)}
 
 
 def logical_error_sweep(
@@ -230,10 +226,11 @@ def logical_error_sweep(
     """Decoded logical error rate across code distances and noise strengths.
 
     Give either ``noise_models`` explicitly or ``rates`` (each rate ``p``
-    becomes the single-knob ``NoiseModel.uniform(p)``).  Each distance is
-    compiled once (:class:`~repro.decode.memory.MemoryExperiment` reuses its
-    circuit and decoder across noise settings); reports come back
-    distance-major, matching the nesting of the loops.
+    becomes the single-knob ``NoiseModel.uniform(p)``); a ``None`` entry
+    runs noiseless.  Each (distance, noise) point is one memory cell of
+    :mod:`repro.estimator.jobs`; the compile is shared across noise
+    settings through :class:`~repro.decode.memory.MemoryExperiment`'s
+    compile cache.  Reports come back distance-major.
 
     ``engine="frame"`` (default) samples each point from the detector
     error model — extracted once per distance and re-weighted per noise
@@ -254,16 +251,15 @@ def logical_error_sweep(
     disjoint slices of the per-shot seed streams so *decode* work fans out
     across pool workers even when the sweep has fewer cells than workers;
     the shard payloads are merged back into one report per cell
-    (bit-identical counters vs the unsharded run).  Requires the jobs path
-    (``jobs > 1`` or a checkpoint) and the frame engine.
+    (bit-identical counters vs the unsharded run).  Requires the frame
+    engine.
 
-    With the default ``jobs=1`` and no ``checkpoint`` the serial in-process
-    loop below runs — the oracle every other execution mode must match
-    bit-for-bit.  ``jobs > 1`` shards the (distance x noise) cells over a
-    process pool, and ``checkpoint`` persists each completed cell to a
-    content-addressed on-disk cache so a killed sweep resumes where it
-    stopped and a repeated sweep is pure file reads — see
-    :mod:`repro.estimator.jobs` for the cell/key/resume semantics.
+    With the default ``jobs=1`` the cells run in-process, in order.
+    ``jobs > 1`` shards them over a process pool, and ``checkpoint``
+    persists each completed cell to a content-addressed on-disk cache so
+    a killed sweep resumes where it stopped and a repeated sweep is pure
+    file reads — see :mod:`repro.estimator.jobs` for the cell/key/resume
+    semantics.  Every mode is bit-identical (timing fields aside).
 
     ``profile`` selects the hardware calibration — a name, path, instance,
     or a list of those, which makes the profile the outermost sweep axis
@@ -279,80 +275,39 @@ def logical_error_sweep(
     error rate.  SIMD cells extend their cache keys non-default-only, so
     existing checkpoints stay valid.
     """
-    from repro.decode.memory import MemoryExperiment
-
     if (noise_models is None) == (rates is None):
         raise ValueError("give exactly one of noise_models or rates")
     if noise_models is None:
         assert rates is not None
         noise_models = [NoiseModel.uniform(p) for p in rates]
-    profs = _profiles(profile)
-    if jobs > 1 or checkpoint is not None:
-        from repro.estimator.jobs import (
-            logical_error_cells,
-            merge_shard_payloads,
-            run_cells,
-            shard_cell,
+    cells = [
+        cell
+        for prof in _profiles(profile)
+        for cell in logical_error_cells(
+            distances,
+            _resolve_noise(noise_models, prof),
+            shots=shots,
+            basis=basis,
+            rounds=rounds,
+            seed=seed,
+            engine=engine,
+            max_batch=max_batch,
+            decoder=decoder,
+            profile=prof,
+            window=window,
+            commit=commit,
+            simd=simd,
         )
-
-        cells = []
-        for prof in profs:
-            cells.extend(
-                logical_error_cells(
-                    distances,
-                    _resolve_noise(noise_models, prof),
-                    shots=shots,
-                    basis=basis,
-                    rounds=rounds,
-                    seed=seed,
-                    engine=engine,
-                    max_batch=max_batch,
-                    decoder=decoder,
-                    profile=prof,
-                    window=window,
-                    commit=commit,
-                    simd=simd,
-                )
-            )
-        groups = [shard_cell(c, shot_shards) for c in cells]
-        payloads = run_cells(
-            [shard for group in groups for shard in group],
-            jobs=jobs,
-            checkpoint=checkpoint,
-            use_cache=use_cache,
-            resume=resume,
-            stats=stats,
-        )
-        it = iter(payloads)
-        merged = [merge_shard_payloads([next(it) for _ in group]) for group in groups]
-        return [LogicalErrorReport.from_dict(p) for p in merged]
-    if shot_shards > 1:
-        raise ValueError(
-            "shot_shards requires the jobs path (jobs > 1 or a checkpoint); "
-            "the serial oracle has nothing to fan decode work out to"
-        )
-    reports = []
-    for prof in profs:
-        models = _resolve_noise(noise_models, prof)
-        for d in distances:
-            experiment = MemoryExperiment(
-                distance=d,
-                rounds=rounds,
-                basis=basis,
-                profile=prof,
-                window=window,
-                commit=commit,
-                simd=simd,
-            )
-            for model in models:
-                reports.append(
-                    experiment.run(
-                        shots,
-                        noise=model,
-                        seed=seed,
-                        engine=engine,
-                        max_batch=max_batch,
-                        decoder=decoder,
-                    )
-                )
-    return reports
+    ]
+    groups = [shard_cell(c, shot_shards) for c in cells]
+    payloads = run_cells(
+        [shard for group in groups for shard in group],
+        jobs=jobs,
+        checkpoint=checkpoint,
+        use_cache=use_cache,
+        resume=resume,
+        stats=stats,
+    )
+    it = iter(payloads)
+    merged = [merge_shard_payloads([next(it) for _ in group]) for group in groups]
+    return [LogicalErrorReport.from_dict(p) for p in merged]

@@ -266,9 +266,9 @@ class GridManager:
         """Register a new ion mid-circuit, emitting a ``Load`` pseudo-instruction.
 
         Trapped-ion systems draw fresh ions from a reservoir; Table 5 has no
-        explicit load operation, so loading is modelled as instantaneous (see
-        DESIGN.md).  The instruction lets the simulator's replay know when
-        and where the ion appears.
+        explicit load operation, so loading is modelled as instantaneous.
+        The instruction lets the simulator's replay know when and where the
+        ion appears.
         """
         t = self.now if t is None else t
         ion = self.add_ion(site, tag, t)
@@ -353,34 +353,6 @@ class GridManager:
                     return path[::-1]
                 queue.append(nxt)
         raise ValueError(f"no free path from {src} to {dst}")
-
-    def route_until(
-        self,
-        src: int,
-        goal,
-        avoid: Sequence[int] = (),
-    ) -> list[int]:
-        """BFS from ``src`` through free sites to the first zone where
-        ``goal(site)`` is true.  Used to evacuate stale ions to safe parking.
-        """
-        blocked = set(avoid) | (set(self._occupant) - {src})
-        if self.is_zone(src) and goal(src):
-            return [src]
-        prev: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt in prev or nxt in blocked:
-                    continue
-                prev[nxt] = cur
-                if self.is_zone(nxt) and goal(nxt):
-                    path = [nxt]
-                    while path[-1] != src:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(nxt)
-        raise ValueError(f"no reachable site satisfying the goal from {src}")
 
     # ---------------------------------------------------------- scheduling
     def _reserve_site(self, site: int, t: float, dur: float) -> float:

@@ -180,15 +180,9 @@ class HardwareModel:
         """S = diag(1, i) up to phase: Z_{pi/4}."""
         return self.native1(circuit, "Z_pi/4", ion, t_min)
 
-    def s_dagger(self, circuit, ion, t_min=0.0) -> tuple[float, float]:
-        return self.native1(circuit, "Z_-pi/4", ion, t_min)
-
     def t_gate(self, circuit, ion, t_min=0.0) -> tuple[float, float]:
         """T = diag(1, e^{i pi/4}) up to phase: Z_{pi/8} (non-Clifford)."""
         return self.native1(circuit, "Z_pi/8", ion, t_min)
-
-    def t_dagger(self, circuit, ion, t_min=0.0) -> tuple[float, float]:
-        return self.native1(circuit, "Z_-pi/8", ion, t_min)
 
     # ------------------------------------------------------------ 2q gates
     def zz(self, circuit, ion_a, ion_b, t_min=0.0) -> tuple[float, float]:

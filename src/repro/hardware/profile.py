@@ -264,11 +264,6 @@ class HardwareProfile:
         table["Junction"] = self.junction_us
         return table
 
-    @cached_property
-    def native_gates(self) -> frozenset[str]:
-        """Names that may appear in compiled circuit output."""
-        return frozenset(dict(self.gate_times_us)) | {"Move"}
-
     @property
     def preset_names(self) -> list[str]:
         return [name for name, _ in self.noise_presets]

@@ -1383,7 +1383,7 @@ class DetectorErrorModel:
         ``0.5 * (1 - prod_m (1 - 2 p_m))`` over the mechanisms touching it.
         One unbuffered ``np.multiply.at`` accumulation in mechanism order —
         bit-identical to the per-mechanism loop it replaced
-        (:meth:`_detection_rates_loop`, kept as the test oracle).
+        (``detection_rates`` in ``tests/oracles.py``, the test oracle).
         """
         prod = np.ones(self.n_detectors)
         lengths = np.fromiter(
@@ -1397,18 +1397,11 @@ class DetectorErrorModel:
         np.multiply.at(prod, flat, np.repeat(1.0 - 2.0 * self.probs, lengths))
         return 0.5 * (1.0 - prod)
 
-    def _detection_rates_loop(self) -> np.ndarray:
-        prod = np.ones(self.n_detectors)
-        for p, dets in zip(self.probs, self.detectors):
-            for d in dets:
-                prod[d] *= 1.0 - 2.0 * p
-        return 0.5 * (1.0 - prod)
-
     def observable_rates(self) -> np.ndarray:
         """Analytic marginal flip rate per observable (raw, undecoded).
 
         Same accumulation scheme as :meth:`detection_rates`; the loop
-        oracle survives as :meth:`_observable_rates_loop`.
+        oracle is ``observable_rates`` in ``tests/oracles.py``.
         """
         prod = np.ones(self.n_observables)
         factors = 1.0 - 2.0 * self.probs
@@ -1416,14 +1409,6 @@ class DetectorErrorModel:
         for o in range(self.n_observables):
             hit = (masks >> np.uint64(o)) & np.uint64(1) != 0
             np.multiply.at(prod, np.full(int(hit.sum()), o, dtype=np.int64), factors[hit])
-        return 0.5 * (1.0 - prod)
-
-    def _observable_rates_loop(self) -> np.ndarray:
-        prod = np.ones(self.n_observables)
-        for p, mask in zip(self.probs, self.observables):
-            for o in range(self.n_observables):
-                if int(mask) >> o & 1:
-                    prod[o] *= 1.0 - 2.0 * p
         return 0.5 * (1.0 - prod)
 
     def to_dict(self) -> dict:

@@ -58,10 +58,28 @@ class TestValidation:
         assert code == 2
         assert "scales" in out
 
-    def test_bad_rounds_rejected_dem(self, capsys):
-        code, out = run_cli(capsys, "dem", "--distance", "3", "--rounds", "0")
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--op", "Idle"],
+            ["sample", "--op", "Idle", "--shots", "10"],
+            ["lfr", "--distances", "3", "--rates", "1e-3", "--shots", "10"],
+            ["sweep", "--op", "Idle", "--distances", "3"],
+            ["dem", "--distance", "3", "--rate", "1e-3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rounds_below_one_is_one_line_error(self, capsys, argv, rounds):
+        code, out = run_cli(capsys, *argv, "--rounds", rounds)
         assert code == 2
-        assert "rounds" in out
+        assert out == f"rounds must be at least 1 (got {rounds})\n"
+
+    @pytest.mark.parametrize("cmd", ["compile", "sample"])
+    def test_distance_below_two_is_one_line_error(self, capsys, cmd):
+        code, out = run_cli(capsys, cmd, "--op", "Idle", "--dx", "1")
+        assert code == 2
+        assert out == "code distances below 2 are not supported\n"
 
     @pytest.mark.parametrize("cmd", ["lfr", "dem"])
     def test_unknown_preset_is_one_line_error(self, capsys, cmd):
@@ -246,11 +264,6 @@ class TestWindowedDecoding:
         assert code == 2
         assert "smaller than --window" in out
 
-    def test_shot_shards_need_somewhere_to_fan_out(self, capsys):
-        code, out = run_cli(capsys, *self.LFR, "--shot-shards", "2")
-        assert code == 2
-        assert "--shot-shards" in out and "--jobs" in out
-
     def test_shot_shards_require_frame_engine(self, capsys):
         code, out = run_cli(
             capsys, *self.LFR, "--shot-shards", "2", "--jobs", "2",
@@ -260,14 +273,16 @@ class TestWindowedDecoding:
         assert "frame" in out
 
     def test_shot_sharded_lfr_matches_serial(self, capsys):
+        def rows(out):
+            return [" ".join(line.split()[:10]) for line in out.splitlines() if "ZMemory" in line]
+
         code, serial = run_cli(capsys, *self.LFR)
-        code2, sharded = run_cli(capsys, *self.LFR, "--jobs", "2", "--shot-shards", "2")
-        assert code == 0 and code2 == 0
-        strip = [" ".join(line.split()[:10]) for line in serial.splitlines() if "ZMemory" in line]
-        strip2 = [
-            " ".join(line.split()[:10]) for line in sharded.splitlines() if "ZMemory" in line
-        ]
-        assert strip == strip2
+        assert code == 0
+        # Shards fan out over --jobs workers, or run in-process without it.
+        for jobs in (["--jobs", "2"], []):
+            code, sharded = run_cli(capsys, *self.LFR, *jobs, "--shot-shards", "2")
+            assert code == 0
+            assert rows(sharded) == rows(serial)
 
     def test_mismatched_checkpoint_is_one_line_error(self, capsys, tmp_path):
         ck = str(tmp_path / "ck")

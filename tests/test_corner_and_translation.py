@@ -105,8 +105,7 @@ class TestFlipPatch:
     @pytest.mark.parametrize("dx,dz", [(2, 2), (2, 3)])
     def test_even_distance_raises_cleanly(self, dx, dz):
         """Even-distance flips require a corner protocol the paper does not
-        specify; we fail with a diagnostic rather than corrupt the state.
-        See EXPERIMENTS.md."""
+        specify; we fail with a diagnostic rather than corrupt the state."""
         grid, _, lq, c, occ0 = fresh_patch(dx, dz)
         lq.prepare(c, basis="Z", rounds=1)
         with pytest.raises(DeformationError):

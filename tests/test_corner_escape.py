@@ -4,7 +4,7 @@ The escape hatch used by corner movement when a new boundary face would
 otherwise conflict with a logical operator: remove the corner data qubit in
 the complementary basis, re-prepare it in the face's basis, and re-attach.
 Tested in isolation here (even-distance flips exercise it end-to-end but
-are a documented limitation, see EXPERIMENTS.md).
+are a known limitation, see ``test_corner_and_translation.py``).
 """
 
 from repro.code.corner import (

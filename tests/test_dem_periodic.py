@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.decode.memory import _TEMPLATE_ROUNDS, MemoryExperiment
 from repro.sim.dem import (
     DemExtractionError,
@@ -220,8 +221,8 @@ class TestMetadataAndRates:
             build_dem(table, noise.params),
             build_dem(full_walk_table(exp, noise), noise.params),
         ):
-            assert np.array_equal(dem.detection_rates(), dem._detection_rates_loop())
-            assert np.array_equal(dem.observable_rates(), dem._observable_rates_loop())
+            assert np.array_equal(dem.detection_rates(), oracles.detection_rates(dem))
+            assert np.array_equal(dem.observable_rates(), oracles.observable_rates(dem))
 
     def test_kind_counts_match_between_paths(self, periodic_pair):
         exp, table, noise = periodic_pair

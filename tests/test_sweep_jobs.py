@@ -1,9 +1,9 @@
 """Crash/resume fault-injection and sharding-equivalence suite for the
 sharded sweep engine (``estimator/jobs.py`` + ``estimator/cache.py``).
 
-The contract under test: no matter how a sweep is sharded, killed, or
-resumed, the merged reports are bit-identical (timing fields aside) to the
-serial single-process ``logical_error_sweep`` oracle; the checkpoint
+The contract under test: no matter how a sweep is run in-process,
+sharded, killed, or resumed, the merged reports are bit-identical (timing
+fields aside) to the plain loops in ``tests/oracles.py``; the checkpoint
 manifest never holds duplicate or torn cells; and corrupt result files are
 detected by their content hash and recomputed, never served.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -21,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from repro.estimator import sweep
 from repro.estimator.cache import CheckpointError, ResultCache, content_hash
 from repro.estimator.jobs import (
     execute_cell,
@@ -49,12 +50,15 @@ def make_cells(**overrides):
 
 @pytest.fixture(scope="module")
 def serial_fingerprints():
-    """The oracle: fingerprints of the uninterrupted serial sweep."""
-    reports = logical_error_sweep(DISTANCES, rates=RATES, shots=SHOTS, seed=0)
-    return [payload_fingerprint(r.to_dict()) for r in reports]
+    """Fingerprints of the oracle loop's reports for the standard sweep."""
+    reports = oracles.logical_error_sweep(DISTANCES, rates=RATES, shots=SHOTS, seed=0)
+    return fingerprints(reports)
 
 
 def fingerprints(reports):
+    """Payload fingerprints of a sweep's reports (a dict for ``sweep_all``)."""
+    if isinstance(reports, dict):
+        return {op: fingerprints(r) for op, r in reports.items()}
     return [payload_fingerprint(r.to_dict()) for r in reports]
 
 
@@ -272,7 +276,7 @@ class TestCheckpointSemantics:
         assert len(manifest_keys(tmp_path / "ck")) == len(cells) // 2
 
     def test_resource_cells_round_trip_exactly(self, tmp_path):
-        serial = sweep_operation("Idle", [2, 3], rounds=1)
+        serial = oracles.sweep_operation("Idle", [2, 3], rounds=1)
         cached = sweep_operation(
             "Idle", [2, 3], rounds=1, checkpoint=str(tmp_path / "ck")
         )
@@ -300,12 +304,12 @@ class TestCheckpointSemantics:
 
 
 class TestShardingProperty:
-    """Any sharding merges to exactly the serial sweep output.
+    """Any sharding merges to exactly the oracle loop's output.
 
-    Extends the PR 3 chunk-invariant-seed guarantee to the process-parallel
-    path: worker count (1..4), frame-sampling chunk size, and submission
-    order are all drawn by hypothesis, and every combination must reproduce
-    the serial oracle bit-for-bit (timing fields aside).
+    Extends the chunk-invariant-seed guarantee to every execution mode:
+    worker count (1..4), frame-sampling chunk size, and submission order
+    are all drawn by hypothesis, and every combination must reproduce the
+    oracle bit-for-bit (timing fields aside).
     """
 
     @settings(
@@ -318,18 +322,15 @@ class TestShardingProperty:
         max_batch=st.one_of(st.none(), st.integers(min_value=1, max_value=SHOTS + 10)),
         order=st.permutations(list(range(len(DISTANCES) * len(RATES)))),
     )
-    def test_any_sharding_merges_to_serial(self, jobs, max_batch, order):
-        serial = logical_error_sweep(DISTANCES, rates=RATES, shots=SHOTS, seed=0)
-        want = {payload_fingerprint(r.to_dict()) for r in serial}
-
+    def test_any_sharding_merges_to_serial(
+        self, serial_fingerprints, jobs, max_batch, order
+    ):
         cells = make_cells(max_batch=max_batch)
         shuffled = [cells[i] for i in order]
         payloads = run_cells(shuffled, jobs=jobs)
-        got = {payload_fingerprint(p) for p in payloads}
-        assert got == want
-        # ... and the merge preserves the submitted order, not completion order.
+        # The oracle's payloads, in submitted order rather than completion order.
         assert [payload_fingerprint(p) for p in payloads] == [
-            payload_fingerprint(serial[i].to_dict()) for i in order
+            serial_fingerprints[i] for i in order
         ]
 
 
@@ -404,24 +405,119 @@ class TestShotSharding:
     def test_sweep_with_shot_shards_matches_serial(
         self, tmp_path, serial_fingerprints, shards
     ):
-        stats = new_stats()
-        reports = logical_error_sweep(
-            DISTANCES,
-            rates=RATES,
-            shots=SHOTS,
-            seed=0,
-            jobs=2,
-            shot_shards=shards,
-            checkpoint=str(tmp_path / "ck"),
-            stats=stats,
-        )
-        assert fingerprints(reports) == serial_fingerprints
-        n_cells = len(DISTANCES) * len(RATES)
-        assert stats["executed"] == n_cells * shards
-        assert len(manifest_keys(tmp_path / "ck")) == n_cells * shards
-
-    def test_serial_path_rejects_shot_shards(self):
-        with pytest.raises(ValueError, match="jobs"):
-            logical_error_sweep(
-                DISTANCES, rates=RATES, shots=SHOTS, seed=0, shot_shards=2
+        # Shards run in-process at jobs=1 like any other cell.
+        for jobs in (2, 1):
+            ck = tmp_path / f"ck{jobs}"
+            stats = new_stats()
+            reports = logical_error_sweep(
+                DISTANCES,
+                rates=RATES,
+                shots=SHOTS,
+                seed=0,
+                jobs=jobs,
+                shot_shards=shards,
+                checkpoint=str(ck),
+                stats=stats,
             )
+            assert fingerprints(reports) == serial_fingerprints
+            n_cells = len(DISTANCES) * len(RATES)
+            assert stats["executed"] == n_cells * shards
+            assert len(manifest_keys(ck)) == n_cells * shards
+
+
+#: (sweep function, positional args, keyword args shared with the oracle,
+#: execution-only keyword args the oracle does not take).
+ORACLE_CASES = [
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(rates=[3e-3], shots=40, rounds=1, engine="tableau"),
+        {},
+        id="tableau-engine",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(rates=[3e-3], shots=SHOTS, rounds=1, decoder="lookup"),
+        {},
+        id="lookup-decoder",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(
+            rates=[3e-3], shots=SHOTS, rounds=6, decoder="union_find_windowed",
+            window=4, commit=2,
+        ),
+        {},
+        id="windowed-decoder",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(noise_models=["near_term"], shots=SHOTS, rounds=2, simd=True),
+        {},
+        id="simd",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(
+            noise_models=["near_term", ("near_term", 2.0)], shots=SHOTS, rounds=2,
+            profile=["baseline", "fast_projected"],
+        ),
+        {},
+        id="two-profiles-preset-and-scaled-noise",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(rates=RATES, shots=SHOTS, rounds=2, basis="X", max_batch=37),
+        {},
+        id="x-basis-max-batch",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3, 3],),
+        dict(rates=RATES, shots=SHOTS, rounds=2),
+        {},
+        id="duplicate-distances",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(noise_models=[None, NoiseModel.uniform(3e-3)], shots=SHOTS, rounds=2),
+        dict(jobs=1),
+        id="noiseless-jobs1",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(noise_models=[None, NoiseModel.uniform(3e-3)], shots=SHOTS, rounds=2),
+        dict(jobs=2),
+        id="noiseless-jobs2",
+    ),
+    pytest.param(
+        "logical_error_sweep",
+        ([3],),
+        dict(rates=RATES, shots=SHOTS, rounds=2),
+        dict(jobs=1, shot_shards=3),
+        id="shot-shards-jobs1",
+    ),
+    pytest.param(
+        "sweep_operation",
+        ("MeasureZZ", [2, 3]),
+        dict(rounds=1, simd=True, profile=["baseline", "slow_junction"]),
+        {},
+        id="resource-simd-two-profiles",
+    ),
+    pytest.param("sweep_all", ([2],), dict(rounds=1), {}, id="sweep-all"),
+]
+
+
+@pytest.mark.parametrize("func, args, kwargs, run", ORACLE_CASES)
+def test_sweep_matches_oracle(func, args, kwargs, run):
+    """Every sweep mode reproduces the oracle loop bit for bit."""
+    got = getattr(sweep, func)(*args, **kwargs, **run)
+    want = getattr(oracles, func)(*args, **kwargs)
+    assert fingerprints(got) == fingerprints(want)
