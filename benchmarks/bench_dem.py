@@ -96,7 +96,7 @@ def run_comparison(d: int = 7, rounds: int | None = None, verify: bool = True) -
     # One-time template build (a small-rounds compile + full walk), shared
     # by every later periodic extraction of this patch/basis/noise shape.
     t0 = time.perf_counter()
-    template = _periodic_template(d, d, "Z", exp_r.profile, model.params)
+    template = _periodic_template(exp_r.spec, model.params)
     t_template = time.perf_counter() - t0
     if template is None or not template.usable:
         raise RuntimeError("periodic template unavailable for this configuration")

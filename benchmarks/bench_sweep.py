@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -129,11 +130,28 @@ def report(res: dict) -> None:
     )
 
 
+def _group_empties(pgid: int, within: float) -> bool:
+    """Whether process group ``pgid`` has no members left within ``within`` s."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.1)
+
+
 def crash_smoke(quick: bool = True) -> int:
     """Run a checkpointed sweep, SIGKILL it mid-run, resume, and diff.
 
     The CI robustness step: proves on every PR that a killed sweep resumes
-    to bit-identical reports against an uninterrupted in-process run.
+    to bit-identical reports against an uninterrupted in-process run.  The
+    driver runs in its own session and the whole process group is killed:
+    killing the driver alone would orphan its pool workers, which keep this
+    process's stdout open.  The smoke fails if any member of the group is
+    still alive 10 s after the kill.
     """
     distances, rates, shots = [3], [1e-3, 2e-3, 3e-3, 5e-3], 2000 if quick else 20000
     workdir = tempfile.mkdtemp(prefix="crash_smoke_")
@@ -145,15 +163,21 @@ def crash_smoke(quick: bool = True) -> int:
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True)
     manifest = os.path.join(checkpoint, "manifest.jsonl")
     deadline = time.monotonic() + 300
     while time.monotonic() < deadline and proc.poll() is None:
         if os.path.exists(manifest) and open(manifest).read().count("\n") >= 1:
             break
         time.sleep(0.02)
-    proc.kill()
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the driver and its workers have already exited
     proc.wait(timeout=60)
+    if not _group_empties(proc.pid, within=10.0):
+        print(f"crash smoke FAIL: driver process group {proc.pid} outlived the kill by 10 s")
+        return 1
     if not os.path.exists(manifest):
         print("crash smoke FAIL: driver died before any cell was checkpointed")
         return 1

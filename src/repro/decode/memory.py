@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.core.compiler import TISCC
 from repro.decode.base import Decoder, decoder_class, get_decoder
-from repro.hardware.profile import DEFAULT_PROFILE, HardwareProfile, get_profile
+from repro.hardware.profile import HardwareProfile
 from repro.decode.graph import MatchingGraph, build_dem_graph, build_memory_graph
 from repro.estimator.report import LogicalErrorReport
+from repro.estimator.spec import ExperimentSpec
 from repro.sim.batch import BatchResult
 from repro.sim.dem import (
     DemExtractionError,
@@ -53,67 +54,15 @@ from repro.sim.dem import (
 from repro.sim.frame import FrameSampler, FrameSamples
 from repro.sim.noise import NoiseModel, NoiseParams
 
-__all__ = ["MemoryExperiment", "memory_cache_key"]
-
-
-def memory_cache_key(
-    dx: int,
-    dz: int,
-    rounds: int | None,
-    basis: str,
-    noise: NoiseModel | NoiseParams | None,
-    profile: HardwareProfile | str | None = None,
-    simd: bool = False,
-) -> tuple:
-    """Canonical cache-key components of one memory-experiment cell.
-
-    This is the pure-parameter identity the sharded sweep layer
-    (:mod:`repro.estimator.jobs`) hashes into content-addressed result
-    keys, exported from here so it stays in lock-step with what a
-    :class:`MemoryExperiment` actually computes:
-
-    * ``rounds`` is normalized exactly like :func:`_memory_core` does
-      (``None`` means ``max(dx, dz)``), so explicit and defaulted rounds
-      share a cache entry;
-    * the noise model enters as its :func:`~repro.sim.dem.dem_structure_key`
-      (which channels can fire — the part that shapes the fault table) plus
-      the raw rate values — but **not** the cosmetic ``params.name``, so
-      renamed-but-identical models hit the same cache entry;
-    * a non-default hardware profile joins as its canonical
-      :attr:`~repro.hardware.profile.HardwareProfile.fingerprint` (physical
-      content only, never the profile's name), so two profiles can never
-      share a cached artifact while default-profile keys — and therefore
-      existing checkpoints — are unchanged;
-    * SIMD beam-pass scheduling joins as a ``"simd"`` marker only when
-      enabled, same non-default-only pattern: pre-SIMD checkpoints keep
-      their keys.
-    """
-    n_rounds = rounds if rounds is not None else max(dx, dz)
-    params = noise.params if isinstance(noise, NoiseModel) else noise
-    if params is None:
-        noise_part: tuple = ("none",)
-    else:
-        noise_part = tuple(dem_structure_key(params)) + (
-            params.p1,
-            params.p2,
-            params.p_prep,
-            params.p_meas,
-            params.t2_us,
-        )
-    key = ("memory", dx, dz, n_rounds, basis) + noise_part
-    prof = get_profile(profile)
-    if prof.fingerprint != DEFAULT_PROFILE.fingerprint:
-        key += (("profile", prof.fingerprint),)
-    if simd:
-        key += ("simd",)
-    return key
+__all__ = ["MemoryExperiment"]
 
 
 @dataclass
 class _MemoryCore:
     """The shareable compile-time state of one memory experiment.
 
-    Everything here is a pure function of ``(dx, dz, rounds, basis)`` — the
+    Everything here is a pure function of the spec's compile axes
+    (:attr:`~repro.estimator.spec.ExperimentSpec.compile_key`) — the
     compiled circuit, detector layout, and schedule graph — plus the mutable
     caches keyed by noise parameters.  Cached per key so repeated
     :class:`MemoryExperiment` constructions (rate sweeps, CLI invocations,
@@ -141,7 +90,7 @@ class _MemoryCore:
     frame_samplers: dict = field(default_factory=dict)
 
 
-#: (dx, dz, rounds, basis, profile fingerprint) -> compiled core, LRU-capped.
+#: :attr:`ExperimentSpec.compile_key` -> compiled core, LRU-capped.
 _CORE_CACHE: OrderedDict[tuple, _MemoryCore] = OrderedDict()
 _CORE_CACHE_MAX = 32
 
@@ -150,7 +99,7 @@ _CORE_CACHE_MAX = 32
 #: self-check (>= 6; 9 rounds -> 8 copies) with a couple to spare.
 _TEMPLATE_ROUNDS = 9
 
-#: (dx, dz, basis, profile fingerprint, dem_structure_key) ->
+#: (template spec's compile key, dem_structure_key) ->
 #: :class:`~repro.sim.dem.PeriodicTemplate` or ``None`` (template
 #: construction failed; cached so the failure is only diagnosed once).
 #: Rounds-independent by construction — every experiment over the same
@@ -160,26 +109,20 @@ _TEMPLATE_CACHE: OrderedDict[tuple, PeriodicTemplate | None] = OrderedDict()
 _TEMPLATE_CACHE_MAX = 16
 
 
-def _periodic_template(
-    dx: int,
-    dz: int,
-    basis: str,
-    profile: HardwareProfile | None,
-    params: NoiseParams,
-) -> PeriodicTemplate | None:
-    """The shared extraction template for one patch/basis/profile/structure.
+def _periodic_template(spec: ExperimentSpec, params: NoiseParams) -> PeriodicTemplate | None:
+    """The shared extraction template for ``spec``'s patch/basis/profile.
 
     Compiles a ``_TEMPLATE_ROUNDS``-round memory (through the ordinary
     ``_memory_core`` cache) and full-walks it exactly once; the resulting
     :class:`~repro.sim.dem.PeriodicTemplate` then serves every round count
     via :func:`~repro.sim.dem.extract_fault_table`'s tiling path.
     """
-    profile = get_profile(profile)
-    key = (dx, dz, basis, profile.fingerprint, dem_structure_key(params))
+    template_spec = ExperimentSpec(spec.dx, spec.dz, _TEMPLATE_ROUNDS, spec.basis, spec.profile)
+    key = (template_spec.compile_key, dem_structure_key(params))
     if key in _TEMPLATE_CACHE:
         _TEMPLATE_CACHE.move_to_end(key)
         return _TEMPLATE_CACHE[key]
-    core = _memory_core(dx, dz, _TEMPLATE_ROUNDS, basis, profile)
+    core = _memory_core(template_spec)
     template = make_periodic_template(
         core.compiled.circuit,
         core.compiled.initial_occupancy,
@@ -193,30 +136,19 @@ def _periodic_template(
     return template
 
 
-def _memory_core(
-    dx: int,
-    dz: int,
-    rounds: int | None,
-    basis: str,
-    profile: HardwareProfile | None = None,
-    simd: bool = False,
-) -> _MemoryCore:
-    profile = get_profile(profile)
-    key = (
-        dx,
-        dz,
-        rounds if rounds is not None else max(dx, dz),
-        basis,
-        profile.fingerprint,
-    ) + (("simd",) if simd else ())
+def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
+    key = spec.compile_key
     core = _CORE_CACHE.get(key)
     if core is not None:
         _CORE_CACHE.move_to_end(key)
         return core
 
-    compiler = TISCC(dx=dx, dz=dz, tile_rows=1, tile_cols=1, rounds=rounds, profile=profile)
+    basis = spec.basis
+    compiler = TISCC(
+        dx=spec.dx, dz=spec.dz, tile_rows=1, tile_cols=1, rounds=spec.rounds, profile=spec.profile
+    )
     program = [(f"Prepare{basis}", (0, 0)), (f"Measure{basis}", (0, 0))]
-    compiled = compiler.compile(program, operation=f"{basis}Memory", simd=simd)
+    compiled = compiler.compile(program, operation=f"{basis}Memory", simd=spec.simd)
 
     patch = compiler.tiles[(0, 0)].patch
     assert patch is not None
@@ -296,6 +228,10 @@ class MemoryExperiment:
     (log-likelihood edge weights, cached per parameter set); the
     schedule-built graph remains on :attr:`graph` as the noise-free
     cross-check and the fallback for non-Clifford schedules.
+
+    The other keywords are :class:`~repro.estimator.spec.ExperimentSpec`
+    axes, kept on :attr:`spec`; ``window``/``commit`` default to
+    ``2 * max(dx, dz)`` / ``max(dx, dz)``.
     """
 
     def __init__(
@@ -311,28 +247,24 @@ class MemoryExperiment:
         commit: int | None = None,
         simd: bool = False,
     ):
-        if basis not in ("Z", "X"):
-            raise ValueError("memory basis must be 'Z' or 'X'")
-        if commit is not None and window is None:
-            raise ValueError("commit without window makes no sense")
         if distance is not None:
+            if dx is not None or dz is not None:
+                raise ValueError("give either distance or both dx and dz, not both")
             dx = dz = distance
         if dx is None or dz is None:
             raise ValueError("give either distance or both dx and dz")
-        self.basis = basis
+        #: The experiment's axes (basis, SIMD, decoder, window shape, ...).
+        self.spec = ExperimentSpec(dx, dz, rounds, basis, profile, simd, decoder, window, commit)
         #: Hardware profile the experiment compiles and caches under.
-        self.profile = get_profile(profile)
-        #: Whether the compiled circuit went through SIMD beam-pass
-        #: rescheduling (profile ``simd_*`` fields set the pass's knobs).
-        self.simd = simd
+        self.profile = self.spec.profile
         # Compilation, label extraction, and graph construction are shared
-        # per (dx, dz, rounds, basis) across every instance in the process:
-        # rate sweeps and repeated constructions pay for the compile once.
+        # per compile key across every instance in the process: rate sweeps
+        # and repeated constructions pay for the compile once.
         # The shared bundle is treated as immutable — code that mutates
         # :attr:`compiled` (e.g. splicing instructions into the circuit)
         # must call :meth:`clear_compile_cache` around the experiment to
         # avoid leaking the mutation into later constructions.
-        core = _memory_core(dx, dz, rounds, basis, self.profile, simd=simd)
+        core = _memory_core(self.spec)
         self._core = core
         self.compiler = core.compiler
         self.compiled = core.compiled
@@ -357,23 +289,22 @@ class MemoryExperiment:
         #: with every other instance of the same core.
         self._fault_tables: dict[tuple, FaultTable] = core.fault_tables
         self.graph: MatchingGraph = core.graph
-        #: Default decoder name; validated here by building the schedule-
-        #: graph decoder (kept on :attr:`decoder` for direct use).
-        self.decoder_name = decoder
         #: DEM-built matching graphs cached per noise-parameter key.
         self._dem_graphs: dict[tuple, MatchingGraph] = core.dem_graphs
-        #: Sliding-window shape for layout-aware decoders (``None`` means
-        #: the decoder's defaults, ``2 * max(dx, dz)`` / ``max(dx, dz)``);
-        #: ignored by whole-block decoders.
-        self.window = window
-        self.commit = commit
         #: Built decoders cached per (name, graph key) — deliberately
         #: *per instance*, never on the shared core: decoders carry mutable
         #: scratch state, and the documented way to parallelize is one
         #: experiment (hence one decoder) per worker.
         self._decoders: dict[tuple, Decoder] = {}
+        # Building the default decoder over the schedule graph validates its
+        # name; the instance stays on :attr:`decoder` for direct use.
         self.decoder: Decoder = self._build_decoder(decoder, self.graph)
         self._decoders[self._decoder_key("schedule", decoder)] = self.decoder
+
+    @classmethod
+    def from_spec(cls, spec: ExperimentSpec) -> MemoryExperiment:
+        """The experiment ``spec`` names (built through the constructor)."""
+        return cls(**{f.name: getattr(spec, f.name) for f in fields(spec)})
 
     @staticmethod
     def clear_compile_cache() -> None:
@@ -453,8 +384,8 @@ class MemoryExperiment:
             # are re-timed individually), so the periodic preconditions can
             # never hold — skip straight to the full-walk oracle path.
             template = (
-                _periodic_template(self.dx, self.dz, self.basis, self.profile, noise.params)
-                if self.rounds >= _TEMPLATE_ROUNDS and not self.simd
+                _periodic_template(self.spec, noise.params)
+                if self.rounds >= _TEMPLATE_ROUNDS and not self.spec.simd
                 else None
             )
             table = extract_fault_table(
@@ -517,19 +448,19 @@ class MemoryExperiment:
         """
         key: tuple = (graph_key, name)
         if decoder_class(name).wants_layout:
-            key += (self.window, self.commit)
+            key += (self.spec.window, self.spec.commit)
         return key
 
     def _build_decoder(self, name: str, graph: MatchingGraph) -> Decoder:
         """Instantiate decoder ``name`` over ``graph`` with layout kwargs if wanted."""
         if decoder_class(name).wants_layout:
-            d = max(self.dx, self.dz)
+            d, spec = max(self.dx, self.dz), self.spec
             return get_decoder(
                 name,
                 graph,
                 n_faces=len(self.faces),
-                window=self.window if self.window is not None else 2 * d,
-                commit=self.commit if self.commit is not None else d,
+                window=spec.window if spec.window is not None else 2 * d,
+                commit=spec.commit if spec.commit is not None else d,
             )
         return get_decoder(name, graph)
 
@@ -546,7 +477,7 @@ class MemoryExperiment:
         and again on cache hits, so externally injected instances are
         checked too.
         """
-        name = decoder if decoder is not None else self.decoder_name
+        name = decoder if decoder is not None else self.spec.decoder
         graph = self.matching_graph(noise)
         key = self._decoder_key(
             "schedule" if graph is self.graph else self._params_key(noise), name
@@ -810,6 +741,6 @@ class MemoryExperiment:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<MemoryExperiment {self.basis} dx={self.dx} dz={self.dz} "
+            f"<MemoryExperiment {self.spec.basis} dx={self.dx} dz={self.dz} "
             f"rounds={self.rounds} detectors={self.n_detectors}>"
         )

@@ -10,6 +10,7 @@ from repro.estimator.report import (
 )
 from repro.estimator.cache import CheckpointError, ResultCache
 from repro.estimator.jobs import SweepCell, payload_fingerprint, run_cells
+from repro.estimator.spec import ExperimentSpec
 from repro.estimator.sweep import sweep_operation, OPERATION_PROGRAMS
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "CheckpointError",
     "ResultCache",
     "SweepCell",
+    "ExperimentSpec",
     "payload_fingerprint",
     "run_cells",
 ]

@@ -2,12 +2,14 @@
 
 A sweep — ``logical_error_sweep``, ``sweep_operation``, ``sweep_all`` — is
 decomposed into independent :class:`SweepCell` units, each a pure function
-of its parameters: one ``(op, dx/dz, rounds, basis, noise, decoder,
-engine, shots, seed)`` point.  Each cell has a deterministic content key
-(:meth:`SweepCell.key`: SHA-256 over the canonical cell parameters, with
-the noise model fingerprinted via
-:func:`repro.decode.memory.memory_cache_key`), which addresses its result
-in an on-disk :class:`~repro.estimator.cache.ResultCache`.  The driver,
+of its parameters: one operation, one
+:class:`~repro.estimator.spec.ExperimentSpec` (dx/dz, rounds, basis,
+hardware profile, SIMD, decoder, window/commit), and for memory cells one
+noise model, engine, shot count, seed and shot offset.  Each cell has a
+deterministic content key (:meth:`SweepCell.key`: SHA-256 over the
+canonical cell parameters, whose experiment part — noise fingerprint
+included — the spec builds), which addresses its result in an on-disk
+:class:`~repro.estimator.cache.ResultCache`.  The driver,
 :func:`run_cells`,
 
 * serves every cached cell with a hash-verified file read,
@@ -41,7 +43,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro.estimator.cache import CheckpointError, ResultCache, content_hash
-from repro.hardware.profile import DEFAULT_PROFILE, HardwareProfile, get_profile
+from repro.estimator.spec import ExperimentSpec
 from repro.sim.noise import NoiseModel, NoiseParams
 
 __all__ = [
@@ -69,46 +71,32 @@ class SweepCell:
     ``kind`` selects the workload: ``"memory_lfr"`` runs a decoded memory
     experiment (one row of :func:`~repro.estimator.sweep.logical_error_sweep`),
     ``"resource"`` compiles one operation at one distance (one row of
-    :func:`~repro.estimator.sweep.sweep_operation`).  ``max_batch`` chunks
-    frame sampling inside a cell; results are chunk-invariant in it (per-shot
-    seed streams), so it does not enter the cell key.
+    :func:`~repro.estimator.sweep.sweep_operation`).  ``spec`` holds the
+    experiment's axes.  ``max_batch`` chunks frame sampling inside a cell;
+    results are chunk-invariant in it (per-shot seed streams), so it does
+    not enter the cell key.
     """
 
     kind: str
     op: str
-    dx: int
-    dz: int
-    rounds: int | None
-    basis: str = "Z"
+    spec: ExperimentSpec
     noise: NoiseParams | None = None
-    decoder: str = "union_find"
     engine: str = "frame"
     shots: int = 0
     seed: int = 0
     max_batch: int | None = None
-    #: Hardware profile the cell compiles under (``None`` = default).  The
-    #: profile is frozen/hashable, so the cell stays hashable and picklable.
-    profile: HardwareProfile | None = None
     #: First global shot index of this cell's slice of the per-shot seed
     #: streams (frame engine only).  Nonzero for shot-axis shards produced
     #: by :func:`shard_cell`; enters the key only when nonzero, so
     #: unsharded keys — and existing checkpoints — are unchanged.
     shot_offset: int = 0
-    #: Sliding-window shape for layout-aware decoders (``union_find_windowed``);
-    #: ``None`` defers to the decoder defaults and keeps legacy keys stable.
-    window: int | None = None
-    commit: int | None = None
-    #: SIMD beam-pass rescheduling of the compiled circuit; enters the key
-    #: only when True, so pre-SIMD checkpoints stay valid.
-    simd: bool = False
 
     def key_payload(self) -> dict:
         """The canonical parameter dict hashed into this cell's key.
 
-        A non-default hardware profile joins as its canonical fingerprint
-        (for memory cells, inside :func:`memory_cache_key`), so two
-        profiles never share a content-addressed result while
-        default-profile keys match pre-profile checkpoints exactly.
+        The spec builds the experiment's part
+        (:meth:`~repro.estimator.spec.ExperimentSpec.memory_key`,
+        :meth:`~repro.estimator.spec.ExperimentSpec.resource_key`).
 
         The DEM *extraction path* (periodic template tiling vs full walk,
         see :meth:`MemoryExperiment.fault_table`) is deliberately absent
@@ -117,45 +105,16 @@ class SweepCell:
         checkpoints — are path-independent.
         """
         if self.kind == "memory_lfr":
-            from repro.decode.memory import memory_cache_key
-
             return {
                 "kind": self.kind,
-                "memory": list(
-                    memory_cache_key(
-                        self.dx,
-                        self.dz,
-                        self.rounds,
-                        self.basis,
-                        self.noise,
-                        profile=self.profile,
-                        simd=self.simd,
-                    )
-                ),
-                "decoder": self.decoder,
+                **self.spec.memory_key(self.noise),
                 "engine": self.engine,
                 "shots": self.shots,
                 "seed": self.seed,
-                # Non-default extensions join conditionally so the keys of
-                # every pre-existing cell (and checkpoint) are unchanged.
                 **({"shot_offset": self.shot_offset} if self.shot_offset else {}),
-                **({"window": self.window} if self.window is not None else {}),
-                **({"commit": self.commit} if self.commit is not None else {}),
             }
         if self.kind == "resource":
-            payload = {
-                "kind": self.kind,
-                "op": self.op,
-                "dx": self.dx,
-                "dz": self.dz,
-                "rounds": self.rounds,
-            }
-            prof = get_profile(self.profile)
-            if prof.fingerprint != DEFAULT_PROFILE.fingerprint:
-                payload["profile"] = prof.fingerprint
-            if self.simd:
-                payload["simd"] = True
-            return payload
+            return {"kind": self.kind, "op": self.op, **self.spec.resource_key()}
         raise ValueError(f"unknown sweep cell kind {self.kind!r}")
 
     def key(self) -> str:
@@ -174,63 +133,34 @@ def payload_fingerprint(payload: dict) -> str:
 
 # ------------------------------------------------------------- cell builders
 def logical_error_cells(
-    distances: list[int],
+    specs: list[ExperimentSpec],
     noise_models: list[NoiseModel | None],
     *,
     shots: int,
-    basis: str = "Z",
-    rounds: int | None = None,
     seed: int = 0,
     engine: str = "frame",
     max_batch: int | None = None,
-    decoder: str | None = None,
-    profile: HardwareProfile | str | None = None,
-    window: int | None = None,
-    commit: int | None = None,
-    simd: bool = False,
 ) -> list[SweepCell]:
-    """Cells of a logical-error sweep, distance-major; a ``None`` model is noiseless."""
-    prof = get_profile(profile)
+    """Cells of a logical-error sweep, spec-major; a ``None`` model is noiseless."""
     return [
         SweepCell(
             kind="memory_lfr",
-            op=f"{basis}Memory",
-            dx=d,
-            dz=d,
-            rounds=rounds,
-            basis=basis,
+            op=f"{spec.basis}Memory",
+            spec=spec,
             noise=model.params if model is not None else None,
-            decoder=decoder if decoder is not None else "union_find",
             engine=engine,
             shots=shots,
             seed=seed,
             max_batch=max_batch,
-            profile=prof,
-            window=window,
-            commit=commit,
-            simd=simd,
         )
-        for d in distances
+        for spec in specs
         for model in noise_models
     ]
 
 
-def resource_cells(
-    ops: list[str],
-    distances: list[int],
-    rounds: int | None = None,
-    profile: HardwareProfile | str | None = None,
-    simd: bool = False,
-) -> list[SweepCell]:
-    """Cells of a resource sweep, operation-major then distance-major."""
-    prof = get_profile(profile)
-    return [
-        SweepCell(
-            kind="resource", op=op, dx=d, dz=d, rounds=rounds, profile=prof, simd=simd
-        )
-        for op in ops
-        for d in distances
-    ]
+def resource_cells(ops: list[str], specs: list[ExperimentSpec]) -> list[SweepCell]:
+    """Cells of a resource sweep, operation-major then spec-major."""
+    return [SweepCell(kind="resource", op=op, spec=spec) for op in ops for spec in specs]
 
 
 def shard_cell(cell: SweepCell, shards: int) -> list[SweepCell]:
@@ -339,19 +269,12 @@ def execute_cell(cell: SweepCell) -> dict:
     runs identically in the driver process and in pool workers.
     """
     _maybe_inject_fault(cell.key())
+    spec = cell.spec
     if cell.kind == "memory_lfr":
+        # Lazy: repro.decode.memory imports this package.
         from repro.decode.memory import MemoryExperiment
 
-        experiment = MemoryExperiment(
-            dx=cell.dx,
-            dz=cell.dz,
-            rounds=cell.rounds,
-            basis=cell.basis,
-            profile=cell.profile,
-            window=cell.window,
-            commit=cell.commit,
-            simd=cell.simd,
-        )
+        experiment = MemoryExperiment.from_spec(spec)
         model = NoiseModel(cell.noise) if cell.noise is not None else None
         report = experiment.run(
             cell.shots,
@@ -359,7 +282,6 @@ def execute_cell(cell: SweepCell) -> dict:
             seed=cell.seed,
             engine=cell.engine,
             max_batch=cell.max_batch,
-            decoder=cell.decoder,
             shot_offset=cell.shot_offset,
         )
         return report.to_dict()
@@ -369,14 +291,14 @@ def execute_cell(cell: SweepCell) -> dict:
 
         build, shape = OPERATION_PROGRAMS[cell.op]
         compiler = TISCC(
-            dx=cell.dx,
-            dz=cell.dz,
+            dx=spec.dx,
+            dz=spec.dz,
             tile_rows=shape[0],
             tile_cols=shape[1],
-            rounds=cell.rounds,
-            profile=cell.profile,
+            rounds=spec.rounds,
+            profile=spec.profile,
         )
-        compiled = compiler.compile(build(), operation=cell.op, simd=cell.simd)
+        compiled = compiler.compile(build(), operation=cell.op, simd=spec.simd)
         return compiled.resources.to_dict()
     raise ValueError(f"unknown sweep cell kind {cell.kind!r}")
 
@@ -395,15 +317,16 @@ def new_stats() -> dict:
 
 def _sweep_summary(cells: list[SweepCell]) -> dict:
     """Human-readable sweep description pinned into the checkpoint meta."""
+    specs = [c.spec for c in cells]
     return {
         "kinds": sorted({c.kind for c in cells}),
         "ops": sorted({c.op for c in cells}),
-        "distances": sorted({c.dx for c in cells} | {c.dz for c in cells}),
-        "bases": sorted({c.basis for c in cells}),
+        "distances": sorted({s.dx for s in specs} | {s.dz for s in specs}),
+        "bases": sorted({s.basis for s in specs}),
         "noise": sorted({c.noise.name if c.noise is not None else "none" for c in cells}),
         "shots": sorted({c.shots for c in cells}),
         "seeds": sorted({c.seed for c in cells}),
-        "profiles": sorted({get_profile(c.profile).name for c in cells}),
+        "profiles": sorted({s.profile.name for s in specs}),
         "cells": len(cells),
     }
 

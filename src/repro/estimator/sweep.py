@@ -25,6 +25,7 @@ from repro.estimator.jobs import (
     shard_cell,
 )
 from repro.estimator.report import LogicalErrorReport
+from repro.estimator.spec import ExperimentSpec
 from repro.hardware.profile import HardwareProfile, get_profile
 from repro.hardware.resources import ResourceReport
 from repro.sim.noise import NoiseModel
@@ -105,13 +106,12 @@ def _resource_sweep(
     **run,
 ) -> list[ResourceReport]:
     """Resource reports for ``ops`` x profiles x ``distances``, in that nesting."""
-    profs = _profiles(profile)
-    cells = [
-        cell
-        for op in ops
-        for prof in profs
-        for cell in resource_cells([op], distances, rounds, profile=prof, simd=simd)
+    specs = [
+        ExperimentSpec(d, d, rounds, profile=prof, simd=simd)
+        for prof in _profiles(profile)
+        for d in distances
     ]
+    cells = resource_cells(ops, specs)
     return [ResourceReport.from_dict(p) for p in run_cells(cells, **run)]
 
 
@@ -245,7 +245,8 @@ def logical_error_sweep(
     ``"union_find_unweighted"``, ``"union_find_windowed"``, ``"lookup"``,
     ...); ``None`` keeps each experiment's default (weighted union-find
     over the DEM-built graph).  ``window``/``commit`` set the sliding-
-    window shape for layout-aware decoders (ignored by whole-block ones).
+    window shape for layout-aware decoders; a whole-block decoder rejects
+    them.
 
     ``shot_shards > 1`` splits every cell's shot axis into that many
     disjoint slices of the per-shot seed streams so *decode* work fans out
@@ -280,23 +281,20 @@ def logical_error_sweep(
     if noise_models is None:
         assert rates is not None
         noise_models = [NoiseModel.uniform(p) for p in rates]
+    decoder = decoder if decoder is not None else "union_find"
     cells = [
         cell
         for prof in _profiles(profile)
         for cell in logical_error_cells(
-            distances,
+            [
+                ExperimentSpec(d, d, rounds, basis, prof, simd, decoder, window, commit)
+                for d in distances
+            ],
             _resolve_noise(noise_models, prof),
             shots=shots,
-            basis=basis,
-            rounds=rounds,
             seed=seed,
             engine=engine,
             max_batch=max_batch,
-            decoder=decoder,
-            profile=prof,
-            window=window,
-            commit=commit,
-            simd=simd,
         )
     ]
     groups = [shard_cell(c, shot_shards) for c in cells]

@@ -74,6 +74,7 @@ def logical_error_sweep(
                 distance=d,
                 rounds=rounds,
                 basis=basis,
+                decoder=decoder if decoder is not None else "union_find",
                 profile=prof,
                 window=window,
                 commit=commit,
@@ -87,7 +88,6 @@ def logical_error_sweep(
                         seed=seed,
                         engine=engine,
                         max_batch=max_batch,
-                        decoder=decoder,
                     )
                 )
     return reports

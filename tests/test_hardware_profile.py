@@ -15,8 +15,9 @@ import json
 
 import pytest
 
-from repro.decode.memory import MemoryExperiment, memory_cache_key
+from repro.decode.memory import MemoryExperiment
 from repro.estimator.jobs import logical_error_cells, resource_cells
+from repro.estimator.spec import ExperimentSpec
 from repro.estimator.sweep import sweep_operation
 from repro.hardware import model as hw_model
 from repro.hardware.grid import MOVE_US, JUNCTION_HOP_US, GridManager, grid_for_patch
@@ -141,16 +142,18 @@ class TestDefaultBitIdentity:
             assert got == expected
 
     def test_memory_cache_key_unchanged_for_default(self):
-        noise = NoiseModel.uniform(1e-3)
-        legacy = memory_cache_key(3, 3, 3, "Z", noise)
-        threaded = memory_cache_key(3, 3, 3, "Z", noise, profile=DEFAULT_PROFILE)
+        noise = NoiseModel.uniform(1e-3).params
+        legacy = ExperimentSpec(3, 3, 3).memory_key(noise)
+        threaded = ExperimentSpec(3, 3, 3, profile=DEFAULT_PROFILE).memory_key(noise)
         assert legacy == threaded
-        assert all("profile" not in str(part) for part in legacy)
+        assert all("profile" not in str(part) for part in legacy["memory"])
 
     def test_default_cells_have_no_profile_in_payload(self):
-        (cell,) = resource_cells(["Idle"], [3])
+        (cell,) = resource_cells(["Idle"], [ExperimentSpec(3, 3)])
         assert "profile" not in cell.key_payload()
-        (cell,) = logical_error_cells([3], [NoiseModel.uniform(1e-3)], shots=10)
+        (cell,) = logical_error_cells(
+            [ExperimentSpec(3, 3)], [NoiseModel.uniform(1e-3)], shots=10
+        )
         assert "profile" not in str(cell.key_payload())
 
     def test_explicit_baseline_equals_implicit_default(self):
@@ -167,16 +170,15 @@ class TestCacheIsolation:
         assert tweaked.fingerprint != DEFAULT_PROFILE.fingerprint
 
         noise = NoiseModel.uniform(1e-3)
-        default_key = memory_cache_key(3, 3, 3, "Z", noise)
-        tweaked_key = memory_cache_key(3, 3, 3, "Z", noise, profile=tweaked)
-        assert default_key != tweaked_key
+        default, changed = ExperimentSpec(3, 3), ExperimentSpec(3, 3, profile=tweaked)
+        assert default.memory_key(noise.params) != changed.memory_key(noise.params)
 
-        (a,) = resource_cells(["Idle"], [3])
-        (b,) = resource_cells(["Idle"], [3], profile=tweaked)
+        (a,) = resource_cells(["Idle"], [default])
+        (b,) = resource_cells(["Idle"], [changed])
         assert a.key_payload() != b.key_payload()
 
-        (a,) = logical_error_cells([3], [noise], shots=10)
-        (b,) = logical_error_cells([3], [noise], shots=10, profile=tweaked)
+        (a,) = logical_error_cells([default], [noise], shots=10)
+        (b,) = logical_error_cells([changed], [noise], shots=10)
         assert a.key_payload() != b.key_payload()
 
     def test_distinct_profiles_get_distinct_compile_cores(self):

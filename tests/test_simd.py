@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler import TISCC
-from repro.decode.memory import MemoryExperiment, memory_cache_key
+from repro.decode.memory import MemoryExperiment
 from repro.estimator.jobs import SweepCell
+from repro.estimator.spec import ExperimentSpec
 from repro.estimator.report import format_resource_table
 from repro.hardware.profile import DEFAULT_PROFILE, SIMD_MODES, ProfileError, get_profile
 from repro.hardware.simd import baseline_beam_passes, simd_schedule
@@ -261,21 +262,24 @@ class TestKeyStability:
     """simd enters cache keys only when enabled: old checkpoints stay valid."""
 
     def test_memory_cache_key_unchanged_when_off(self):
-        base = memory_cache_key(3, 3, None, "Z", NOISE)
-        assert base == memory_cache_key(3, 3, None, "Z", NOISE, simd=False)
-        assert "simd" not in base
-        assert memory_cache_key(3, 3, None, "Z", NOISE, simd=True) == base + ("simd",)
+        base = ExperimentSpec(3, 3).memory_key(NOISE.params)
+        assert base == ExperimentSpec(3, 3, simd=False).memory_key(NOISE.params)
+        assert "simd" not in base["memory"]
+        simd = ExperimentSpec(3, 3, simd=True).memory_key(NOISE.params)
+        assert simd == {**base, "memory": base["memory"] + ["simd"]}
 
     def test_sweep_cell_payloads(self):
-        plain = SweepCell(kind="memory_lfr", op="ZMemory", dx=3, dz=3, rounds=None,
+        spec = ExperimentSpec(3, 3)
+        plain = SweepCell(kind="memory_lfr", op="ZMemory", spec=spec,
                           noise=NOISE.params, shots=100)
-        assert plain.key_payload() == replace(plain, simd=False).key_payload()
+        off = replace(plain, spec=replace(spec, simd=False))
+        assert plain.key_payload() == off.key_payload()
         assert "simd" not in repr(plain.key_payload())
-        assert replace(plain, simd=True).key() != plain.key()
+        assert replace(plain, spec=replace(spec, simd=True)).key() != plain.key()
 
-        res = SweepCell(kind="resource", op="MeasureZ", dx=3, dz=3, rounds=None)
+        res = SweepCell(kind="resource", op="MeasureZ", spec=spec)
         assert "simd" not in res.key_payload()
-        assert replace(res, simd=True).key_payload()["simd"] is True
+        assert replace(res, spec=replace(spec, simd=True)).key_payload()["simd"] is True
 
 
 class TestReportGating:

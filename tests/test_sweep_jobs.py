@@ -33,6 +33,7 @@ from repro.estimator.jobs import (
     run_cells,
     shard_cell,
 )
+from repro.estimator.spec import ExperimentSpec
 from repro.estimator.sweep import logical_error_sweep, sweep_operation
 from repro.sim.noise import NoiseModel
 
@@ -40,12 +41,13 @@ DISTANCES = [3]
 RATES = [1e-3, 3e-3]
 SHOTS = 150
 MODELS = [NoiseModel.uniform(p) for p in RATES]
+SPECS = [ExperimentSpec(d, d) for d in DISTANCES]
 
 
 def make_cells(**overrides):
     kwargs = dict(shots=SHOTS, seed=0, engine="frame")
     kwargs.update(overrides)
-    return logical_error_cells(DISTANCES, MODELS, **kwargs)
+    return logical_error_cells(SPECS, MODELS, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +252,9 @@ class TestCheckpointSemantics:
     def test_mismatched_checkpoint_is_one_line_error(self, tmp_path):
         ck = tmp_path / "ck"
         run_cells(make_cells(), checkpoint=ck)
-        other = logical_error_cells([3], [NoiseModel.uniform(5e-3)], shots=SHOTS, seed=0)
+        other = logical_error_cells(
+            [ExperimentSpec(3, 3)], [NoiseModel.uniform(5e-3)], shots=SHOTS, seed=0
+        )
         with pytest.raises(CheckpointError, match="different sweep"):
             run_cells(other, checkpoint=ck)
 
@@ -289,7 +293,7 @@ class TestCheckpointSemantics:
     def test_cell_key_ignores_chunking_and_noise_name(self):
         base = make_cells()[0]
         renamed = logical_error_cells(
-            DISTANCES, [NoiseModel.uniform(RATES[0], name="other-name")],
+            SPECS, [NoiseModel.uniform(RATES[0], name="other-name")],
             shots=SHOTS, seed=0,
         )[0]
         chunked = make_cells(max_batch=7)[0]
@@ -299,8 +303,105 @@ class TestCheckpointSemantics:
 
     def test_resource_and_memory_cells_never_collide(self):
         mem = {c.key() for c in make_cells()}
-        res = {c.key() for c in resource_cells(["Idle", "PrepareZ"], [2, 3], rounds=1)}
+        specs = [ExperimentSpec(d, d, rounds=1) for d in (2, 3)]
+        res = {c.key() for c in resource_cells(["Idle", "PrepareZ"], specs)}
         assert not mem & res
+
+
+UNIFORM = NoiseModel.uniform(1e-3)
+NEAR_TERM = NoiseModel.preset("near_term")
+
+#: Cell builders and their full content keys.  The relational key tests
+#: above would pass a refactor that changed every key consistently; these
+#: literals catch that, since a changed key orphans every checkpoint
+#: holding the cell.  Only the builders may change, never the digests.
+GOLDEN_KEYS = [
+    pytest.param(
+        lambda: logical_error_cells([ExperimentSpec(3, 3)], [UNIFORM], shots=100, seed=0)[0],
+        "7df8e5ea9c4e1de67cbfa66836783e8b347f752fdfe8c26738f72439e76f41f9",
+        id="memory-default",
+    ),
+    pytest.param(
+        lambda: shard_cell(
+            logical_error_cells([ExperimentSpec(3, 3)], [UNIFORM], shots=100, seed=0)[0], 3
+        )[1],
+        "879b71e012e7cba47528a1bc1c21e732775fb8e00f1f2a94094e6d76bb87becd",
+        id="memory-shot-shard",
+    ),
+    pytest.param(
+        lambda: logical_error_cells(
+            [ExperimentSpec(7, 7, rounds=21)], [NEAR_TERM], shots=20000, seed=101
+        )[0],
+        "87a679d6aa6c00b79906c6916e3ced072bf0c69ae2465f4a28a4aeb94914cbeb",
+        id="memory-canonical-lfr",
+    ),
+    pytest.param(
+        lambda: logical_error_cells([ExperimentSpec(3, 3)], [None], shots=10)[0],
+        "3213162c1502f8e0c5a2456f6d78640bd780822fee07038bda563518847eaee1",
+        id="memory-noiseless",
+    ),
+    pytest.param(
+        lambda: logical_error_cells(
+            [ExperimentSpec(5, 5, basis="X")], [UNIFORM], shots=10, engine="tableau"
+        )[0],
+        "a5e16380b2cee8c43b5cb02bc802a3fa134c8840b830daca9a19c4c4080e8bfb",
+        id="memory-x-basis-tableau",
+    ),
+    pytest.param(
+        lambda: logical_error_cells(
+            [ExperimentSpec(3, 3, profile="slow_junction")],
+            [NoiseModel.preset("near_term", profile="slow_junction")],
+            shots=10,
+        )[0],
+        "066aaf251e3849bf887da50d9d7d299f2ad0cdea51b0023599aa03f52248133f",
+        id="memory-profile",
+    ),
+    pytest.param(
+        lambda: logical_error_cells(
+            [ExperimentSpec(7, 7, rounds=70, simd=True)], [NEAR_TERM], shots=1000
+        )[0],
+        "8c1256ab2ff32ece58f2536330ad0c888e0abb1d2caa7cd11c18db6a147de103",
+        id="memory-simd",
+    ),
+    pytest.param(
+        lambda: logical_error_cells(
+            [ExperimentSpec(3, 3, rounds=6, decoder="union_find_windowed", window=4, commit=2)],
+            [UNIFORM],
+            shots=10,
+        )[0],
+        "e644111cfd30a52112791fc7d4058f27789aa6b67cc9c519a1fee17e053e5b3e",
+        id="memory-windowed",
+    ),
+    pytest.param(
+        lambda: logical_error_cells(
+            [ExperimentSpec(3, 3, decoder="lookup")], [UNIFORM], shots=10
+        )[0],
+        "209fa926563738a40f8ccb75e930c3ed5c8f3e33b62d8ceb92951fc60288229a",
+        id="memory-lookup",
+    ),
+    pytest.param(
+        lambda: resource_cells(["Idle"], [ExperimentSpec(3, 3)])[0],
+        "80b662962c57706cf31bd141666faa8e241031e4c5f1ee48eacf371381126953",
+        id="resource-default",
+    ),
+    pytest.param(
+        lambda: resource_cells(["MeasureZZ"], [ExperimentSpec(5, 5, rounds=2)])[0],
+        "c1ab8c696764ac058774984efdae350a90468569bea9502e78db6919c407740c",
+        id="resource-rounds",
+    ),
+    pytest.param(
+        lambda: resource_cells(
+            ["CNOT"], [ExperimentSpec(3, 3, profile="fast_projected", simd=True)]
+        )[0],
+        "7bc6fa204dd950a722e89238f750785eee20e22d75d9675ed1c714be97a6fd3e",
+        id="resource-profile-simd",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, key", GOLDEN_KEYS)
+def test_cell_keys_are_pinned(build, key):
+    assert build().key() == key
 
 
 class TestShardingProperty:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.decode import MemoryExperiment, get_decoder
 from repro.decode.graph import BOUNDARY, DetectorEdge, MatchingGraph
 from repro.decode.window import WindowedUnionFindDecoder, window_spans
+from repro.estimator.sweep import logical_error_sweep
 from repro.sim.noise import NoiseModel
 
 WINDOW_GRID = [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (6, 5)]
@@ -197,9 +198,46 @@ def test_default_window_shape_is_2d_d():
     assert (dec.window, dec.commit) == (6, 3)
 
 
-def test_commit_without_window_rejected():
-    with pytest.raises(ValueError, match="commit"):
-        MemoryExperiment(dx=3, dz=3, commit=2)
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        pytest.param(
+            lambda: MemoryExperiment(dx=3, dz=3, commit=2),
+            "commit without window",
+            id="commit-without-window",
+        ),
+        pytest.param(
+            lambda: MemoryExperiment(distance=3, rounds=2, window=4, commit=2),
+            "not 'union_find'",
+            id="window-with-union-find",
+        ),
+        pytest.param(
+            lambda: MemoryExperiment(distance=3, window=4, decoder="lookup"),
+            "not 'lookup'",
+            id="window-with-lookup",
+        ),
+        pytest.param(
+            lambda: logical_error_sweep([3], rates=[1e-3], shots=10, rounds=2, window=4),
+            "not 'union_find'",
+            id="sweep-window-with-default-decoder",
+        ),
+        pytest.param(
+            lambda: MemoryExperiment(distance=3, dx=5),
+            "either distance or both dx and dz",
+            id="distance-with-dx",
+        ),
+        pytest.param(
+            lambda: MemoryExperiment(distance=3, basis="Y"),
+            "basis must be 'Z' or 'X'",
+            id="basis-y",
+        ),
+    ],
+)
+def test_bad_experiment_axes_rejected(build, match):
+    """Inconsistent axes fail with one line instead of being ignored."""
+    with pytest.raises(ValueError, match=match) as err:
+        build()
+    assert "\n" not in str(err.value)
 
 
 def test_windowed_decoder_validates_layout(memory3):
