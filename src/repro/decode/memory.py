@@ -110,14 +110,18 @@ _TEMPLATE_CACHE_MAX = 16
 
 
 def _periodic_template(spec: ExperimentSpec, params: NoiseParams) -> PeriodicTemplate | None:
-    """The shared extraction template for ``spec``'s patch/basis/profile.
+    """The shared extraction template for ``spec``'s patch/basis/profile/SIMD.
 
     Compiles a ``_TEMPLATE_ROUNDS``-round memory (through the ordinary
-    ``_memory_core`` cache) and full-walks it exactly once; the resulting
-    :class:`~repro.sim.dem.PeriodicTemplate` then serves every round count
-    via :func:`~repro.sim.dem.extract_fault_table`'s tiling path.
+    ``_memory_core`` cache, SIMD-scheduled when ``spec.simd`` is, so its
+    rounds are timed like the target's) and full-walks it exactly once; the
+    resulting :class:`~repro.sim.dem.PeriodicTemplate` then serves every
+    round count via :func:`~repro.sim.dem.extract_fault_table`'s tiling
+    path.
     """
-    template_spec = ExperimentSpec(spec.dx, spec.dz, _TEMPLATE_ROUNDS, spec.basis, spec.profile)
+    template_spec = ExperimentSpec(
+        spec.dx, spec.dz, _TEMPLATE_ROUNDS, spec.basis, spec.profile, spec.simd
+    )
     key = (template_spec.compile_key, dem_structure_key(params))
     if key in _TEMPLATE_CACHE:
         _TEMPLATE_CACHE.move_to_end(key)
@@ -367,25 +371,23 @@ class MemoryExperiment:
         probability layer.  For ``rounds >= _TEMPLATE_ROUNDS`` extraction
         goes through the periodic tiling path: one shared
         ``_TEMPLATE_ROUNDS``-round template per (patch, basis, profile,
-        noise structure) is full-walked once and tiled onto this
+        SIMD, noise structure) is full-walked once and tiled onto this
         experiment's round count, so the cost is O(prologue + one bulk
         round + epilogue) regardless of ``rounds``, and changing ``rounds``
         never re-walks a circuit.  The full walk runs instead — producing a
         bit-identical table — whenever the periodic preconditions fail: the
         compiler's template replay fell back to round-by-round scheduling
         (no replay metadata), the replica region is not an exact
-        translation of the template's, or any translation check
-        (labels, detectors, observables, idle-gap durations) misses.
+        translation of the template's (as under a SIMD ``pass_serial``
+        beam), or any translation check (labels, detectors, observables,
+        idle-gap durations) misses.
         """
         key = dem_structure_key(noise.params)
         table = self._fault_tables.get(key)
         if table is None:
-            # SIMD-rescheduled circuits drop replay provenance (the rows
-            # are re-timed individually), so the periodic preconditions can
-            # never hold — skip straight to the full-walk oracle path.
             template = (
                 _periodic_template(self.spec, noise.params)
-                if self.rounds >= _TEMPLATE_ROUNDS and not self.spec.simd
+                if self.rounds >= _TEMPLATE_ROUNDS
                 else None
             )
             table = extract_fault_table(

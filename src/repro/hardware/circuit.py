@@ -179,17 +179,18 @@ class ReplayBlock:
     ``[start, stop)`` and copy ``k`` (1-based) occupies rows
     ``[chunk_start + (k-1)*block, chunk_start + k*block)`` with
     ``block = stop - start``.  ``label_maps[k-1]`` maps each template
-    measurement label to copy ``k``'s fresh label.  The DEM extractor uses
-    these records to recognize the periodic bulk of a replayed circuit and
-    tile fault footprints instead of re-walking every round.
+    measurement label to copy ``k``'s fresh label.  The record names rows
+    and labels only, never times, so it stays valid on a
+    :meth:`HardwareCircuit.retimed` copy.  The DEM extractor uses these
+    records to locate the periodic bulk of a replayed circuit, measures the
+    period from the circuit's own time columns, and tiles fault footprints
+    instead of re-walking every round.
     """
 
     start: int
     stop: int
     chunk_start: int
     copies: int
-    dt: float
-    overridden: bool
     label_maps: tuple[dict[str, str], ...]
 
     @property
@@ -203,8 +204,6 @@ class ReplayBlock:
             self.stop + offset,
             self.chunk_start + offset,
             self.copies,
-            self.dt,
-            self.overridden,
             self.label_maps,
         )
 
@@ -320,43 +319,28 @@ class HardwareCircuit:
         self._measure_count = max(self._measure_count, other._measure_count)
         self._invalidate()
 
-    @classmethod
-    def from_columns(
-        cls,
-        columns: CircuitColumns,
-        t: np.ndarray | None = None,
-        measure_count: int = 0,
-    ) -> "HardwareCircuit":
-        """Rebuild a circuit from one columnar snapshot, optionally retimed.
+    def retimed(self, t: np.ndarray) -> "HardwareCircuit":
+        """This circuit with new start times ``t``, given in append order.
 
-        ``columns`` becomes a single frozen chunk in append order == column
-        order; ``t`` (when given) replaces the start times — the retiming
-        hook the SIMD beam-pass scheduler uses.  Labels are carried over at
-        the same row indices.  Replay provenance is *not* carried: the rows
-        are already materialized, and a retimed stream no longer matches the
-        uniform time-shift contract of :class:`ReplayBlock`.
+        Everything else carries over: the same rows in the same append
+        order, the same measurement labels, measure counter and
+        :class:`ReplayBlock` records.  This is the SIMD beam-pass
+        scheduler's output hook.  The replay records stay true because
+        they name rows, not times; whether a retimed bulk is still
+        periodic is for the DEM extractor to verify.
         """
-        if columns.n and int(columns.nsites.max()) > 2:
-            raise ValueError("from_columns does not support arity>2 rows")
-        if t is None:
-            t = columns.t
-        t = np.ascontiguousarray(t, dtype=np.float64)
-        if t.shape != (columns.n,):
-            raise ValueError(f"t must have shape ({columns.n},), got {t.shape}")
-        new = cls()
-        new._frozen.append(
-            (
-                columns.codes.copy(),
-                columns.site0.copy(),
-                columns.site1.copy(),
-                columns.nsites.copy(),
-                t.copy(),
-                columns.duration.copy(),
-            )
-        )
-        new._frozen_len = columns.n
-        new._label_of = dict(columns.labels)
-        new._measure_count = measure_count
+        cols = self.columns()
+        t = np.array(t, dtype=np.float64)
+        if t.shape != (cols.n,):
+            raise ValueError(f"t must have shape ({cols.n},), got {t.shape}")
+        new = HardwareCircuit()
+        # Column arrays are never written in place, so the copy shares them.
+        new._frozen.append((cols.codes, cols.site0, cols.site1, cols.nsites, t, cols.duration))
+        new._frozen_len = cols.n
+        new._label_of = dict(self._label_of)
+        new._extra_sites = dict(self._extra_sites)
+        new._measure_count = self._measure_count
+        new._replays = list(self._replays)
         return new
 
     def replay_block(
@@ -415,17 +399,7 @@ class HardwareCircuit:
                 relabel[self._label_of[row]] = new
                 self._label_of[chunk_start + k * block + (row - start)] = new
             maps.append(relabel)
-        self._replays.append(
-            ReplayBlock(
-                start,
-                stop,
-                chunk_start,
-                copies,
-                float(dt),
-                override is not None,
-                tuple(maps),
-            )
-        )
+        self._replays.append(ReplayBlock(start, stop, chunk_start, copies, tuple(maps)))
         self._invalidate()
         return maps
 

@@ -45,10 +45,12 @@ Scheduling model
   holds it for ``duration + overhead``; this prices beam-limited hardware
   and can *lengthen* the circuit, which is the point of the model.
 
-The result is rebuilt through :meth:`HardwareCircuit.from_columns`;
-template-replay provenance is consumed (the replayed rounds are already
-materialized columns), so downstream DEM extraction uses the full-walk
-oracle path for rescheduled circuits.
+The result is :meth:`HardwareCircuit.retimed`: the input circuit with the
+same rows, labels and template-replay records, and new start times.  On a
+replayed memory the bulk rounds come out periodic again, so the DEM
+extractor tiles them as it does unscheduled memories.  It verifies that
+periodicity against the retimed columns and walks the whole circuit when
+the check fails, as it does for a ``pass_serial`` beam's bulk.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ def simd_schedule(
 
     ``width`` caps members per pass (0 = unlimited), ``mode`` selects the
     beam timing discipline (:data:`SIMD_MODES`), ``overhead_us`` is the
-    per-pass setup cost.  Returns the retimed circuit (same rows, same
-    per-site order, new start times) and a :class:`SimdReport`.
+    per-pass setup cost.  Returns ``circuit.retimed(...)`` (same rows in
+    the same append order, same labels and replay records, new start
+    times) and a :class:`SimdReport`.
     """
     if mode not in SIMD_MODES:
         raise ValueError(f"mode must be one of {SIMD_MODES}, got {mode!r}")
@@ -297,8 +300,10 @@ def simd_schedule(
                     if indeg[nxt] == 0:
                         release(nxt)
 
-    t_arr = np.array(new_t, dtype=np.float64)
-    new = HardwareCircuit.from_columns(cols, t=t_arr, measure_count=circuit._measure_count)
+    # The schedule was built over the sorted stream; retime in append order.
+    t_arr = np.empty(n, dtype=np.float64)
+    t_arr[circuit.sort_order()] = new_t
+    new = circuit.retimed(t_arr)
 
     mean_group = n_laser / n_passes if n_passes else 0.0
     capacity = width if width else max_group
@@ -311,7 +316,7 @@ def simd_schedule(
         mean_group_width=mean_group,
         utilization=mean_group / capacity if capacity else 0.0,
         baseline_makespan_us=circuit.makespan,
-        makespan_us=float(np.max(t_arr + cols.duration)) if n else 0.0,
+        makespan_us=new.makespan,
         width=width,
         mode=mode,
         overhead_us=overhead_us,

@@ -504,7 +504,6 @@ def extract_fault_table(
     detectors: list[list[str]],
     observables: list[list[str]],
     *,
-    method: str = "auto",
     template: "PeriodicTemplate | None" = None,
 ) -> FaultTable:
     """Enumerate fault sites and project their flips onto detectors.
@@ -513,22 +512,20 @@ def extract_fault_table(
     XOR parity is deterministic in the noiseless circuit; detector ids in
     the resulting table index these lists.
 
-    ``method`` selects the extraction path: ``"full"`` walks every
-    instruction of the sorted stream (the oracle — kept verbatim),
-    ``"periodic"`` requires the rounds-independent tiling path built from
-    ``template`` (a :func:`make_periodic_template` bundle for the same
-    patch/basis/profile/noise structure) and raises
-    :class:`DemExtractionError` when its structural preconditions fail,
-    and ``"auto"`` (default) uses the periodic path when a template is
-    given and every precondition holds, silently falling back to the full
-    walk otherwise — in particular whenever the compiler's template replay
-    itself fell back to round-by-round scheduling (no
-    :class:`~repro.hardware.circuit.ReplayBlock` metadata).  Both paths
-    produce bit-identical tables (``tests/test_dem_periodic.py``).
+    The circuit decides the path, and the table's ``method`` records it.
+    Without a ``template`` this walks every instruction of the sorted
+    stream (the oracle, ``"full"``).  With one (a
+    :func:`make_periodic_template` bundle for the same
+    patch/basis/profile/SIMD/noise structure) it tiles the template onto
+    the circuit's periodic bulk when every structural precondition holds
+    against the circuit's own columns (``"periodic"``), and otherwise
+    walks: when the compiler's template replay fell back to round-by-round
+    scheduling (no :class:`~repro.hardware.circuit.ReplayBlock` records),
+    or when a schedule, such as a SIMD ``pass_serial`` beam's, leaves the
+    bulk rounds non-periodic.  Both paths produce bit-identical tables
+    (``tests/test_dem_periodic.py``).
     """
-    if method not in ("auto", "full", "periodic"):
-        raise ValueError(f"method must be 'auto', 'full', or 'periodic', got {method!r}")
-    if method != "full" and template is not None:
+    if template is not None:
         if (
             template.circuit is circuit
             and template.detectors == detectors
@@ -540,14 +537,6 @@ def extract_fault_table(
         )
         if table is not None:
             return table
-        if method == "periodic":
-            raise DemExtractionError(
-                "periodic extraction preconditions not met for this circuit "
-                "(no single replay block, non-periodic replica region, or "
-                "template/target structure mismatch)"
-            )
-    elif method == "periodic":
-        raise DemExtractionError("periodic extraction requires a template")
 
     sites = enumerate_fault_sites(circuit, initial_occupancy, params)
     label_flips = _propagate_frames(circuit, initial_occupancy, sites)

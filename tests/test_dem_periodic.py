@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import oracles
 from repro.decode.memory import _TEMPLATE_ROUNDS, MemoryExperiment
 from repro.sim.dem import (
-    DemExtractionError,
     build_dem,
     extract_fault_table,
     reset_visit_counts,
@@ -38,7 +37,6 @@ def full_walk_table(exp, noise):
         noise.params,
         exp.detector_labels,
         [exp.observable_labels],
-        method="full",
     )
 
 
@@ -61,18 +59,33 @@ def assert_dems_identical(dem_p, dem_f):
     assert dem_p.sources == dem_f.sources
 
 
+#: (d, rounds, profile, simd, expected extraction method); an id names the
+#: schedule only when it is not the default.  SIMD scheduling keeps the
+#: replay records, so SIMD memories tile too.  A pass_serial beam
+#: (slow_junction) leaves the bulk non-periodic: the verifier rejects it and
+#: the walk runs, with the same table either way.
+BIT_IDENTITY_CASES = [
+    pytest.param(
+        d, rounds, "baseline", simd, "periodic", id=f"{d}-{rounds}" + ("-simd" if simd else "")
+    )
+    for d, rounds in [(3, 10), (3, 17), (5, 15)]
+    for simd in (False, True)
+] + [pytest.param(3, 10, "slow_junction", True, "full", id="3-10-slow_junction-simd")]
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("preset", ["near_term", "projected"])
     @pytest.mark.parametrize("basis", ["Z", "X"])
-    @pytest.mark.parametrize("d,rounds", [(3, 10), (3, 17), (5, 15)])
-    def test_periodic_matches_full_walk(self, preset, basis, d, rounds):
+    @pytest.mark.parametrize("d, rounds, profile, simd, method", BIT_IDENTITY_CASES)
+    def test_periodic_matches_full_walk(self, preset, basis, d, rounds, profile, simd, method):
         noise = NoiseModel.preset(preset)
-        exp = MemoryExperiment(distance=d, rounds=rounds, basis=basis)
+        exp = MemoryExperiment(
+            distance=d, rounds=rounds, basis=basis, profile=profile, simd=simd
+        )
         exp._fault_tables.clear()
-        periodic = exp.fault_table(noise)
-        assert periodic.method == "periodic"
-        full = full_walk_table(exp, noise)
-        assert_tables_identical(periodic, full)
+        table = exp.fault_table(noise)
+        assert table.method == method
+        assert_tables_identical(table, full_walk_table(exp, noise))
 
     def test_dem_bit_identical_with_sources(self):
         noise = NoiseModel.preset("near_term")
@@ -116,14 +129,15 @@ class TestBitIdentity:
         p_prep=st.sampled_from([0.0, 1e-3]),
         p_meas=st.sampled_from([0.0, 4e-3]),
         t2=st.sampled_from([None, 50_000.0]),
+        simd=st.booleans(),
     )
     def test_random_structures_bit_identical(
-        self, rounds, basis, p1, p2, p_prep, p_meas, t2
+        self, rounds, basis, p1, p2, p_prep, p_meas, t2, simd
     ):
         noise = NoiseModel(
             NoiseParams(p1=p1, p2=p2, p_prep=p_prep, p_meas=p_meas, t2_us=t2)
         )
-        exp = MemoryExperiment(distance=3, rounds=rounds, basis=basis)
+        exp = MemoryExperiment(distance=3, rounds=rounds, basis=basis, simd=simd)
         exp._fault_tables.clear()
         table = exp.fault_table(noise)
         assert_tables_identical(table, full_walk_table(exp, noise))
@@ -134,24 +148,25 @@ class TestVisitCounts:
     def test_extraction_walks_are_rounds_independent(self):
         # After the one-time template walk, changing the round count must
         # not walk a single additional instruction: tiling is pure index
-        # arithmetic over the template's arrays.
+        # arithmetic over the template's arrays.  SIMD memories included.
         noise = NoiseModel.preset("near_term")
         d = 3
-        MemoryExperiment.clear_compile_cache()
-        reset_visit_counts()
-        try:
-            exp_small = MemoryExperiment(distance=d, rounds=3 * d)
-            exp_small.fault_table(noise)
-            after_template = visit_counts()
-            assert after_template["enumerate"] > 0  # the template's own walk
-            for rounds in (10 * d, 10 * d + 1):
-                exp = MemoryExperiment(distance=d, rounds=rounds)
-                table = exp.fault_table(noise)
-                assert table.method == "periodic"
-            assert visit_counts() == after_template
-        finally:
-            reset_visit_counts()
+        for simd in (False, True):
             MemoryExperiment.clear_compile_cache()
+            reset_visit_counts()
+            try:
+                exp_small = MemoryExperiment(distance=d, rounds=3 * d, simd=simd)
+                exp_small.fault_table(noise)
+                after_template = visit_counts()
+                assert after_template["enumerate"] > 0  # the template's own walk
+                for rounds in (10 * d, 10 * d + 1):
+                    exp = MemoryExperiment(distance=d, rounds=rounds, simd=simd)
+                    table = exp.fault_table(noise)
+                    assert table.method == "periodic"
+                assert visit_counts() == after_template
+            finally:
+                reset_visit_counts()
+                MemoryExperiment.clear_compile_cache()
 
     def test_short_memories_use_the_full_walk(self):
         noise = NoiseModel.preset("near_term")
@@ -202,18 +217,6 @@ class TestMetadataAndRates:
         assert dem.period == table.detector_period
         graph = build_dem_graph(dem)
         assert graph.period == dem.period
-
-    def test_method_periodic_requires_template(self, periodic_pair):
-        exp, _, noise = periodic_pair
-        with pytest.raises(DemExtractionError):
-            extract_fault_table(
-                exp.compiled.circuit,
-                exp.compiled.initial_occupancy,
-                noise.params,
-                exp.detector_labels,
-                [exp.observable_labels],
-                method="periodic",
-            )
 
     def test_vectorized_rates_match_loop_oracles(self, periodic_pair):
         exp, table, noise = periodic_pair

@@ -15,6 +15,8 @@ sliver.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 from functools import lru_cache
 
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiler import TISCC
+from repro.core.router import lattice_surgery_cnot_program
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.jobs import SweepCell
 from repro.estimator.spec import ExperimentSpec
@@ -55,14 +58,6 @@ def per_site_order(circuit):
     return seq
 
 
-def instruction_multiset(circuit):
-    cols = circuit.sorted_columns()
-    return sorted(
-        (int(cols.codes[i]), int(cols.site0[i]), int(cols.site1[i]), float(cols.duration[i]))
-        for i in range(cols.n)
-    )
-
-
 class TestScheduleProperties:
     """Hypothesis sweep over (width, mode, overhead): retiming invariants."""
 
@@ -79,9 +74,15 @@ class TestScheduleProperties:
             circuit, compiler.grid, width=width, mode=mode, overhead_us=overhead
         )
 
-        # Pure retiming: same instructions, same per-site order, same labels.
-        assert len(scheduled) == len(circuit)
-        assert instruction_multiset(scheduled) == instruction_multiset(circuit)
+        # Pure retiming: only the times change.  The rows keep their append
+        # order, labels and template-replay records, and every site keeps
+        # its instruction order.
+        before, after = circuit.columns(), scheduled.columns()
+        for name in ("codes", "site0", "site1", "nsites", "duration"):
+            assert np.array_equal(getattr(after, name), getattr(before, name))
+        assert after.labels == before.labels
+        assert circuit.replay_blocks
+        assert scheduled.replay_blocks == circuit.replay_blocks
         assert per_site_order(scheduled) == per_site_order(circuit)
         assert scheduled._measure_count == circuit._measure_count
 
@@ -104,6 +105,61 @@ class TestScheduleProperties:
         compiler, compiled = compiled_memory(3)
         _, report = simd_schedule(compiled.circuit, compiler.grid)
         assert report.pass_reduction >= 0.30  # acceptance floor, d=3 already ~0.47
+
+    def test_retimed_rejects_a_wrong_shape(self):
+        circuit = compiled_memory(3)[1].circuit
+        n = len(circuit)
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                circuit.retimed(bad)
+
+
+def schedule_digest(circuit) -> str:
+    """SHA-256 of a circuit's executable stream: sites, times, names, labels."""
+    cols = circuit.sorted_columns()
+    h = hashlib.sha256()
+    for arr in (cols.site0, cols.site1, cols.nsites, cols.t, cols.duration):
+        h.update(arr.tobytes())
+    h.update("\n".join(cols.names).encode("utf-8"))
+    h.update(json.dumps(sorted(cols.labels.items())).encode("utf-8"))
+    return h.hexdigest()
+
+
+MEMORY_Z = [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))]
+MEMORY_X = [("PrepareX", (0, 0)), ("MeasureX", (0, 0))]
+ONE_TILE = dict(dx=3, dz=3, tile_rows=1, tile_cols=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, program, expected",
+    [
+        (
+            dict(ONE_TILE, rounds=3),
+            MEMORY_Z,
+            "38aa427c63590f4206ab210c38de9c8b8399f8e455f0196ec3e959bd3b7a0f2a",
+        ),
+        (
+            dict(ONE_TILE, rounds=10, profile="fast_projected"),
+            MEMORY_X,
+            "66a3da802b02ac3114bac994418ff415d236cfb67b0722e68262bde17c091fab",
+        ),
+        (
+            dict(ONE_TILE, rounds=10, profile="slow_junction"),
+            MEMORY_Z,
+            "f5196f31ac165ff84514c9a391d165a7a8191267bd9311f2b49de9515e2d7724",
+        ),
+        (
+            dict(dx=3, dz=3, tile_rows=2, tile_cols=2),
+            lattice_surgery_cnot_program(),
+            "22c758912dd6f1ca67971f41b3142cf3963db31b6d05f638adf534552902aa3f",
+        ),
+    ],
+    ids=["memory-z", "memory-x-fast_projected", "memory-z-slow_junction", "cnot"],
+)
+def test_scheduled_circuits_match_golden_digests(kwargs, program, expected):
+    """The exact SIMD schedule, pinned: any change to its output shows here."""
+    circuit = TISCC(**kwargs).compile(program, simd=True).circuit
+    assert schedule_digest(circuit) == expected
 
 
 NOISE = NoiseModel.uniform(1.5e-3)  # t2-free: idle windows cannot enter the DEM
