@@ -5,8 +5,10 @@ shots, sampling detection events from the DEM (extraction amortized) must
 be at least **20x** faster than the packed-tableau noisy path (sampling +
 syndrome extraction), while remaining statistically indistinguishable —
 summed per-detector chi-square on firing marginals and decoded/raw logical
-error rates inside overlapping Wilson intervals.  Both the speedup and the
-agreement statistics land in the JSON artifact.
+error rates inside overlapping Wilson intervals.  The sampler must run its
+native kernel (``sampler.kernel == "native"``), so a broken kernel build
+fails here instead of silently timing the numpy fallback.  The speedup,
+the kernel and the agreement statistics land in the JSON artifact.
 
 Run directly::
 
@@ -79,6 +81,8 @@ def run_comparison(d: int = 7, shots: int = 2000, seed: int = 0) -> dict:
         "detectors": experiment.n_detectors,
         "fault_sites": experiment.fault_table(model).n_sites,
         "mechanisms": dem.n_mechanisms,
+        "kernel": sampler.kernel,
+        "fallback_reason": sampler.fallback_reason,
         "compile_seconds": t_compile,
         "tableau_seconds": t_tableau,
         "extract_seconds": t_extract,
@@ -116,7 +120,7 @@ def report(res: dict) -> None:
                 f"{res['raw_tableau']:.4f}",
             ],
             [
-                "DEM frame",
+                f"DEM frame ({res['kernel']})",
                 f"{res['frame_seconds']:.3f}",
                 f"{res['frame_shots_per_second']:.0f}",
                 f"{res['ler_frame']:.4f}",
@@ -140,6 +144,7 @@ def test_frame_sampler_speedup():
     """Quick-scale pytest entry: the fast path must win and agree."""
     res = run_comparison(d=5, shots=500)
     report(res)
+    assert res["kernel"] == "native", res["fallback_reason"]
     assert res["speedup"] >= 5.0
     assert res["chi2_p_value"] > 1e-4
     assert res["ler_wilson_overlap"]
@@ -164,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(res, fh, indent=2)
         print(f"wrote {args.json}")
     target = 5.0 if args.quick else 20.0
+    if res["kernel"] != "native":
+        print(f"FAIL: the sampler ran its {res['kernel']} kernel: {res['fallback_reason']}")
+        return 1
     ok = (
         res["speedup"] >= target
         and res["chi2_p_value"] > 1e-4
@@ -176,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             f"overlap = {res['ler_wilson_overlap']})"
         )
         return 1
-    print(f"OK: >= {target:.0f}x speedup with statistically matching samples")
+    print(f"OK: >= {target:.0f}x speedup on the native kernel with statistically matching samples")
     return 0
 
 

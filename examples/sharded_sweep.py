@@ -17,7 +17,8 @@ three things demonstrated below:
    Kill the driver at any instant and rerun with the same checkpoint:
    completed cells replay from disk, only the remainder is recomputed.
 3. **Memoisation** — rerunning an already-finished sweep is pure cache
-   lookup (measured >>50x faster than recomputing; see BENCH_sweep.json),
+   lookup (>>50x faster than recomputing; measure it with
+   ``python benchmarks/bench_sweep.py --quick``),
    and every payload is hash-verified on read, so a corrupted result file
    is detected and transparently recomputed, never served.
 

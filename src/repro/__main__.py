@@ -98,6 +98,10 @@ def _op_compiler(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    complaint = _validate_seed(args.seed)
+    if complaint:
+        print(complaint)
+        return 2
     try:
         compiler, program = _op_compiler(args)
     except ValueError as err:
@@ -147,6 +151,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.shots < 1:
         print("--shots must be at least 1")
+        return 2
+    complaint = _validate_seed(args.seed)
+    if complaint:
+        print(complaint)
         return 2
     try:
         compiler, program = _op_compiler(args)
@@ -198,6 +206,16 @@ def _validate_sweep_distances(distances: list[int]) -> str | None:
     for d in distances:
         if d < 2:
             return f"--distances must be at least 2 for resource sweeps (got {d})"
+    return None
+
+
+def _validate_seed(seed: int) -> str | None:
+    """One-line complaint for a negative ``--seed``, or None.
+
+    Seeds feed numpy's ``SeedSequence``, which takes non-negative integers.
+    """
+    if seed < 0:
+        return f"--seed must be a non-negative integer (got {seed})"
     return None
 
 
@@ -338,6 +356,7 @@ def _cmd_lfr(args: argparse.Namespace) -> int:
     complaint = (
         _validate_distances(args.distances)
         or _validate_rates(args.rates, args.scales)
+        or _validate_seed(args.seed)
         or _validate_job_args(args)
         or _validate_window_args(args)
     )

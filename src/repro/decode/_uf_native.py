@@ -1,36 +1,21 @@
-"""Build, cache and load the native union-find kernel (``_uf_kernel.c``).
+"""Bind the native union-find kernel (``_uf_kernel.c``) through :mod:`ctypes`.
 
-The kernel is compiled on first use with the system C compiler
-(``cc -O2 -shared -fPIC``, without ``-march=native`` because the cache may be
-shared between hosts) and loaded with :mod:`ctypes`.  Builds are cached in
-``$XDG_CACHE_HOME/tiscc`` (default ``~/.cache/tiscc``) under a name that
-encodes the source hash and the machine type, so an edited kernel or another
-architecture never loads a stale object.  Each build is written under a
-temporary name and moved into place with :func:`os.replace`, so concurrent
-processes never load a half-written file, and a cached object that fails to
-load is rebuilt.
-
-Nothing here runs at import.  :class:`~repro.decode.union_find.UnionFindDecoder`
-calls :func:`load_library` when it is constructed, then either binds its graph
-into a :class:`NativeKernel` or records the returned reason and runs the
-Python kernel.
+:func:`repro.util.native.load` builds, caches and loads the kernel;
+:func:`_declare` is the signature table it applies.
+:class:`~repro.decode.union_find.UnionFindDecoder` loads the kernel when it is
+constructed, then either binds its graph into a :class:`NativeKernel` or
+records the returned reason and runs the Python kernel.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["NativeKernel", "cache_path", "find_compiler", "load_library"]
+__all__ = ["ERRORS", "NativeKernel", "SOURCE"]
 
 SOURCE = Path(__file__).with_name("_uf_kernel.c")
 
@@ -41,72 +26,6 @@ ERRORS = {
     3: "peeling left unmatched defects; grown support disconnected",
     4: "lone defect on a detector with no path to the boundary",
 }
-
-#: ``(library, None)`` after a load, ``(None, reason)`` after a failed one,
-#: ``None`` until the first decoder asks.  Process-wide, like the dynamic
-#: loader's own table of loaded objects.
-_library: tuple[ctypes.CDLL | None, str | None] | None = None
-
-
-def cache_path() -> Path:
-    """Where the build of the current kernel source for this machine lives."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(Path.home(), ".cache")
-    digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
-    return Path(base) / "tiscc" / f"uf_kernel-{digest}-{platform.machine()}.so"
-
-
-def find_compiler() -> str | None:
-    """The first C compiler on ``PATH``: ``cc``, then ``gcc``, then ``clang``."""
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path is not None:
-            return path
-    return None
-
-
-def load_library() -> tuple[ctypes.CDLL | None, str | None]:
-    """The loaded kernel and ``None``, or ``None`` and why it is unavailable.
-
-    The first call loads the cached build, building it first when it is
-    missing or fails to load; later calls return the first call's result.
-    """
-    global _library
-    if _library is None:
-        try:
-            _library = (_load(cache_path()), None)
-        except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
-            _library = (None, f"native union-find kernel unavailable: {exc}")
-    return _library
-
-
-def _load(path: Path) -> ctypes.CDLL:
-    if path.exists():
-        try:
-            return _declare(ctypes.CDLL(str(path)))
-        except (OSError, AttributeError):
-            pass  # corrupt or foreign object: rebuild it below
-    compiler = find_compiler()
-    if compiler is None:
-        raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
-        build = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        if build.returncode != 0:
-            raise RuntimeError(
-                f"{compiler} exited with status {build.returncode}: {build.stderr.strip()}"
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return _declare(ctypes.CDLL(str(path)))
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:

@@ -29,7 +29,7 @@ The hot path is built for batches:
   precomputed min-weight boundary-matching table, and the remaining rows
   are deduplicated so each distinct syndrome is decoded exactly once;
 * the grow-and-peel loop runs in a small C kernel (``_uf_kernel.c``,
-  compiled on first use and cached, see :mod:`repro.decode._uf_native`)
+  compiled on first use and cached, see :mod:`repro.util.native`)
   that decodes a whole batch in one call.  The Python loop below stays
   unchanged as its bit-identity oracle and as the fallback when no C
   compiler is available; :attr:`UnionFindDecoder.kernel` says which runs.
@@ -127,8 +127,9 @@ class UnionFindDecoder(Decoder):
         # building it, the first time on a host) is decoder set-up, never
         # import-time work.
         from repro.decode import _uf_native
+        from repro.util import native
 
-        lib, self._fallback_reason = _uf_native.load_library()
+        lib, self._fallback_reason = native.load(_uf_native.SOURCE, _uf_native._declare)
         self._native = None
         if lib is not None:
             self._native = _uf_native.NativeKernel(

@@ -75,6 +75,20 @@ class TestValidation:
         assert code == 2
         assert out == f"rounds must be at least 1 (got {rounds})\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--op", "Idle", "--simulate"],
+            ["sample", "--op", "Idle", "--shots", "10"],
+            ["lfr", "--distances", "3", "--rates", "1e-3", "--shots", "10"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_one_line_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == "--seed must be a non-negative integer (got -1)\n"
+
     @pytest.mark.parametrize("cmd", ["compile", "sample"])
     def test_distance_below_two_is_one_line_error(self, capsys, cmd):
         code, out = run_cli(capsys, cmd, "--op", "Idle", "--dx", "1")

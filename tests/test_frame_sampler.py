@@ -19,8 +19,10 @@ import pytest
 
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.sweep import logical_error_sweep
+from repro.sim import frame
 from repro.sim.frame import FrameSampler
 from repro.sim.noise import NoiseModel
+from repro.util import native
 from repro.util.stats import (
     detector_marginal_chi2,
     intervals_overlap,
@@ -43,7 +45,7 @@ class TestSeedPlumbing:
         c = exp3.sample_frame(64, noise=model, seed=6)
         assert not np.array_equal(a.detectors, c.detectors)
 
-    def test_chunking_is_invisible(self, exp3):
+    def test_chunking_is_invisible(self, exp3, monkeypatch):
         """Any split into (offset, size) chunks equals the one-shot batch."""
         model = NoiseModel.uniform(5e-3)
         sampler = FrameSampler(exp3.detector_error_model(model))
@@ -54,8 +56,10 @@ class TestSeedPlumbing:
             obs = np.concatenate([p.observables for p in parts], axis=0)
             assert np.array_equal(full.detectors, dets)
             assert np.array_equal(full.observables, obs)
-        # The internal Bernoulli chunk size must be invisible too.
-        small = sampler.sample(100, seed=11, chunk=7)
+        # The numpy kernel's internal Bernoulli chunk size must be invisible too.
+        monkeypatch.setattr(frame, "CHUNK", 7)
+        monkeypatch.setitem(native._loaded, frame.SOURCE, (None, "forced by the test"))
+        small = FrameSampler(sampler.dem).sample(100, seed=11)
         assert np.array_equal(full.detectors, small.detectors)
 
     def test_run_results_independent_of_max_batch(self, exp3):

@@ -1,4 +1,4 @@
-"""Native union-find kernel: bit-identity with the Python kernel, build, fallback.
+"""Native union-find kernel: bit-identity with the Python kernel; both kernels' builds.
 
 The C kernel (``repro/decode/_uf_kernel.c``) must reproduce the Python
 grow-and-peel loop exactly (verdicts, correction edge lists and error
@@ -6,15 +6,23 @@ messages), because the windowed decoder and every recorded logical error
 rate depend on its tie-breaking.  The Python kernel is forced by making the
 loader report a failure, so each comparison runs the same decoder class over
 the same graph under both kernels.
+
+Both native kernels, the union-find decoder's and the frame sampler's
+(``repro/sim/_frame_kernel.c``), build through :mod:`repro.util.native`; the
+build-path tests at the end run once per kernel.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import subprocess
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -30,22 +38,23 @@ from repro.decode import (
     WindowedUnionFindDecoder,
     _uf_native,
 )
+from repro.sim import frame
+from repro.sim.frame import FrameSampler
 from repro.sim.noise import NoiseModel
+from repro.util import native
 
 SRC = Path(_uf_native.__file__).resolve().parents[2]
 STALLED = "union-find growth stalled: defects cannot reach each other or the boundary"
 LONE = "lone defect on a detector with no path to the boundary"
 
-needs_compiler = pytest.mark.skipif(
-    _uf_native.find_compiler() is None, reason="no C compiler on PATH"
-)
+needs_compiler = pytest.mark.skipif(native.find_compiler() is None, reason="no C compiler on PATH")
 
 
 @contextlib.contextmanager
 def python_kernel():
     """Decoders built inside this block run the Python kernel, the oracle."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_uf_native, "_library", (None, "forced by the test"))
+        mp.setitem(native._loaded, _uf_native.SOURCE, (None, "forced by the test"))
         yield
 
 
@@ -86,9 +95,9 @@ def fresh_interpreter(code: str) -> subprocess.Popen:
 
 
 @pytest.fixture(scope="module")
-def native():
+def native_kernel():
     """Skips a comparison where no native kernel can be built here."""
-    lib, reason = _uf_native.load_library()
+    lib, reason = native.load(_uf_native.SOURCE, _uf_native._declare)
     if lib is None:
         pytest.skip(reason)
 
@@ -97,7 +106,7 @@ def native():
 def empty_cache(tmp_path, monkeypatch):
     """A fresh cache directory, and no kernel loaded yet in this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(_uf_native, "_library", None)
+    monkeypatch.setattr(native, "_loaded", {})
     return tmp_path
 
 
@@ -122,7 +131,7 @@ def graphs_with_syndromes(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=graphs_with_syndromes(), weighted=st.booleans())
-def test_random_graphs_decode_identically(native, case, weighted):
+def test_random_graphs_decode_identically(native_kernel, case, weighted):
     graph, syndromes = case
     fast = native_decoder(graph, weighted=weighted)
     oracle = python_decoder(graph, weighted=weighted)
@@ -134,7 +143,7 @@ def test_random_graphs_decode_identically(native, case, weighted):
 
 
 @pytest.mark.parametrize("distance", [3, 5, 7])
-def test_near_term_dem_graphs_decode_identically(native, distance):
+def test_near_term_dem_graphs_decode_identically(native_kernel, distance):
     noise = NoiseModel.preset("near_term")
     exp = MemoryExperiment(distance=distance)
     graph = exp.matching_graph(noise)
@@ -151,7 +160,7 @@ def test_near_term_dem_graphs_decode_identically(native, distance):
         assert fast.decode_edges(defects) == oracle.decode_edges(defects)
 
 
-def test_windowed_verdicts_identical_under_both_kernels(native):
+def test_windowed_verdicts_identical_under_both_kernels(native_kernel):
     noise = NoiseModel.uniform(3e-3)
     exp = MemoryExperiment(distance=3, rounds=12)
     graph = exp.matching_graph(noise)
@@ -165,7 +174,7 @@ def test_windowed_verdicts_identical_under_both_kernels(native):
     assert np.array_equal(fast.decode_batch(syndromes), oracle.decode_batch(syndromes))
 
 
-def test_error_paths_raise_the_same_messages(native):
+def test_error_paths_raise_the_same_messages(native_kernel):
     lone = MatchingGraph(2, [DetectorEdge(0, 1)])  # no path to the boundary
     split = MatchingGraph(4, [DetectorEdge(0, 1), DetectorEdge(2, 3)])
     cases = [
@@ -187,47 +196,91 @@ def test_error_paths_raise_the_same_messages(native):
 
 
 # ------------------------------------------------------- build and fallback
-def test_without_a_compiler_the_python_kernel_decodes_identically(tmp_path, monkeypatch):
+@functools.cache
+def _d3_inputs():
+    """A d=3 memory's DEM, its matching graph and 500 sparse syndromes."""
     noise = NoiseModel.uniform(3e-3)
     exp = MemoryExperiment(distance=3)
     graph = exp.matching_graph(noise)
-    syndromes = exp.sample_frame(500, noise=noise, seed=2).detectors
-    expected = UnionFindDecoder(graph).decode_batch(syndromes)
+    rng = np.random.default_rng(2)
+    syndromes = (rng.random((500, graph.n_detectors)) < 0.02).astype(np.uint8)
+    return exp.detector_error_model(noise), graph, syndromes
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """One native kernel: the module binding it and a user that runs it."""
+
+    #: Defines the kernel's ``SOURCE`` and its ``_declare`` signature table.
+    module: ModuleType
+    #: A fresh user, reporting ``.kernel`` and ``.fallback_reason``.
+    make: Callable[[], object]
+    #: The user's output on a fixed input.
+    output: Callable[[object], list]
+
+
+def _sampled(sampler: FrameSampler) -> list:
+    shots = sampler.sample(500, seed=2)
+    return [shots.detectors.tolist(), shots.observables.tolist()]
+
+
+KERNELS = {
+    "union_find": Kernel(
+        _uf_native,
+        make=lambda: UnionFindDecoder(_d3_inputs()[1]),
+        output=lambda decoder: decoder.decode_batch(_d3_inputs()[2]).tolist(),
+    ),
+    "frame": Kernel(
+        frame,
+        make=lambda: FrameSampler(_d3_inputs()[0]),
+        output=_sampled,
+    ),
+}
+
+
+@pytest.fixture(params=list(KERNELS))
+def kernel(request) -> Kernel:
+    return KERNELS[request.param]
+
+
+def test_without_a_compiler_the_python_kernel_runs_identically(kernel, tmp_path, monkeypatch):
+    expected = kernel.output(kernel.make())
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # no cached build either
-    monkeypatch.setattr(_uf_native, "_library", None)
-    monkeypatch.setattr(_uf_native, "find_compiler", lambda: None)
-    decoder = UnionFindDecoder(graph)
-    assert decoder.kernel == "python"
-    assert "no C compiler" in decoder.fallback_reason
-    assert np.array_equal(decoder.decode_batch(syndromes), expected)
+    monkeypatch.setattr(native, "_loaded", {})
+    monkeypatch.setattr(native, "find_compiler", lambda: None)
+    user = kernel.make()
+    assert user.kernel == "python"
+    assert "no C compiler" in user.fallback_reason
+    assert kernel.output(user) == expected
 
 
 @needs_compiler
-def test_a_compiler_on_path_builds_the_native_kernel(empty_cache):
+def test_a_compiler_on_path_builds_the_native_kernel(kernel, empty_cache):
     """CI guard: with a compiler present a broken build fails here, instead
-    of every run silently decoding on the ~20x slower Python kernel."""
-    decoder = UnionFindDecoder(MatchingGraph(1, [DetectorEdge(0, BOUNDARY)]))
-    assert decoder.kernel == "native", decoder.fallback_reason
-    assert decoder.fallback_reason is None
-    assert _uf_native.cache_path().is_file()
+    of every run silently falling back to the much slower Python kernel."""
+    user = kernel.make()
+    assert user.kernel == "native", user.fallback_reason
+    assert user.fallback_reason is None
+    assert native.cache_path(kernel.module.SOURCE).is_file()
 
 
 @needs_compiler
-def test_a_corrupt_cached_object_is_rebuilt(empty_cache):
-    path = _uf_native.cache_path()
+def test_a_corrupt_cached_object_is_rebuilt(kernel, empty_cache):
+    path = native.cache_path(kernel.module.SOURCE)
     path.parent.mkdir(parents=True)
     path.write_bytes(b"not a shared object")
-    lib, reason = _uf_native.load_library()
+    lib, reason = native.load(kernel.module.SOURCE, kernel.module._declare)
     assert lib is not None, reason
     assert path.read_bytes() != b"not a shared object"
 
 
 @needs_compiler
-def test_concurrent_first_builds_each_load_a_whole_object(empty_cache):
+def test_concurrent_first_builds_each_load_a_whole_object(kernel, empty_cache):
     """Workers racing to build into one empty cache never load a torn file."""
     code = (
-        "from repro.decode import _uf_native\n"
-        "lib, reason = _uf_native.load_library()\n"
+        "from repro.util import native\n"
+        f"from {kernel.module.__name__} import SOURCE, _declare\n"
+        "lib, reason = native.load(SOURCE, _declare)\n"
         "print(lib is not None, reason)\n"
     )
     workers = [fresh_interpreter(code) for _ in range(3)]
@@ -235,14 +288,17 @@ def test_concurrent_first_builds_each_load_a_whole_object(empty_cache):
         out, err = worker.communicate(timeout=120)
         assert worker.returncode == 0, err
         assert out.startswith("True"), out
-    cache = _uf_native.cache_path()
+    cache = native.cache_path(kernel.module.SOURCE)
     assert [p.name for p in cache.parent.iterdir()] == [cache.name]
 
 
-def test_importing_the_package_loads_no_kernel():
-    """The kernel loads with the first decoder, so CLI start-up never pays for it."""
+def test_importing_the_package_loads_no_kernel(kernel):
+    """Kernels load with their first user, so CLI start-up never pays for them."""
     worker = fresh_interpreter(
-        "import sys, repro.__main__; print('repro.decode._uf_native' in sys.modules)"
+        "import sys, repro.__main__\n"
+        "native = sys.modules.get('repro.util.native')\n"
+        "loaded = [p.name for p in getattr(native, '_loaded', {})]\n"
+        f"print({kernel.module.SOURCE.name!r} in loaded)\n"
     )
     out, err = worker.communicate(timeout=120)
     assert out.strip() == "False", err
