@@ -158,7 +158,6 @@ def compare_paths(d: int, rounds: int | None, simd: bool, verify: bool = True) -
         "n_sites": full.n_sites,
         "sites_per_round": periodic.sites_per_round,
         "n_bulk_rounds": periodic.n_bulk_rounds,
-        "detector_period": periodic.detector_period,
         "compile_seconds": t_compile,
         "template_seconds": t_template,
         "full_seconds": t_full,

@@ -517,14 +517,20 @@ def _cmd_render(args: argparse.Namespace) -> int:
     from repro.code.patch_layout import PatchLayout
     from repro.hardware.grid import grid_for_patch
 
-    arrangement = Arrangement[args.arrangement.upper()]
+    arrangement = Arrangement.__members__.get(args.arrangement.upper())
+    if arrangement is None:
+        print(
+            f"unknown arrangement {args.arrangement!r}; "
+            f"choose from {[a.name.lower() for a in Arrangement]}"
+        )
+        return 2
     try:
         (prof,) = _resolve_profile_args(args.profile)
+        grid = grid_for_patch(prof, args.dx, args.dz)
+        layout = PatchLayout(grid, args.dx, args.dz, arrangement=arrangement)
     except ValueError as err:
         print(err)
         return 2
-    grid = grid_for_patch(prof, args.dx, args.dz)
-    layout = PatchLayout(grid, args.dx, args.dz, arrangement=arrangement)
     print(
         f"# {arrangement.name} arrangement, dx={args.dx}, dz={args.dz} "
         "(D data, x/z measure-ion homes, M/O/J sites)"
@@ -761,7 +767,11 @@ def main(argv: list[str] | None = None) -> int:
     p_render = sub.add_parser("render", help="render a patch layout (Fig 1/Fig 2)")
     p_render.add_argument("--dx", type=int, default=3)
     p_render.add_argument("--dz", type=int, default=3)
-    p_render.add_argument("--arrangement", default="standard")
+    p_render.add_argument(
+        "--arrangement",
+        default="standard",
+        help="standard, rotated, flipped or rotated_flipped (any case)",
+    )
     _add_profile_argument(p_render)
     p_render.set_defaults(fn=_cmd_render)
 

@@ -85,24 +85,9 @@ class DetectorEdge:
 
 
 class MatchingGraph:
-    """A decoding graph over ``n_detectors`` nodes plus one open boundary.
+    """A decoding graph over ``n_detectors`` nodes plus one open boundary."""
 
-    ``period`` (optional) is the detector-id stride of one bulk QEC round
-    when the graph's interior is time-translation invariant — propagated
-    from :attr:`~repro.sim.dem.DetectorErrorModel.period` by
-    :func:`build_dem_graph`.  It certifies what the windowed decoder's
-    structural-signature sharing discovers per window: interior window
-    subgraphs are exact translates, so one inner decoder serves all of
-    them.  ``None`` means no such certificate (schedule-built graphs,
-    full-walk DEMs).
-    """
-
-    def __init__(
-        self,
-        n_detectors: int,
-        edges: list[DetectorEdge],
-        period: int | None = None,
-    ):
+    def __init__(self, n_detectors: int, edges: list[DetectorEdge]):
         if n_detectors < 1:
             raise ValueError("need at least one detector")
         for e in edges:
@@ -115,7 +100,6 @@ class MatchingGraph:
                 raise ValueError(f"edge {e} has non-positive weight")
         self.n_detectors = n_detectors
         self.edges = list(edges)
-        self.period = period
 
     @property
     def n_edges(self) -> int:
@@ -267,4 +251,4 @@ def build_dem_graph(dem, observable: int = 0) -> MatchingGraph:
         if weight is None:
             weight = weight_of[p] = math.log((1.0 - p) / p)
         edges.append(DetectorEdge(u, v, frame, "dem", weight))
-    return MatchingGraph(dem.n_detectors, edges, period=getattr(dem, "period", None))
+    return MatchingGraph(dem.n_detectors, edges)

@@ -14,8 +14,9 @@ public, so this package re-implements the same interface:
 * :mod:`repro.sim.dense` — exact statevector reference for small systems;
 * :mod:`repro.sim.gates` — the native-gate semantics shared by the backends;
 * :mod:`repro.sim.parser` — text-format circuit parser;
-* :mod:`repro.sim.interpreter` — replays circuits one shot at a time,
-  tracking ion movement;
+* :mod:`repro.sim.interpreter` — resolves a circuit's ion movement and
+  idle gaps once (``replay_stream``, read by every replay engine) and
+  replays circuits one shot at a time;
 * :mod:`repro.sim.batch` — the batched shot engine: replays one compiled
   circuit across all shots in single vectorized passes, returning per-shot
   outcome bitmaps, determinism flags, and quasi-probability weights;

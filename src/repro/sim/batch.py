@@ -29,9 +29,12 @@ Two randomness modes:
 Noisy sampling: pass a :class:`~repro.sim.noise.NoiseModel` and its
 hardware-calibrated Pauli channels are injected as vectorized masked Pauli
 layers after each instruction (plus idle-gap dephasing before, and readout
-flips on measurement records).  Noise randomness comes from a dedicated
-generator (``noise_seed``), so the ideal trajectory of every shot is
-unchanged by the presence of a trivial (all-zero-rate) model.
+flips on measurement records).  Tableau qubits and idle gaps come from
+:func:`~repro.sim.interpreter.replay_stream`, the one place that decides
+occupancy and idle time, so the sampler dephases exactly the gaps that DEM
+extraction turns into fault sites.  Noise randomness comes from a
+dedicated generator (``noise_seed``), so the ideal trajectory of every shot
+is unchanged by the presence of a trivial (all-zero-rate) model.
 """
 
 from __future__ import annotations
@@ -44,14 +47,8 @@ from repro.code.pauli import PauliString
 from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.grid import GridManager
 from repro.sim.gates import NON_CLIFFORD_GATES
-from repro.sim.interpreter import (
-    RunResult,
-    apply_load,
-    apply_move,
-    init_run_state,
-    resolve_qubits,
-)
-from repro.sim.noise import IdleClock, NoiseModel
+from repro.sim.interpreter import RELOCATIONS, RunResult, replay_stream
+from repro.sim.noise import NoiseModel
 from repro.sim.packed import PackedTableau, apply_packed
 from repro.sim.quasi import QuasiCliffordSampler
 
@@ -219,19 +216,19 @@ class BatchRunner:
         pending_injections: dict[tuple[int, str], list[PauliInjection]] = {}
         for inj in injections or ():
             pending_injections.setdefault((inj.index, inj.when), []).append(inj)
-        occupancy, ion_index, n_qubits = init_run_state(circuit, initial_occupancy)
-        tableau = PackedTableau(n_qubits, batch=n_shots)
+        stream = replay_stream(circuit, initial_occupancy)
+        tableau = PackedTableau(stream.n_qubits, batch=n_shots)
         weights = np.ones(n_shots)
         outcomes: dict[str, np.ndarray] = {}
         deterministic: dict[str, np.ndarray] = {}
 
         noise_rng: np.random.Generator | None = None
-        idle: IdleClock | None = None
+        dephase_idle = False
         if noise is not None and not noise.is_trivial:
             if noise_seed is None and seed is not None:
                 noise_seed = seed + _NOISE_SEED_OFFSET
             noise_rng = np.random.default_rng(noise_seed)
-            idle = noise.idle_clock(n_qubits)
+            dephase_idle = noise.tracks_idle
 
         if independent_streams:
             rngs = [
@@ -244,10 +241,9 @@ class BatchRunner:
             measure_rng = shared
 
         cols = circuit.sorted_columns()
-        names, sites_of, labels = cols.names, cols.sites, cols.labels
-        starts = cols.t.tolist()
-        ends = cols.t_end.tolist()
+        names, labels = cols.names, cols.labels
         durations = cols.duration.tolist()
+        qubits_of, idle_of = stream.qubits, stream.idle
         for entries in pending_injections.values():
             for inj in entries:
                 if not 0 <= inj.index < cols.n:
@@ -260,22 +256,17 @@ class BatchRunner:
                     )
         for idx in range(cols.n):
             name = names[idx]
-            sites = sites_of[idx]
-            qubits = resolve_qubits(name, sites, occupancy, ion_index)
+            qubits = qubits_of[idx]
 
             for inj in pending_injections.get((idx, "before"), ()):
                 self._inject(tableau, inj)
 
-            if idle is not None and noise_rng is not None:
-                for q in qubits:
-                    gap = idle.gap_before(q, starts[idx])
-                    if gap > 0:
-                        noise.apply_idle_dephasing(tableau, q, gap, noise_rng)
+            if dephase_idle:
+                for q, gap, _ in idle_of[idx]:
+                    noise.apply_idle_dephasing(tableau, q, gap, noise_rng)
 
-            if name == "Load":
-                apply_load(sites[0], occupancy, ion_index, tableau.n)
-            elif name == "Move":
-                apply_move(sites[0], sites[1], occupancy)
+            if name in RELOCATIONS:
+                pass
             elif name == "Prepare_Z":
                 tableau.reset(qubits[0], measure_rng)
             elif name == "Measure_Z":
@@ -297,22 +288,20 @@ class BatchRunner:
                 else:
                     gates, factors = self.sampler.sample_batch(name, shared, n_shots)
                     weights *= factors
-                self._apply_substitutes(tableau, gates, tuple(qubits))
+                self._apply_substitutes(tableau, gates, qubits)
             else:
-                apply_packed(tableau, name, tuple(qubits))
+                apply_packed(tableau, name, qubits)
 
             for inj in pending_injections.get((idx, "after"), ()):
                 self._inject(tableau, inj)
 
             if noise_rng is not None and qubits:
                 noise.apply_operation_noise(tableau, name, durations[idx], qubits, noise_rng)
-                if idle is not None:
-                    idle.mark_busy(qubits, ends[idx])
 
         return BatchResult(
             tableau=tableau,
-            ion_index=ion_index,
-            occupancy=occupancy,
+            ion_index=stream.ion_index,
+            occupancy=stream.occupancy,
             outcomes=outcomes,
             deterministic=deterministic,
             weights=weights,

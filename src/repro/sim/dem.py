@@ -46,13 +46,8 @@ import numpy as np
 from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.model import SINGLE_QUBIT_GATES
 from repro.sim.gates import NON_CLIFFORD_GATES
-from repro.sim.interpreter import (
-    apply_load,
-    apply_move,
-    init_run_state,
-    resolve_qubits,
-)
-from repro.sim.noise import IdleClock, NoiseModel, NoiseParams
+from repro.sim.interpreter import RELOCATIONS, ReplayStream, replay_stream
+from repro.sim.noise import NoiseModel, NoiseParams
 from repro.sim.packed import unpack_bits
 
 __all__ = [
@@ -180,56 +175,33 @@ def dem_structure_key(params: NoiseParams) -> tuple[bool, bool, bool, bool, bool
 
 
 def enumerate_fault_sites(
-    circuit: HardwareCircuit,
-    initial_occupancy: dict[int, int],
-    params: NoiseParams,
-    *,
-    _gap_preds: list[int] | None = None,
+    circuit: HardwareCircuit, stream: ReplayStream, params: NoiseParams
 ) -> list[FaultSite]:
     """Every fault location the noise model can populate, in walk order.
 
-    Replays the occupancy evolution of :class:`~repro.sim.batch.BatchRunner`
-    (Load/Move bookkeeping, idle-gap tracking) without touching any quantum
-    state, appending one :class:`FaultSite` per Pauli term of every channel
-    whose rate is nonzero.
-
-    ``_gap_preds`` (internal) collects, for each emitted ``"idle"`` site in
-    order, the sorted-stream row whose end time the gap was measured against
-    (``-1`` when the qubit had never been busy) — the provenance the
-    periodic extractor needs to recompute idle durations at tiled offsets.
+    Reads the tableau qubits and idle gaps of ``circuit``'s
+    :func:`~repro.sim.interpreter.replay_stream` — the same stream
+    :class:`~repro.sim.batch.BatchRunner` samples — without touching any
+    quantum state, appending one :class:`FaultSite` per Pauli term of
+    every channel whose rate is nonzero.
     """
-    occupancy, ion_index, n_qubits = init_run_state(circuit, initial_occupancy)
     tracks_idle = params.t2_us is not None
-    idle = IdleClock(n_qubits, track_rows=_gap_preds is not None) if tracks_idle else None
     sites: list[FaultSite] = []
 
     cols = circuit.sorted_columns()
     _VISIT_COUNTS["enumerate"] += cols.n
-    names, qsites, labels = cols.names, cols.sites, cols.labels
-    starts = cols.t.tolist()
-    ends = cols.t_end.tolist()
+    names, labels = cols.names, cols.labels
     durations = cols.duration.tolist()
+    qubits_of, idle_of = stream.qubits, stream.idle
     for idx in range(cols.n):
         name = names[idx]
-        qubits = resolve_qubits(name, qsites[idx], occupancy, ion_index)
-
-        if idle is not None:
-            for q in qubits:
-                gap = idle.gap_before(q, starts[idx])
-                if gap > 0:
-                    if _gap_preds is not None:
-                        _gap_preds.append(idle.last_row[q])
-                    sites.append(
-                        FaultSite(idx, "before", "idle", ((q, "Z"),), duration_us=float(gap))
-                    )
-
-        if name == "Load":
-            apply_load(qsites[idx][0], occupancy, ion_index, n_qubits)
-        elif name == "Move":
-            apply_move(qsites[idx][0], qsites[idx][1], occupancy)
-
+        qubits = qubits_of[idx]
         if not qubits:
             continue
+
+        if tracks_idle:
+            for q, gap, _ in idle_of[idx]:
+                sites.append(FaultSite(idx, "before", "idle", ((q, "Z"),), duration_us=gap))
 
         if name in SINGLE_QUBIT_GATES:
             if params.p1 > 0:
@@ -261,16 +233,11 @@ def enumerate_fault_sites(
                     FaultSite(idx, "after", "dephase", ((q, "Z"),), duration_us=duration)
                 )
 
-        if idle is not None:
-            idle.mark_busy(qubits, ends[idx], idx)
-
     return sites
 
 
 def _propagate_frames(
-    circuit: HardwareCircuit,
-    initial_occupancy: dict[int, int],
-    sites: list[FaultSite],
+    circuit: HardwareCircuit, stream: ReplayStream, sites: list[FaultSite]
 ) -> dict[str, np.ndarray]:
     """Conjugate every fault site through the remaining Clifford schedule.
 
@@ -285,9 +252,8 @@ def _propagate_frames(
     """
     n_sites = len(sites)
     words = max(1, -(-n_sites // 64))
-    occupancy, ion_index, n_qubits = init_run_state(circuit, initial_occupancy)
-    x = np.zeros((n_qubits, words), dtype=np.uint64)
-    z = np.zeros((n_qubits, words), dtype=np.uint64)
+    x = np.zeros((stream.n_qubits, words), dtype=np.uint64)
+    z = np.zeros((stream.n_qubits, words), dtype=np.uint64)
     label_flips: dict[str, np.ndarray] = {}
 
     pending: dict[tuple[int, str], list[tuple[int, FaultSite]]] = {}
@@ -305,17 +271,16 @@ def _propagate_frames(
 
     cols = circuit.sorted_columns()
     _VISIT_COUNTS["propagate"] += cols.n
-    names, qsites, labels = cols.names, cols.sites, cols.labels
+    names, labels = cols.names, cols.labels
+    qubits_of = stream.qubits
     for idx in range(cols.n):
         name = names[idx]
-        qubits = resolve_qubits(name, qsites[idx], occupancy, ion_index)
+        qubits = qubits_of[idx]
         for s, site in pending.get((idx, "before"), ()):
             inject(s, site)
 
-        if name == "Load":
-            apply_load(qsites[idx][0], occupancy, ion_index, n_qubits)
-        elif name == "Move":
-            apply_move(qsites[idx][0], qsites[idx][1], occupancy)
+        if name in RELOCATIONS:
+            pass
         elif name == "Prepare_Z":
             q = qubits[0]
             x[q] = 0
@@ -368,10 +333,8 @@ class FaultTable:
 
     Tables built by the periodic extractor carry period metadata —
     ``method`` (``"periodic"`` vs ``"full"``), ``sites_per_round`` (fault
-    sites per bulk QEC round), ``n_bulk_rounds`` (tiled bulk rounds), and
-    ``detector_period`` (detector-id stride of one bulk round, ``None``
-    when the per-round detector shift is not a uniform offset) — and
-    materialize :attr:`sites` / :attr:`footprints` lazily from the tiling
+    sites per bulk QEC round) and ``n_bulk_rounds`` (tiled bulk rounds) —
+    and materialize :attr:`sites` / :attr:`footprints` lazily from the tiling
     recipe on first access: :func:`build_dem` consumes the columnar
     :meth:`site_columns` plus footprints, so the per-site objects are only
     ever built for consumers that genuinely want them (equivalence tests,
@@ -389,7 +352,6 @@ class FaultTable:
         method: str = "full",
         sites_per_round: int | None = None,
         n_bulk_rounds: int | None = None,
-        detector_period: int | None = None,
         tiling: "_Tiling | None" = None,
     ):
         if tiling is None and (sites is None or footprints is None or observables is None):
@@ -402,7 +364,6 @@ class FaultTable:
         self.method = method
         self.sites_per_round = sites_per_round
         self.n_bulk_rounds = n_bulk_rounds
-        self.detector_period = detector_period
         self._tiling = tiling
         self._kind_codes: np.ndarray | None = None
         self._durations: np.ndarray | None = None
@@ -538,8 +499,9 @@ def extract_fault_table(
         if table is not None:
             return table
 
-    sites = enumerate_fault_sites(circuit, initial_occupancy, params)
-    label_flips = _propagate_frames(circuit, initial_occupancy, sites)
+    stream = replay_stream(circuit, initial_occupancy)
+    sites = enumerate_fault_sites(circuit, stream, params)
+    label_flips = _propagate_frames(circuit, stream, sites)
     footprints, obs_mask = _project(sites, label_flips, detectors, observables)
     return FaultTable(
         sites=sites,
@@ -699,7 +661,7 @@ class PeriodicTemplate:
         detectors: list[list[str]],
         observables: list[list[str]],
         table: FaultTable,
-        gap_preds: list[int] | None,
+        stream: ReplayStream,
         geom: dict,
     ):
         self.circuit = circuit
@@ -730,13 +692,12 @@ class PeriodicTemplate:
         self.site_pos = np.fromiter(
             (s.index for s in sites), dtype=np.int64, count=len(sites)
         )
-        # Predecessor sorted-position per site (idle sites only, else -2).
+        # Predecessor sorted-position per site (idle sites only, else -2):
+        # the walk emits one idle site per stream gap, in stream order.
         self.pred_pos = np.full(len(sites), -2, dtype=np.int64)
-        if gap_preds is not None:
-            idle = [i for i, s in enumerate(sites) if s.kind == "idle"]
-            if len(idle) != len(gap_preds):  # pragma: no cover - internal invariant
-                raise AssertionError("gap predecessor bookkeeping out of sync")
-            self.pred_pos[idle] = gap_preds
+        idle = [i for i, s in enumerate(sites) if s.kind == "idle"]
+        if idle:
+            self.pred_pos[idle] = [pred for gaps in stream.idle for _, _, pred in gaps]
 
         h, B, tau = geom["h"], geom["B"], geom["tau"]
         self.i_head = int(np.searchsorted(self.site_pos, h + B))
@@ -857,13 +818,11 @@ def make_periodic_template(
     geom = _replay_geometry(circuit)
     if geom is None or geom["C"] < 6:
         return None
-    gap_preds: list[int] | None = [] if params.t2_us is not None else None
-    sites = enumerate_fault_sites(
-        circuit, initial_occupancy, params, _gap_preds=gap_preds
-    )
+    stream = replay_stream(circuit, initial_occupancy)
+    sites = enumerate_fault_sites(circuit, stream, params)
     if not sites:
         return None  # nothing to tile; the full walk is free anyway
-    label_flips = _propagate_frames(circuit, initial_occupancy, sites)
+    label_flips = _propagate_frames(circuit, stream, sites)
     footprints, obs_mask = _project(sites, label_flips, detectors, observables)
     table = FaultTable(
         sites=sites,
@@ -879,7 +838,7 @@ def make_periodic_template(
         detectors,
         observables,
         table,
-        gap_preds,
+        stream,
         geom,
     )
     return template if template.usable else None
@@ -992,7 +951,6 @@ class _TargetCheck:
         "detectors",
         "observables",
         "tiling",
-        "period",
         "n_win",
         "B",
         "h",
@@ -1008,7 +966,6 @@ class _TargetCheck:
         detectors: list[list[str]],
         observables: list[list[str]],
         tiling: "_Tiling",
-        period: int | None,
         n_win: int,
         B: int,
         h: int,
@@ -1020,7 +977,6 @@ class _TargetCheck:
         self.detectors = detectors
         self.observables = observables
         self.tiling = tiling
-        self.period = period
         self.n_win = n_win
         self.B = B
         self.h = h
@@ -1069,7 +1025,6 @@ class _TargetCheck:
             method="periodic",
             sites_per_round=tpl.i_gen - tpl.i_head,
             n_bulk_rounds=self.n_bulk,
-            detector_period=self.period,
             tiling=self.tiling,
         )
 
@@ -1305,13 +1260,6 @@ def _verify_periodic(
             return None
         tail_labels.append(label)
 
-    valid = np.nonzero(dnext_b >= 0)[0]
-    period: int | None = None
-    if valid.size:
-        diffs = dnext_b[valid] - valid
-        if np.all(diffs == diffs[0]):
-            period = int(diffs[0])
-
     tiling = _Tiling(
         template,
         n_win,
@@ -1327,7 +1275,6 @@ def _verify_periodic(
         detectors,
         observables,
         tiling,
-        period,
         n_win,
         B,
         h,
@@ -1355,11 +1302,6 @@ class DetectorErrorModel:
     detectors: list[tuple[int, ...]]
     observables: np.ndarray  # (M,) uint64 bitmask
     sources: list[tuple[FaultSite, ...]] | None = None
-    #: Detector-id stride of one bulk QEC round, propagated from
-    #: :attr:`FaultTable.detector_period` by :func:`build_dem` (``None`` for
-    #: full-walk tables): the hook ``build_dem_graph`` uses to stamp the
-    #: matching graph's time-translation period.
-    period: int | None = None
 
     @property
     def n_mechanisms(self) -> int:
@@ -1494,7 +1436,6 @@ def build_dem(
         sources=(
             [tuple(sites[s] for s in groups[k][1]) for k in keys] if keep_sources else None
         ),
-        period=table.detector_period,
     )
 
 

@@ -1,9 +1,15 @@
 """Replays TISCC hardware circuits on a quantum-state backend.
 
 The hardware-model half of the ORQCS substitute (§4): instructions act on
-*qsites* of the trapped-ion grid, so the interpreter tracks which ion sits
-where at every point in time (Move updates the occupancy) and resolves each
-gate's qsites to the ions — and hence tableau qubits — they hold.
+*qsites* of the trapped-ion grid, so a replay has to know which ion sits
+where at every point in time (Load and Move change the occupancy) and
+resolve each gate's qsites to the ions — and hence tableau qubits — they
+hold.  :func:`replay_stream` is the one place that decides this, and the
+idle gaps between a qubit's operations, in a single pass over the sorted
+stream; the single-shot interpreter here, the batched sampler
+(:mod:`repro.sim.batch`) and both DEM-extraction walks
+(:mod:`repro.sim.dem`) read its :class:`ReplayStream` and track no ions
+themselves: to them a Load or Move changes no quantum state.
 
 Non-Clifford ``Z_pi/8`` gates are replaced per-shot by one Clifford sampled
 from the quasi-probability decomposition of the T-gate channel, with the
@@ -23,79 +29,122 @@ from repro.sim.gates import NON_CLIFFORD_GATES, apply_to_tableau
 from repro.sim.quasi import QuasiCliffordSampler
 from repro.sim.tableau import StabilizerTableau
 
-__all__ = [
-    "CircuitInterpreter",
-    "RunResult",
-    "init_run_state",
-    "resolve_qubits",
-    "apply_load",
-    "apply_move",
-]
+__all__ = ["CircuitInterpreter", "ReplayStream", "RunResult", "replay_stream"]
+
+#: Pseudo-instructions that only relocate ions: :func:`replay_stream`
+#: applies them, so no replay engine changes quantum state for them.
+RELOCATIONS = frozenset({"Load", "Move"})
 
 
-def init_run_state(
-    circuit: HardwareCircuit, initial_occupancy: dict[int, int]
-) -> tuple[dict[int, int], dict[int, int], int]:
-    """Validated starting state for a circuit replay, shared by both engines.
+@dataclass
+class ReplayStream:
+    """A circuit's sorted stream resolved against the hardware model.
 
-    Returns ``(occupancy, ion_index, n_qubits)`` where ``n_qubits`` reserves
-    one tableau slot per initial ion plus one per Load pseudo-instruction.
+    ``qubits[row]`` holds the tableau qubits sorted row ``row`` acts on
+    (none for a Load; the moving ion's for a Move).  ``idle[row]`` lists
+    the idle gaps that row closes as ``(qubit, start - busy_end,
+    predecessor row)``, where the predecessor is the row that last made
+    the qubit busy (``-1`` before any).  ``occupancy`` (qsite -> ion) and
+    ``ion_index`` (ion -> tableau qubit) are the end-of-circuit maps, and
+    ``n_qubits`` the tableau size.
     """
-    ions = sorted(set(initial_occupancy.values()))
-    if len(ions) != len(initial_occupancy):
-        raise ValueError("occupancy maps two sites to one ion")
-    ion_index = {ion: k for k, ion in enumerate(ions)}
-    n_loads = circuit.count("Load")
-    return dict(initial_occupancy), ion_index, max(1, len(ions) + n_loads)
+
+    qubits: list[tuple[int, ...]]
+    idle: list[tuple[tuple[int, float, int], ...]]
+    occupancy: dict[int, int]
+    ion_index: dict[int, int]
+    n_qubits: int
 
 
-def resolve_qubits(
-    name: str,
-    sites: tuple[int, ...],
+def replay_stream(
+    circuit: HardwareCircuit,
     occupancy: dict[int, int],
-    ion_index: dict[int, int],
-) -> list[int]:
-    """Tableau qubits an instruction acts on, given the current occupancy.
+    ion_index: dict[int, int] | None = None,
+    n_qubits: int | None = None,
+) -> ReplayStream:
+    """Resolve every row of ``circuit.sorted_columns()`` in one pass.
 
-    Shared by the single-shot interpreter, the batched runner, and the DEM
-    extraction walks so the hardware-model semantics (Move destinations may
-    be empty, Load targets must be) cannot diverge between the engines.
-    Takes the columnar row fields directly — no Instruction object needed.
+    Starts from a qsite -> ion ``occupancy``.  By default the ``k``-th ion
+    in id order gets tableau qubit ``k``, and the tableau reserves one more
+    slot per Load; ``ion_index``/``n_qubits`` instead continue a previous
+    replay from its end-of-circuit map and tableau size.  Raises
+    ``ValueError`` for two sites holding one ion, a gate on an empty
+    qsite, a Load onto an occupied qsite or past the tableau's slots, and
+    a Move into an occupied qsite.
+
+    A qubit's idle gap is ``start - busy_end`` in the circuit's own float
+    arithmetic (no rounding, no epsilon), recorded when positive: the
+    compacted times of a SIMD schedule or the tiled times of a replayed
+    round, never a nominal schedule.  The DEM extractor's bit-identity
+    guarantees depend on this.
     """
-    qubits = []
-    for site in sites:
-        if name == "Move" and site == sites[1]:
-            continue  # move destination need not be occupied
+    ions = sorted(set(occupancy.values()))
+    if len(ions) != len(occupancy):
+        raise ValueError("occupancy maps two sites to one ion")
+    occupancy = dict(occupancy)
+    if ion_index is None:
+        ion_index = {ion: k for k, ion in enumerate(ions)}
+    else:
+        ion_index = dict(ion_index)
+    if n_qubits is None:
+        n_qubits = max(1, len(ions) + circuit.count("Load"))
+
+    cols = circuit.sorted_columns()
+    names, sites_of = cols.names, cols.sites
+    starts = cols.t.tolist()
+    ends = cols.t_end.tolist()
+    busy_end = [0.0] * n_qubits
+    busy_row = [-1] * n_qubits
+    qubits_of: list[tuple[int, ...]] = []
+    idle_of: list[tuple[tuple[int, float, int], ...]] = []
+    # Rows share their qubit tuples: a circuit drives a few hundred distinct
+    # qubit sets, and one new tuple per row costs an extra full GC pass in a
+    # long extraction.
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for row in range(cols.n):
+        name = names[row]
+        sites = sites_of[row]
         if name == "Load":
-            continue  # load target must be *empty*
-        ion = occupancy.get(site)
-        if ion is None:
-            text = " ".join([name, *map(str, sites)])
-            raise ValueError(f"instruction {text!r} targets empty qsite {site}")
-        qubits.append(ion_index[ion])
-    return qubits
+            site = sites[0]
+            if site in occupancy:
+                raise ValueError(f"Load onto occupied qsite {site}")
+            ion = max(ion_index) + 1 if ion_index else 0
+            ion_index[ion] = len(ion_index)
+            if ion_index[ion] >= n_qubits:
+                raise ValueError("more Load instructions than tableau slots")
+            occupancy[site] = ion
+            qubits_of.append(())
+            idle_of.append(())
+            continue
 
+        qubits = []
+        for site in sites[:1] if name == "Move" else sites:
+            ion = occupancy.get(site)
+            if ion is None:
+                text = " ".join([name, *map(str, sites)])
+                raise ValueError(f"instruction {text!r} targets empty qsite {site}")
+            qubits.append(ion_index[ion])
+        if name == "Move":
+            src, dst = sites
+            if dst in occupancy:
+                raise ValueError(f"move into occupied qsite {dst}")
+            occupancy[dst] = occupancy.pop(src)
 
-def apply_load(
-    site: int, occupancy: dict[int, int], ion_index: dict[int, int], n_slots: int
-) -> None:
-    """Allocate a fresh ion for a Load pseudo-instruction (shared semantics)."""
-    if site in occupancy:
-        raise ValueError(f"Load onto occupied qsite {site}")
-    new_ion = (max(ion_index) + 1) if ion_index else 0
-    while new_ion in ion_index:
-        new_ion += 1
-    ion_index[new_ion] = len(ion_index)
-    if ion_index[new_ion] >= n_slots:
-        raise ValueError("more Load instructions than tableau slots")
-    occupancy[site] = new_ion
+        start = starts[row]
+        gaps = []
+        for q in qubits:
+            gap = start - busy_end[q]
+            if gap > 0:
+                gaps.append((q, gap, busy_row[q]))
+        end = ends[row]
+        for q in qubits:
+            busy_end[q] = end
+            busy_row[q] = row
+        qubits = tuple(qubits)
+        qubits_of.append(shared.setdefault(qubits, qubits))
+        idle_of.append(tuple(gaps))
 
-
-def apply_move(src: int, dst: int, occupancy: dict[int, int]) -> None:
-    """Relocate the ion for a Move pseudo-instruction (shared semantics)."""
-    if dst in occupancy:
-        raise ValueError(f"move into occupied qsite {dst}")
-    occupancy[dst] = occupancy.pop(src)
+    return ReplayStream(qubits_of, idle_of, occupancy, ion_index, n_qubits)
 
 
 @dataclass
@@ -176,15 +225,19 @@ class CircuitInterpreter:
         """
         forced = forced_outcomes or {}
         if initial_state is not None:
+            stream = replay_stream(
+                circuit,
+                initial_state.occupancy,
+                initial_state.ion_index,
+                initial_state.tableau.n,
+            )
             tableau = initial_state.tableau.copy()
-            ion_index = dict(initial_state.ion_index)
-            occupancy = dict(initial_state.occupancy)
             weight = initial_state.weight
             outcomes = dict(initial_state.outcomes)
             deterministic = dict(initial_state.deterministic)
         else:
-            occupancy, ion_index, n_qubits = init_run_state(circuit, initial_occupancy)
-            tableau = StabilizerTableau(n_qubits)
+            stream = replay_stream(circuit, initial_occupancy)
+            tableau = StabilizerTableau(stream.n_qubits)
             weight = 1.0
             outcomes = {}
             deterministic = {}
@@ -193,18 +246,16 @@ class CircuitInterpreter:
         pending = sorted(snapshot_times or [])
 
         cols = circuit.sorted_columns()
-        names, sites_of, labels = cols.names, cols.sites, cols.labels
+        names, labels = cols.names, cols.labels
         starts = cols.t.tolist()
         n_rows = cols.n
+        qubits_of = stream.qubits
         for idx in range(n_rows):
             name = names[idx]
-            sites = sites_of[idx]
-            qubits = resolve_qubits(name, sites, occupancy, ion_index)
+            qubits = qubits_of[idx]
 
-            if name == "Load":
-                apply_load(sites[0], occupancy, ion_index, tableau.n)
-            elif name == "Move":
-                apply_move(sites[0], sites[1], occupancy)
+            if name in RELOCATIONS:
+                pass
             elif name == "Prepare_Z":
                 tableau.reset(qubits[0], self.rng)
             elif name == "Measure_Z":
@@ -218,17 +269,17 @@ class CircuitInterpreter:
                 gate, w = self.sampler.sample(name, self.rng)
                 weight *= w
                 if gate is not None:
-                    apply_to_tableau(tableau, gate, tuple(qubits))
+                    apply_to_tableau(tableau, gate, qubits)
             else:
-                apply_to_tableau(tableau, name, tuple(qubits))
+                apply_to_tableau(tableau, name, qubits)
 
             while pending and (idx + 1 == n_rows or starts[idx + 1] > pending[0]):
                 snaps.append((pending.pop(0), tableau.stabilizer_generators()))
 
         result = RunResult(
             tableau=tableau,
-            ion_index=ion_index,
-            occupancy=occupancy,
+            ion_index=stream.ion_index,
+            occupancy=stream.occupancy,
             outcomes=outcomes,
             deterministic=deterministic,
             weight=weight,

@@ -26,7 +26,11 @@ Channels are injected by :class:`~repro.sim.batch.BatchRunner` as vectorized
 masked Pauli layers over the :class:`~repro.sim.packed.PackedTableau` batch
 axis: one uniform draw per channel application selects the per-shot error
 masks, and the masked ``pauli_x/y/z`` column updates apply them to all shots
-at once, so noisy sampling keeps the packed engine's throughput.
+at once, so noisy sampling keeps the packed engine's throughput.  This
+module only turns durations into probabilities: which qubits an
+instruction drives and how long each qubit sat idle are decided once, by
+:func:`~repro.sim.interpreter.replay_stream`, for the sampler and the DEM
+extractor alike.
 
 Zero-probability channels draw no randomness at all, so a
 :class:`NoiseModel` whose rates are all zero reproduces the ideal engine
@@ -52,7 +56,7 @@ from repro.hardware.model import SINGLE_QUBIT_GATES
 from repro.hardware.profile import DEFAULT_PROFILE, HardwareProfile, get_profile
 from repro.sim.packed import PackedTableau
 
-__all__ = ["NoiseParams", "NoiseModel", "IdleClock", "NOISE_PRESETS"]
+__all__ = ["NoiseParams", "NoiseModel", "NOISE_PRESETS"]
 
 
 @dataclass(frozen=True)
@@ -283,10 +287,6 @@ class NoiseModel:
         """Memory error for a qubit that sat idle for ``gap_us`` microseconds."""
         self._dephase(tab, q, self.dephasing_probability(gap_us), rng)
 
-    def idle_clock(self, n_qubits: int, track_rows: bool = False) -> "IdleClock | None":
-        """An :class:`IdleClock` for this model, or None when t2 is off."""
-        return IdleClock(n_qubits, track_rows) if self.tracks_idle else None
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p = self.params
         t2 = "None" if p.t2_us is None else f"{p.t2_us:g}us"
@@ -295,45 +295,3 @@ class NoiseModel:
             f"p_prep={p.p_prep:g} p_meas={p.p_meas:g} t2={t2}>"
         )
 
-
-class IdleClock:
-    """The single definition of idle-gap accounting over a scheduled circuit.
-
-    Both consumers of idle dephasing — the batched sampler
-    (:meth:`repro.sim.batch.BatchRunner.run_shots`) and the fault-site
-    enumerator (:func:`repro.sim.dem.enumerate_fault_sites`) — must derive
-    identical gap durations from the circuit's *scheduled* start/end times:
-    the compacted times after SIMD beam-pass rescheduling, or the tiled
-    times of a replayed round, never a nominal uncompacted schedule.  Each
-    used to carry its own busy-until bookkeeping; this helper is the one
-    shared implementation, so the replay and SIMD paths cannot drift.
-
-    A gap exists when an instruction starts strictly after the qubit's last
-    busy end, and its duration is exactly ``start - busy_end`` in the
-    circuit's own float arithmetic (no rounding, no epsilon) — the DEM
-    extractor's bit-identity guarantees depend on this.
-
-    ``track_rows`` additionally records which row last made each qubit busy
-    (``-1`` before any) — the gap provenance the periodic DEM extractor
-    needs to recompute idle durations at tiled time offsets.
-    """
-
-    __slots__ = ("busy_until", "last_row")
-
-    def __init__(self, n_qubits: int, track_rows: bool = False) -> None:
-        self.busy_until = np.zeros(n_qubits)
-        self.last_row: list[int] | None = [-1] * n_qubits if track_rows else None
-
-    def gap_before(self, q: int, start: float) -> float:
-        """Idle duration qubit ``q`` accrued before ``start`` (<= 0: none)."""
-        return start - self.busy_until[q]
-
-    def mark_busy(self, qubits, end: float, row: int = -1) -> None:
-        """Record that ``qubits`` were driven until ``end`` by ``row``."""
-        busy = self.busy_until
-        for q in qubits:
-            busy[q] = end
-        rows = self.last_row
-        if rows is not None:
-            for q in qubits:
-                rows[q] = row

@@ -95,6 +95,25 @@ class TestValidation:
         assert code == 2
         assert out == "code distances below 2 are not supported\n"
 
+    @pytest.mark.parametrize("flag, value", [("--dx", "0"), ("--dz", "1")])
+    def test_render_distance_below_two_is_one_line_error(self, capsys, flag, value):
+        code, out = run_cli(capsys, "render", flag, value)
+        assert code == 2
+        assert out == "code distances below 2 are not supported\n"
+
+    def test_render_unknown_arrangement_is_one_line_error(self, capsys):
+        code, out = run_cli(capsys, "render", "--arrangement", "bogus")
+        assert code == 2
+        assert out == (
+            "unknown arrangement 'bogus'; "
+            "choose from ['standard', 'rotated', 'flipped', 'rotated_flipped']\n"
+        )
+
+    def test_render_arrangement_is_case_insensitive(self, capsys):
+        code, out = run_cli(capsys, "render", "--arrangement", "Rotated_Flipped")
+        assert code == 0
+        assert out.startswith("# ROTATED_FLIPPED arrangement")
+
     @pytest.mark.parametrize("cmd", ["lfr", "dem"])
     def test_unknown_preset_is_one_line_error(self, capsys, cmd):
         args = (

@@ -194,29 +194,16 @@ class TestMetadataAndRates:
         return exp, exp.fault_table(noise), noise
 
     def test_tiling_metadata(self, periodic_pair):
-        exp, table, _ = periodic_pair
+        _, table, _ = periodic_pair
         assert table.method == "periodic"
         assert table.sites_per_round > 0
         assert table.n_bulk_rounds > 0
-        # Bulk detectors advance one round per window: the period is the
-        # per-round detector stride, i.e. the number of decoded faces.
-        assert table.detector_period == len(exp.faces)
 
     def test_full_walk_has_no_period(self, periodic_pair):
         exp, _, noise = periodic_pair
         full = full_walk_table(exp, noise)
         assert full.method == "full"
         assert full.sites_per_round is None
-        assert full.detector_period is None
-
-    def test_period_propagates_to_dem_and_graph(self, periodic_pair):
-        from repro.decode.graph import build_dem_graph
-
-        exp, table, noise = periodic_pair
-        dem = build_dem(table, noise.params)
-        assert dem.period == table.detector_period
-        graph = build_dem_graph(dem)
-        assert graph.period == dem.period
 
     def test_vectorized_rates_match_loop_oracles(self, periodic_pair):
         exp, table, noise = periodic_pair

@@ -31,10 +31,12 @@ from repro.decode.memory import MemoryExperiment
 from repro.estimator.jobs import SweepCell
 from repro.estimator.spec import ExperimentSpec
 from repro.estimator.report import format_resource_table
+from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.profile import DEFAULT_PROFILE, SIMD_MODES, ProfileError, get_profile
 from repro.hardware.simd import baseline_beam_passes, simd_schedule
 from repro.hardware.validity import check_circuit_reference
-from repro.sim.noise import IdleClock, NoiseModel
+from repro.sim.interpreter import replay_stream
+from repro.sim.noise import NoiseModel
 
 
 @lru_cache(maxsize=None)
@@ -235,41 +237,45 @@ class TestCompilerIntegration:
 
 
 class TestIdleClock:
-    """Shared idle-gap helper: exact float semantics, one definition."""
+    """Idle-gap accounting, done once by ``replay_stream``: exact float semantics."""
 
     def test_single_shared_definition(self):
-        # batch.py and dem.py must consume the same class — the drift guard.
-        from repro.sim import batch, dem, noise
+        # The batched sampler and the DEM walks must read the same stream:
+        # the drift guard.
+        from repro.sim import batch, dem, interpreter
 
-        assert batch.IdleClock is noise.IdleClock
-        assert dem.IdleClock is noise.IdleClock
+        assert batch.replay_stream is interpreter.replay_stream
+        assert dem.replay_stream is interpreter.replay_stream
 
     def test_gap_semantics_on_compacted_schedule(self):
         # The same ops at original vs compacted times: gaps follow the
         # schedule actually handed in, with exact float arithmetic.
         original = [(0.0, 10.0), (35.0, 45.0), (80.0, 90.0)]
         compacted = [(0.0, 10.0), (10.0, 20.0), (20.5, 30.5)]
-        for times, gaps in (
-            (original, [0.0, 25.0, 35.0]),
-            (compacted, [0.0, 0.0, 0.5]),
+        for times, idle in (
+            (original, [(), ((0, 25.0, 0),), ((0, 35.0, 1),)]),
+            (compacted, [(), (), ((0, 0.5, 1),)]),
         ):
-            clock = IdleClock(1)
-            for (start, end), expected in zip(times, gaps):
-                assert clock.gap_before(0, start) == expected
-                clock.mark_busy([0], end)
+            circuit = HardwareCircuit()
+            for start, end in times:
+                circuit.append("X_pi/2", (1,), start, end - start)
+            assert replay_stream(circuit, {1: 0}).idle == idle
 
     def test_row_tracking(self):
-        clock = IdleClock(2, track_rows=True)
-        assert clock.last_row == [-1, -1]
-        clock.mark_busy([1], 5.0, row=3)
-        assert clock.last_row == [-1, 3]
-        assert clock.gap_before(1, 7.5) == 2.5
-        assert IdleClock(2).last_row is None
+        # Each gap names the row that last made its qubit busy (-1: none).
+        circuit = HardwareCircuit()
+        circuit.append("X_pi/2", (1,), 0.0, 5.0)
+        circuit.append("X_pi/2", (2,), 2.5, 2.5)
+        circuit.append("X_pi/2", (2,), 7.5, 1.0)
+        stream = replay_stream(circuit, {1: 10, 2: 20})
+        assert stream.qubits == [(0,), (1,), (1,)]
+        assert stream.idle == [(), ((1, 2.5, -1),), ((1, 2.5, 1),)]
 
-    def test_noise_model_factory_gates_on_tracks_idle(self):
-        assert NoiseModel.uniform(1e-3).idle_clock(4) is None  # no t2: no tracking
-        clock = NoiseModel.preset("near_term").idle_clock(4)
-        assert isinstance(clock, IdleClock)
+    def test_uniform_noise_table_has_no_idle_sites(self):
+        # Without t2 the stream's gaps never become fault sites.
+        exp = MemoryExperiment(distance=3, rounds=2)
+        assert "idle" not in exp.fault_table(NoiseModel.uniform(1e-3)).kind_counts()
+        assert exp.fault_table(NoiseModel.preset("near_term")).kind_counts()["idle"] > 0
 
 
 class TestProfileFields:
