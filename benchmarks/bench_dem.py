@@ -17,11 +17,13 @@ The bench times both extraction regimes:
   measures, since it is the steady-state cost the estimator pays.
 
 The bench also re-verifies on the spot that the tiled table is bit-identical
-to the full walk.  Both round counts are timed *interleaved* in the same
-process so slow-container noise hits both sides equally.  It measures two
-rows under the same gates: the compiler's own schedule (``simd=False``) and
-the SIMD beam-pass schedule (``simd=True``), which keeps the replay records
-and so tiles the same way.
+to the full walk, and it fails unless the walk ran the native kernel
+(``repro/sim/_dem_kernel.c``): the full walk is the baseline of the
+speedup gate, and the Python fallback would inflate it.  Both round counts
+are timed *interleaved* in the same process so slow-container noise hits
+both sides equally.  It measures two rows under the same gates: the
+compiler's own schedule (``simd=False``) and the SIMD beam-pass schedule
+(``simd=True``), which keeps the replay records and so tiles the same way.
 
 Run directly::
 
@@ -150,6 +152,8 @@ def compare_paths(d: int, rounds: int | None, simd: bool, verify: bool = True) -
         )
 
     return {
+        "kernel": full.kernel,
+        "fallback_reason": full.fallback_reason,
         "preset": PRESET,
         "simd": simd,
         "d": d,
@@ -181,7 +185,7 @@ def passes(res: dict, min_speedup: float, gate_flatness: bool) -> bool:
 def report(res: dict) -> None:
     print_table(
         f"periodic tiling vs full walk (d={res['d']}, {res['preset']}, "
-        f"simd {'on' if res['simd'] else 'off'}, "
+        f"simd {'on' if res['simd'] else 'off'}, {res['kernel']} kernel, "
         f"{res['n_sites']} fault sites, {res['sites_per_round']} per round)",
         ["extraction", "rounds", "seconds"],
         [
@@ -208,6 +212,7 @@ def test_dem_extraction_speedup():
     """Quick-scale pytest entry: tiling must win and stay bit-identical."""
     for res in run_comparison(d=5, rounds=25):
         report(res)
+        assert res["kernel"] == "native", res["fallback_reason"]
         assert passes(res, 3.0, gate_flatness=False)
 
 
@@ -236,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=2)
         print(f"wrote {args.json}")
+    if rows[0]["kernel"] != "native":
+        print(f"FAIL: the walk ran its {rows[0]['kernel']} kernel: {rows[0]['fallback_reason']}")
+        return 1
     failed = [res for res in rows if not passes(res, target, gate_flatness=not args.quick)]
     for res in failed:
         print(
@@ -250,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"OK: bit-identical, >= {target:g}x extraction speedup"
         + ("" if args.quick else ", flat under rounds doubling")
-        + ", with and without SIMD"
+        + ", with and without SIMD, on the native kernel"
     )
     return 0
 

@@ -456,6 +456,7 @@ def _cmd_dem(args: argparse.Namespace) -> int:
         "n_sites": table.n_sites,
         "n_mechanisms": dem.n_mechanisms,
         "path": table.method,
+        "kernel": table.kernel,
     }
     print(
         f"# detector error model: {args.basis}-basis memory, d={args.distance}, "
@@ -465,7 +466,7 @@ def _cmd_dem(args: argparse.Namespace) -> int:
     if args.stats:
         print(
             f"stats: extraction {stats['extraction_seconds']:.4f} s "
-            f"({stats['path']} path), n_sites {stats['n_sites']}, "
+            f"({stats['path']} path, {stats['kernel']} kernel), n_sites {stats['n_sites']}, "
             f"n_mechanisms {stats['n_mechanisms']}"
         )
     print(

@@ -409,8 +409,8 @@ class MemoryExperiment:
         The underlying :meth:`fault_table` is rounds-independent to build
         for long memories (periodic template tiling, see its docstring for
         the fallback conditions), and :func:`~repro.sim.dem.build_dem`
-        folds in the noise rates as one vectorized pass per channel kind —
-        both paths bit-identical to the original per-instruction walk.
+        folds in the noise rates over the table's columns — both paths
+        bit-identical to the original per-instruction walk.
         """
         return build_dem(self.fault_table(noise), noise.params, keep_sources=keep_sources)
 

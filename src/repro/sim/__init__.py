@@ -22,9 +22,11 @@ public, so this package re-implements the same interface:
   outcome bitmaps, determinism flags, and quasi-probability weights;
 * :mod:`repro.sim.quasi` — quasi-probability Monte Carlo over Clifford
   channels for the non-Clifford ``Z_pi/8`` gate (§4.1);
-* :mod:`repro.sim.dem` — detector-error-model extraction: one Pauli-frame
-  walk of a compiled circuit folds a noise model into deduplicated error
-  mechanisms (probability, detector footprint, observable mask);
+* :mod:`repro.sim.dem` — detector-error-model extraction: one walk of a
+  compiled circuit (a native backward pass of detector sensitivity, or the
+  Python Pauli-frame walk without a C compiler) folds a noise model into
+  deduplicated error mechanisms (probability, detector footprint,
+  observable mask);
 * :mod:`repro.sim.frame` — the tableau-free fast sampling path: detection
   events and logical flips drawn straight from a DEM as bit-packed XORs
   over sampled mechanisms.

@@ -5,14 +5,27 @@ enumerating every Pauli fault a :class:`~repro.sim.noise.NoiseModel` could
 inject (the exact channel structure of
 :meth:`NoiseModel.apply_operation_noise`: depolarizing terms after gates,
 mis-preparation flips, classical readout flips, and duration-derived
-dephasing including idle gaps), and conjugates each fault through the
-remaining Clifford schedule as a bit-packed Pauli frame — one bit lane per
-fault site, all lanes propagated together.  A fault's observable effect is
-the set of measurement labels whose outcomes it flips; projected onto a set
-of *detectors* (label sets whose XOR is deterministic in the noiseless
-circuit) and *observables* (deterministic logical readout parities), this
-yields a Stim-style :class:`DetectorErrorModel`: deduplicated error
-mechanisms with probabilities, detector footprints, and observable masks.
+dephasing including idle gaps), and reads off the measurement labels each
+fault flips.  Projected onto a set of *detectors* (label sets whose XOR is
+deterministic in the noiseless circuit) and *observables* (deterministic
+logical readout parities), this yields a Stim-style
+:class:`DetectorErrorModel`: deduplicated error mechanisms with
+probabilities, detector footprints, and observable masks.
+
+Two walks produce the same :class:`FaultTable`.  The native one
+(``_dem_kernel.c``, built on first use and cached by :mod:`repro.util.native`)
+propagates detector *sensitivity* backward through the Clifford schedule —
+one bit lane per detector or observable rather than one per fault site
+(Gidney 2021, arXiv:2103.02202) — reads each site's footprint off the
+sensitivity planes at its location, and deduplicates footprints into
+mechanism ids.  The Python one (:func:`enumerate_fault_sites`,
+:func:`_propagate_frames`, :func:`_project`), kept as its bit-identity
+oracle and as the fallback when no C compiler is available, conjugates one
+bit-packed Pauli frame lane per site forward.  :attr:`FaultTable.kernel`
+says which ran.  A table is columnar: per-site row, when, kind, duration
+and Pauli columns plus a mechanism id into one sorted list of distinct
+``(footprint, observable mask)`` keys; :func:`build_dem` folds those
+columns into a DEM without building a per-site object.
 
 The DEM is the input to the tableau-free
 :class:`~repro.sim.frame.FrameSampler`, which samples detection events and
@@ -40,6 +53,7 @@ values, so callers sweeping a rate knob can extract the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +79,8 @@ __all__ = [
     "visit_counts",
     "reset_visit_counts",
 ]
+
+SOURCE = Path(__file__).with_name("_dem_kernel.c")
 
 # ------------------------------------------------------------ visit counting
 # Every instruction-stream walk bumps these counters by the number of rows it
@@ -96,6 +112,20 @@ class DemExtractionError(RuntimeError):
     """
 
 
+def _unsupported(name: str) -> DemExtractionError:
+    """The error for a row neither walk can fold into a DEM."""
+    if name in NON_CLIFFORD_GATES:
+        return DemExtractionError(
+            f"{name} is non-Clifford: its per-shot quasi-Clifford substitutes "
+            "have no fixed fault footprint, so no detector error model exists"
+        )
+    return DemExtractionError(f"unknown instruction {name!r} in DEM extraction")
+
+
+def _unknown_label(label: str) -> ValueError:
+    return ValueError(f"detector references unknown measurement label {label!r}")
+
+
 #: The 15 non-identity two-qubit Pauli terms of a two-qubit depolarizing
 #: channel, as (letter on a, letter on b) with "I" meaning no action —
 #: the same k -> (k >> 2, k & 3) decoding as NoiseModel._depolarize_2q.
@@ -110,6 +140,15 @@ _FRAME_SQRT_X = frozenset({"X_pi/4", "X_-pi/4"})  # Z -> +/-Y: x ^= z
 _FRAME_SWAP = frozenset({"Y_pi/4", "Y_-pi/4"})  # X <-> +/-Z: swap x, z
 _FRAME_PAULI = frozenset({"X_pi/2", "Y_pi/2", "Z_pi/2"})  # commute up to phase
 
+#: Site field codes of a columnar :class:`FaultTable`, shared with the kernel:
+#: ``when`` and ``kind`` columns index these tuples, and a Pauli code is
+#: ``4 * qubit + letter`` with the letter indexing :data:`LETTERS`.
+WHENS = ("before", "after", "record")
+KINDS = ("gate1", "gate2", "prep", "readout", "dephase", "idle")
+LETTERS = "IXYZ"
+_WHEN_CODE = {when: code for code, when in enumerate(WHENS)}
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_READOUT, _IDLE = _KIND_CODE["readout"], _KIND_CODE["idle"]
 
 @dataclass(frozen=True)
 class FaultSite:
@@ -119,7 +158,7 @@ class FaultSite:
     ``"before"`` (idle-gap dephasing), ``"after"`` (post-operation
     channels), or ``"record"`` (classical readout flip on ``label``).
     ``pauli`` lists the injected Pauli as ``(tableau qubit, letter)`` pairs.
-    ``kind`` selects the probability formula of :meth:`probability`;
+    ``kind`` selects the channel's probability formula in :func:`build_dem`;
     ``duration_us`` drives the dephasing kinds.
     """
 
@@ -129,33 +168,6 @@ class FaultSite:
     pauli: tuple[tuple[int, str], ...] = ()
     label: str | None = None
     duration_us: float = 0.0
-
-    def probability(self, params: NoiseParams) -> float:
-        """This site's firing probability under a parameter set.
-
-        Mirrors :class:`~repro.sim.noise.NoiseModel` exactly: each
-        depolarizing term carries ``p/3`` (``p/15`` for two-qubit), and the
-        dephasing kinds use the duration formula of
-        :meth:`NoiseModel.dephasing_probability`.
-        """
-        if self.kind == "gate1":
-            return params.p1 / 3.0
-        if self.kind == "gate2":
-            return params.p2 / 15.0
-        if self.kind == "prep":
-            return params.p_prep
-        if self.kind == "readout":
-            return params.p_meas
-        if self.kind in ("dephase", "idle"):
-            if params.t2_us is None or self.duration_us <= 0:
-                return 0.0
-            return -0.5 * float(np.expm1(-self.duration_us / params.t2_us))
-        raise ValueError(f"unknown fault kind {self.kind!r}")
-
-
-#: Small-integer codes for :attr:`FaultSite.kind`, the vectorized-probability
-#: axis of :func:`build_dem` (see :meth:`FaultTable.site_columns`).
-_KIND_CODE = {"gate1": 0, "gate2": 1, "prep": 2, "readout": 3, "dephase": 4, "idle": 5}
 
 
 def dem_structure_key(params: NoiseParams) -> tuple[bool, bool, bool, bool, bool]:
@@ -305,13 +317,8 @@ def _propagate_frames(
             t = x[a] ^ x[b]
             z[a] ^= t
             z[b] ^= t
-        elif name in NON_CLIFFORD_GATES:
-            raise DemExtractionError(
-                f"{name} is non-Clifford: its per-shot quasi-Clifford substitutes "
-                "have no fixed fault footprint, so no detector error model exists"
-            )
         else:
-            raise DemExtractionError(f"unknown instruction {name!r} in DEM extraction")
+            raise _unsupported(name)
 
         for s, site in pending.get((idx, "after"), ()):
             inject(s, site)
@@ -324,103 +331,161 @@ def _propagate_frames(
 
 
 class FaultTable:
-    """Noise-structure-level extraction result: per-site detector footprints.
+    """Noise-structure-level extraction result, one column per site field.
 
-    ``footprints[s]`` is the sorted tuple of detector ids fault site
-    ``sites[s]`` fires; ``observables[s]`` a bitmask over observables it
-    flips.  Probability-free: combine with any parameter set of the same
-    :func:`dem_structure_key` via :func:`build_dem`.
+    Site ``s`` sits at sorted-stream row ``rows[s]`` (``when[s]`` indexes
+    :data:`WHENS`), belongs to channel ``kinds[s]`` (indexes :data:`KINDS`),
+    lasts ``durations[s]`` µs (the dephasing kinds; 0 otherwise) and
+    injects ``paulis[s]``: up to two ``4 * qubit + letter`` codes, 0
+    padding.  Readout sites flip ``readout_labels``, in site order.  Its
+    detector footprint and observable mask are key ``mechanisms[s]`` of one
+    list of distinct keys sorted by ``(footprint, observable mask)``:
+    ``key_detectors`` (sorted detector-id tuples) and ``key_observables``
+    (bitmasks over observables).  Probability-free: combine with any
+    parameter set of the same :func:`dem_structure_key` via
+    :func:`build_dem`.
+
+    :attr:`sites`, :attr:`footprints` and :attr:`observables` are per-site
+    views built on first access, for the equivalence tests,
+    ``keep_sources`` and the CLI.  :attr:`kernel` names the walk that
+    extracted the table (``"native"`` or ``"python"``) and
+    :attr:`fallback_reason` why the Python one ran.
 
     Tables built by the periodic extractor carry period metadata —
     ``method`` (``"periodic"`` vs ``"full"``), ``sites_per_round`` (fault
     sites per bulk QEC round) and ``n_bulk_rounds`` (tiled bulk rounds) —
-    and materialize :attr:`sites` / :attr:`footprints` lazily from the tiling
-    recipe on first access: :func:`build_dem` consumes the columnar
-    :meth:`site_columns` plus footprints, so the per-site objects are only
-    ever built for consumers that genuinely want them (equivalence tests,
-    ``keep_sources``, CLI summaries).
+    and build each group of columns from the tiling recipe when it is
+    first read, so a table costs O(1) until :func:`build_dem` asks for its
+    kinds, durations and mechanism ids.
     """
 
     def __init__(
         self,
-        sites: list[FaultSite] | None = None,
-        footprints: list[tuple[int, ...]] | None = None,
-        observables: np.ndarray | None = None,
-        n_detectors: int = 0,
-        n_observables: int = 0,
+        n_detectors: int,
+        n_observables: int,
         *,
+        kernel: str,
+        fallback_reason: str | None = None,
+        locations: tuple | None = None,
+        channels: tuple[np.ndarray, np.ndarray] | None = None,
+        mechanisms: tuple | None = None,
         method: str = "full",
         sites_per_round: int | None = None,
         n_bulk_rounds: int | None = None,
         tiling: "_Tiling | None" = None,
     ):
-        if tiling is None and (sites is None or footprints is None or observables is None):
-            raise ValueError("an eager FaultTable needs sites, footprints, and observables")
-        self._sites = sites
-        self._footprints = footprints
-        self._observables = observables
+        if tiling is None and (locations is None or channels is None or mechanisms is None):
+            raise ValueError("an eager FaultTable needs locations, channels, and mechanisms")
         self.n_detectors = n_detectors
         self.n_observables = n_observables
+        self.kernel = kernel
+        self.fallback_reason = fallback_reason
         self.method = method
         self.sites_per_round = sites_per_round
         self.n_bulk_rounds = n_bulk_rounds
         self._tiling = tiling
-        self._kind_codes: np.ndarray | None = None
-        self._durations: np.ndarray | None = None
+        #: (rows, when, paulis, readout_labels)
+        self._locations = locations
+        #: (kinds, durations)
+        self._channels = channels
+        #: (mechanism ids, key_detectors, key_observables)
+        self._mechanisms = mechanisms
+        self._sites: list[FaultSite] | None = None
+        self._footprints: list[tuple[int, ...]] | None = None
+
+    def _located(self) -> tuple:
+        if self._locations is None:
+            self._locations = self._tiling.locations()
+        return self._locations
+
+    def _mechanism_columns(self) -> tuple:
+        if self._mechanisms is None:
+            self._mechanisms = self._tiling.mechanisms()
+        return self._mechanisms
+
+    @property
+    def n_sites(self) -> int:
+        if self._channels is None:
+            return self._tiling.n_sites
+        return len(self._channels[0])
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._located()[0]
+
+    @property
+    def when(self) -> np.ndarray:
+        return self._located()[1]
+
+    @property
+    def paulis(self) -> np.ndarray:
+        return self._located()[2]
+
+    @property
+    def readout_labels(self) -> list[str]:
+        return self._located()[3]
+
+    @property
+    def mechanisms(self) -> np.ndarray:
+        return self._mechanism_columns()[0]
+
+    @property
+    def key_detectors(self) -> list[tuple[int, ...]]:
+        return self._mechanism_columns()[1]
+
+    @property
+    def key_observables(self) -> np.ndarray:
+        return self._mechanism_columns()[2]
+
+    def site_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site ``(kind codes, durations)``: what :func:`build_dem` prices."""
+        if self._channels is None:
+            self._channels = self._tiling.site_columns()
+        return self._channels
 
     @property
     def sites(self) -> list[FaultSite]:
         if self._sites is None:
-            self._sites = self._tiling.materialize_sites()
+            rows, when, paulis, labels = self._located()
+            kinds, durations = self.site_columns()
+            read = iter(labels)
+            self._sites = [
+                FaultSite(
+                    row,
+                    WHENS[w],
+                    KINDS[k],
+                    tuple((p >> 2, LETTERS[p & 3]) for p in pair if p),
+                    next(read) if k == _READOUT else None,
+                    duration,
+                )
+                for row, w, k, duration, pair in zip(
+                    rows.tolist(),
+                    when.tolist(),
+                    kinds.tolist(),
+                    durations.tolist(),
+                    paulis.tolist(),
+                )
+            ]
         return self._sites
 
     @property
     def footprints(self) -> list[tuple[int, ...]]:
+        """Per-site sorted detector ids."""
         if self._footprints is None:
-            self._footprints = self._tiling.materialize_footprints()
+            keys = self.key_detectors
+            self._footprints = [keys[m] for m in self.mechanisms.tolist()]
         return self._footprints
 
     @property
     def observables(self) -> np.ndarray:
-        if self._observables is None:
-            self._observables = self._tiling.materialize_observables()
-        return self._observables
-
-    @property
-    def n_sites(self) -> int:
-        if self._sites is not None:
-            return len(self._sites)
-        return self._tiling.n_sites
-
-    def site_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-site ``(kind codes, durations)`` columns (see ``_KIND_CODE``).
-
-        The axis :func:`build_dem` vectorizes :meth:`FaultSite.probability`
-        over — assembled directly from the tiling recipe when the site
-        objects have not been materialized.
-        """
-        if self._kind_codes is None:
-            if self._sites is None:
-                self._kind_codes, self._durations = self._tiling.site_columns()
-            else:  # eager table: derive the columns from the site objects
-                self._kind_codes = np.fromiter(
-                    (_KIND_CODE[s.kind] for s in self._sites),
-                    dtype=np.int8,
-                    count=len(self._sites),
-                )
-                self._durations = np.fromiter(
-                    (s.duration_us for s in self._sites),
-                    dtype=np.float64,
-                    count=len(self._sites),
-                )
-        return self._kind_codes, self._durations
+        """Per-site observable bitmasks."""
+        return self.key_observables[self.mechanisms]
 
     def kind_counts(self) -> dict[str, int]:
         """Site counts per channel kind, without materializing site objects."""
         codes, _ = self.site_columns()
-        names = {code: kind for kind, code in _KIND_CODE.items()}
         values, counts = np.unique(codes, return_counts=True)
-        return {names[int(v)]: int(c) for v, c in zip(values, counts)}
+        return {KINDS[int(v)]: int(c) for v, c in zip(values, counts)}
 
 
 def _xor_columns(
@@ -431,7 +496,7 @@ def _xor_columns(
         try:
             col ^= label_flips[lab]
         except KeyError:
-            raise ValueError(f"detector references unknown measurement label {lab!r}") from None
+            raise _unknown_label(lab) from None
     return col
 
 
@@ -458,6 +523,88 @@ def _project(
     return [tuple(fp) for fp in footprints], obs_mask
 
 
+def _python_table(
+    sites: list[FaultSite],
+    footprints: list[tuple[int, ...]],
+    obs_mask: np.ndarray,
+    n_detectors: int,
+    n_observables: int,
+    fallback_reason: str | None,
+) -> FaultTable:
+    """The Python walk's sites and projections as a columnar table."""
+    n = len(sites)
+    pauli_codes = [
+        [4 * q + LETTERS.index(letter) for q, letter in s.pauli] + [0] * (2 - len(s.pauli))
+        for s in sites
+    ]
+    locations = (
+        np.fromiter((s.index for s in sites), dtype=np.int64, count=n),
+        np.fromiter((_WHEN_CODE[s.when] for s in sites), dtype=np.int8, count=n),
+        np.array(pauli_codes, dtype=np.int32).reshape(n, 2),
+        [s.label for s in sites if s.kind == "readout"],
+    )
+    channels = (
+        np.fromiter((_KIND_CODE[s.kind] for s in sites), dtype=np.int8, count=n),
+        np.fromiter((s.duration_us for s in sites), dtype=np.float64, count=n),
+    )
+    pairs = list(zip(footprints, obs_mask.tolist()))
+    keys = sorted(set(pairs))
+    index = {key: k for k, key in enumerate(keys)}
+    mechanisms = (
+        np.fromiter((index[p] for p in pairs), dtype=np.int64, count=n),
+        [fp for fp, _ in keys],
+        np.array([obs for _, obs in keys], dtype=np.uint64),
+    )
+    return FaultTable(
+        n_detectors,
+        n_observables,
+        kernel="python",
+        fallback_reason=fallback_reason,
+        locations=locations,
+        channels=channels,
+        mechanisms=mechanisms,
+    )
+
+
+def _walk(
+    circuit: HardwareCircuit,
+    stream: ReplayStream,
+    params: NoiseParams,
+    detectors: list[list[str]],
+    observables: list[list[str]],
+    skip_empty: bool = False,
+) -> FaultTable | None:
+    """The full walk's table, on the native kernel where it builds.
+
+    With ``skip_empty`` a stream without fault sites returns ``None``
+    before any row is checked.  Both kernels raise the same errors in the
+    same order: :class:`DemExtractionError` at the first row neither can
+    fold, then ``ValueError`` at the first unknown label.
+    """
+    # Imported here, not at module level: loading the native kernel (and
+    # building it, the first time on a host) is extraction work, never
+    # import-time work.
+    from repro.sim import _dem_native
+    from repro.util import native
+
+    lib, reason = native.load(SOURCE, _dem_native._declare)
+    if lib is not None:
+        return _dem_native.walk(lib, circuit, stream, params, detectors, observables, skip_empty)
+    sites = enumerate_fault_sites(circuit, stream, params)
+    if skip_empty and not sites:
+        return None
+    label_flips = _propagate_frames(circuit, stream, sites)
+    footprints, obs_mask = _project(sites, label_flips, detectors, observables)
+    return _python_table(sites, footprints, obs_mask, len(detectors), len(observables), reason)
+
+
+def _check_observables(observables: list[list[str]]) -> None:
+    if len(observables) > 64:
+        raise ValueError(
+            f"at most 64 observables fit a fault table's uint64 masks, got {len(observables)}"
+        )
+
+
 def extract_fault_table(
     circuit: HardwareCircuit,
     initial_occupancy: dict[int, int],
@@ -471,21 +618,23 @@ def extract_fault_table(
 
     ``detectors[d]`` / ``observables[o]`` are measurement-label sets whose
     XOR parity is deterministic in the noiseless circuit; detector ids in
-    the resulting table index these lists.
+    the resulting table index these lists.  At most 64 observables fit the
+    table's masks.
 
     The circuit decides the path, and the table's ``method`` records it.
     Without a ``template`` this walks every instruction of the sorted
-    stream (the oracle, ``"full"``).  With one (a
-    :func:`make_periodic_template` bundle for the same
-    patch/basis/profile/SIMD/noise structure) it tiles the template onto
-    the circuit's periodic bulk when every structural precondition holds
-    against the circuit's own columns (``"periodic"``), and otherwise
-    walks: when the compiler's template replay fell back to round-by-round
-    scheduling (no :class:`~repro.hardware.circuit.ReplayBlock` records),
-    or when a schedule, such as a SIMD ``pass_serial`` beam's, leaves the
-    bulk rounds non-periodic.  Both paths produce bit-identical tables
+    stream (``"full"``).  With one (a :func:`make_periodic_template` bundle
+    for the same patch/basis/profile/SIMD/noise structure) it tiles the
+    template onto the circuit's periodic bulk when every structural
+    precondition holds against the circuit's own columns (``"periodic"``),
+    and otherwise walks: when the compiler's template replay fell back to
+    round-by-round scheduling (no
+    :class:`~repro.hardware.circuit.ReplayBlock` records), or when a
+    schedule, such as a SIMD ``pass_serial`` beam's, leaves the bulk rounds
+    non-periodic.  Both paths produce bit-identical tables
     (``tests/test_dem_periodic.py``).
     """
+    _check_observables(observables)
     if template is not None:
         if (
             template.circuit is circuit
@@ -500,16 +649,7 @@ def extract_fault_table(
             return table
 
     stream = replay_stream(circuit, initial_occupancy)
-    sites = enumerate_fault_sites(circuit, stream, params)
-    label_flips = _propagate_frames(circuit, stream, sites)
-    footprints, obs_mask = _project(sites, label_flips, detectors, observables)
-    return FaultTable(
-        sites=sites,
-        footprints=footprints,
-        observables=obs_mask,
-        n_detectors=len(detectors),
-        n_observables=len(observables),
-    )
+    return _walk(circuit, stream, params, detectors, observables)
 
 
 # --------------------------------------------------------- periodic tiling
@@ -645,12 +785,15 @@ class PeriodicTemplate:
     """Rounds-independent extraction template: one small compile, walked once.
 
     Bundles a template compile's circuit, detector/observable layout, and
-    full-walk oracle :class:`FaultTable` together with the precomputed
-    partition of its sites into prologue+W0 (copied verbatim), the W1
-    generator window (tiled across the target's bulk), and the epilogue
-    block (index/label-shifted) — everything
-    :func:`extract_fault_table`'s periodic path needs, independent of the
-    target's round count.  Build via :func:`make_periodic_template`.
+    full-walk :class:`FaultTable` together with the precomputed partition
+    of its sites into prologue+W0 (copied verbatim), the W1 generator
+    window (tiled across the target's bulk), and the epilogue block
+    (index/label-shifted) — everything :func:`extract_fault_table`'s
+    periodic path needs, independent of the target's round count.  The
+    windows are read as the table's columns: W1 and the epilogue keep their
+    *distinct* mechanism keys plus each site's index into them, so a tiled
+    window translates only those keys.  Build via
+    :func:`make_periodic_template`.
     """
 
     def __init__(
@@ -688,33 +831,34 @@ class PeriodicTemplate:
             p - geom["tau"]: l for p, l in labs.items() if p >= geom["tau"]
         }
 
-        sites = table.sites
-        self.site_pos = np.fromiter(
-            (s.index for s in sites), dtype=np.int64, count=len(sites)
-        )
+        self.site_pos = table.rows
+        kinds, durs = table.site_columns()
         # Predecessor sorted-position per site (idle sites only, else -2):
         # the walk emits one idle site per stream gap, in stream order.
-        self.pred_pos = np.full(len(sites), -2, dtype=np.int64)
-        idle = [i for i, s in enumerate(sites) if s.kind == "idle"]
-        if idle:
+        self.pred_pos = np.full(table.n_sites, -2, dtype=np.int64)
+        idle = kinds == _IDLE
+        if idle.any():
             self.pred_pos[idle] = [pred for gaps in stream.idle for _, _, pred in gaps]
+        # Readout sites, whose labels table.readout_labels lists in order.
+        self.read_pos = np.flatnonzero(kinds == _READOUT)
 
         h, B, tau = geom["h"], geom["B"], geom["tau"]
-        self.i_head = int(np.searchsorted(self.site_pos, h + B))
-        self.i_gen = int(np.searchsorted(self.site_pos, h + 2 * B))
-        self.i_tail = int(np.searchsorted(self.site_pos, tau))
-        kinds, durs = table.site_columns()
-        self.kinds, self.durs = kinds, durs
+        self.i_head, self.i_gen, self.i_tail = np.searchsorted(
+            self.site_pos, (h + B, h + 2 * B, tau)
+        ).tolist()
+        labels = table.readout_labels
+        r_head, r_gen, r_tail = np.searchsorted(
+            self.read_pos, (self.i_head, self.i_gen, self.i_tail)
+        ).tolist()
+        self.n_head_reads = r_gen
 
         # Generator window (W1) views.
         g = slice(self.i_head, self.i_gen)
-        self.g_sites = sites[g]
-        self.g_fps = table.footprints[g]
-        self.g_obs = table.observables[g]
-        self.g_kinds, self.g_durs = kinds[g], durs[g]
+        self.g_keys, self.g_inv = np.unique(table.mechanisms[g], return_inverse=True)
         flat: list[int] = []
         bounds: list[tuple[int, int]] = []
-        for fp in self.g_fps:
+        for k in self.g_keys.tolist():
+            fp = table.key_detectors[k]
             bounds.append((len(flat), len(flat) + len(fp)))
             flat.extend(fp)
         self.g_flat_ids = np.array(flat, dtype=np.int64)
@@ -726,73 +870,66 @@ class PeriodicTemplate:
             [i for i in range(max(len(flat) - 1, 0)) if i + 1 not in starts],
             dtype=np.int64,
         )
-        g_idle = [i for i, s in enumerate(self.g_sites) if s.kind == "idle"]
+        g_idle = np.flatnonzero(kinds[g] == _IDLE)
         self.g_idle_a = self.site_pos[g][g_idle]
         self.g_idle_b = self.pred_pos[g][g_idle]
-        self.g_idle_durs = self.g_durs[g_idle]
+        self.g_idle_durs = durs[g][g_idle]
+        self.g_read_labels = labels[r_head:r_gen]
         self.g_read_kb: list[tuple[int, str] | None] = [
-            self.decomp.get(s.label) if s.label is not None else None
-            for s in self.g_sites
+            self.decomp.get(label) for label in self.g_read_labels
         ]
 
         # Epilogue (tail) views.
-        t = slice(self.i_tail, len(sites))
-        self.t_sites = sites[t]
-        self.t_fps = table.footprints[t]
-        self.t_obs = table.observables[t]
-        self.t_kinds, self.t_durs = kinds[t], durs[t]
-        t_idle = [i for i, s in enumerate(self.t_sites) if s.kind == "idle"]
+        t = slice(self.i_tail, table.n_sites)
+        self.t_keys, self.t_inv = np.unique(table.mechanisms[t], return_inverse=True)
+        t_idle = np.flatnonzero(kinds[t] == _IDLE)
         self.t_idle_a = self.site_pos[t][t_idle]
         self.t_idle_b = self.pred_pos[t][t_idle]
-        self.t_idle_durs = self.t_durs[t_idle]
+        self.t_idle_durs = durs[t][t_idle]
+        self.t_read_labels = labels[r_tail:]
+        self.t_read_rows = self.site_pos[self.read_pos[r_tail:]].tolist()
 
         self.usable = (
             self.det_index is not None
             and self.dnext is not None
             and (self.g_idle_b >= h).all()
             and (self.t_idle_b >= h).all()
-            and all(
-                kb is not None and kb[0] >= 1
-                for kb, s in zip(self.g_read_kb, self.g_sites)
-                if s.label is not None
-            )
+            and all(kb is not None and kb[0] >= 1 for kb in self.g_read_kb)
             and self._self_check()
         )
 
-    # One window-translation comparison against the oracle's own data: the
+    # One window-translation comparison against the walk's own data: the
     # template certifies that its small bulk already repeats *exactly*
     # (sites, labels one copy apart, footprints through the detector
     # translation, observables, durations) before any tiling trusts it.
     def _windows_translate(self, j: int) -> bool:
         h, B = self.geom["h"], self.geom["B"]
         pos = self.site_pos
-        lo1, hi1 = np.searchsorted(pos, (h + j * B, h + (j + 1) * B))
-        lo2, hi2 = np.searchsorted(pos, (h + (j + 1) * B, h + (j + 2) * B))
+        lo1, hi1 = np.searchsorted(pos, (h + j * B, h + (j + 1) * B)).tolist()
+        lo2, hi2 = np.searchsorted(pos, (h + (j + 1) * B, h + (j + 2) * B)).tolist()
         if hi1 - lo1 != hi2 - lo2 or hi1 == lo1:
             return False
-        sites, fps = self.table.sites, self.table.footprints
-        dn = self.dnext
-        for i1, i2 in zip(range(lo1, hi1), range(lo2, hi2)):
-            s1, s2 = sites[i1], sites[i2]
-            if s2.index != s1.index + B:
+        w1, w2 = slice(lo1, hi1), slice(lo2, hi2)
+        table = self.table
+        if not np.array_equal(pos[w2], pos[w1] + B):
+            return False
+        for col in (table.when, *table.site_columns(), table.paulis):
+            if not np.array_equal(col[w1], col[w2]):
                 return False
-            if (s1.when, s1.kind, s1.pauli) != (s2.when, s2.kind, s2.pauli):
+        labels = table.readout_labels
+        r1, e1, r2 = np.searchsorted(self.read_pos, (lo1, hi1, lo2)).tolist()
+        for l1, l2 in zip(labels[r1:e1], labels[r2 : r2 + e1 - r1]):
+            kb1, kb2 = self.decomp.get(l1), self.decomp.get(l2)
+            if kb1 is None or kb2 is None or kb2 != (kb1[0] + 1, kb1[1]):
                 return False
-            if s1.duration_us != s2.duration_us:
-                return False
-            if (s1.label is None) != (s2.label is None):
-                return False
-            if s1.label is not None:
-                kb1, kb2 = self.decomp.get(s1.label), self.decomp.get(s2.label)
-                if kb1 is None or kb2 is None or kb2 != (kb1[0] + 1, kb1[1]):
-                    return False
-            f1, f2 = fps[i1], fps[i2]
+        dets, obs, dn = table.key_detectors, table.key_observables, self.dnext
+        mech = table.mechanisms
+        for m1, m2 in set(zip(mech[w1].tolist(), mech[w2].tolist())):
+            f1, f2 = dets[m1], dets[m2]
             if len(f1) != len(f2) or any(dn[a] != b for a, b in zip(f1, f2)):
                 return False
-        if not np.array_equal(
-            self.table.observables[lo1:hi1], self.table.observables[lo2:hi2]
-        ):
-            return False
+            if obs[m1] != obs[m2]:
+                return False
         return True
 
     def _self_check(self) -> bool:
@@ -812,25 +949,17 @@ def make_periodic_template(
 
     Returns ``None`` when the circuit cannot serve as a periodic template:
     no single replay block, fewer than 6 replay copies (the self-check
-    needs three interior window pairs), a non-periodic replica region, or
-    a failed window-translation self-check.
+    needs three interior window pairs), no fault sites, a non-periodic
+    replica region, or a failed window-translation self-check.
     """
+    _check_observables(observables)
     geom = _replay_geometry(circuit)
     if geom is None or geom["C"] < 6:
         return None
     stream = replay_stream(circuit, initial_occupancy)
-    sites = enumerate_fault_sites(circuit, stream, params)
-    if not sites:
+    table = _walk(circuit, stream, params, detectors, observables, skip_empty=True)
+    if table is None:
         return None  # nothing to tile; the full walk is free anyway
-    label_flips = _propagate_frames(circuit, stream, sites)
-    footprints, obs_mask = _project(sites, label_flips, detectors, observables)
-    table = FaultTable(
-        sites=sites,
-        footprints=footprints,
-        observables=obs_mask,
-        n_detectors=len(detectors),
-        n_observables=len(observables),
-    )
     template = PeriodicTemplate(
         circuit,
         initial_occupancy,
@@ -845,13 +974,15 @@ def make_periodic_template(
 
 
 class _Tiling:
-    """Lazy materialization recipe of a periodically extracted table.
+    """Lazy column recipe of a periodically extracted table.
 
     Holds everything :func:`_extract_periodic` verified — the template, the
     target's window count, index/label/detector translations — and builds
-    site objects / footprints / observable masks only when a consumer asks
-    (:func:`build_dem` reads :meth:`site_columns` + footprints and never
-    pays for ~``n_sites`` frozen dataclass constructions).
+    each group of the table's columns only when a consumer asks
+    (:func:`build_dem` reads :meth:`site_columns` and :meth:`mechanisms`).
+    Window ``j`` repeats W1's columns with rows shifted ``(j - 1) * B``,
+    labels ``j - 1`` replay copies on, and W1's distinct mechanism keys
+    pushed ``j - 1`` copies forward through the detector translation.
     """
 
     def __init__(
@@ -863,7 +994,7 @@ class _Tiling:
         label_maps,
         dnext_big: np.ndarray,
         tail_fps: list[tuple[int, ...]],
-        tail_labels: list[str | None],
+        tail_labels: list[str],
     ):
         self.template = template
         self.n_win = n_win
@@ -878,58 +1009,73 @@ class _Tiling:
     def n_sites(self) -> int:
         tpl = self.template
         n_gen = tpl.i_gen - tpl.i_head
-        return tpl.i_gen + (self.n_win - 1) * n_gen + len(tpl.t_sites)
+        return tpl.i_gen + (self.n_win - 1) * n_gen + tpl.table.n_sites - tpl.i_tail
 
-    def materialize_sites(self) -> list[FaultSite]:
+    def _tiled(self, column: np.ndarray) -> np.ndarray:
+        """A template column over the target: head, W1 per window, tail."""
         tpl = self.template
-        out = list(tpl.table.sites[: tpl.i_gen])  # prologue + W0 + W1, verbatim
-        for j in range(2, self.n_win + 1):
-            off = (j - 1) * self.B
-            for s, kb in zip(tpl.g_sites, tpl.g_read_kb):
-                label = None if kb is None else self.label_maps[kb[0] + j - 2][kb[1]]
-                out.append(
-                    FaultSite(
-                        s.index + off, s.when, s.kind, s.pauli, label, s.duration_us
-                    )
-                )
-        for s, label in zip(tpl.t_sites, self.tail_labels):
-            out.append(
-                FaultSite(
-                    s.index + self.d_pos, s.when, s.kind, s.pauli, label, s.duration_us
-                )
-            )
-        return out
-
-    def materialize_footprints(self) -> list[tuple[int, ...]]:
-        tpl = self.template
-        out = list(tpl.table.footprints[: tpl.i_gen])
-        ids = tpl.g_flat_ids
-        for _ in range(2, self.n_win + 1):
-            ids = self.dnext_big[ids]
-            flat = ids.tolist()
-            out.extend(tuple(flat[a:b]) for a, b in tpl.g_fp_bounds)
-        out.extend(self.tail_fps)
-        return out
-
-    def materialize_observables(self) -> np.ndarray:
-        tpl = self.template
+        reps = (self.n_win - 1,) + (1,) * (column.ndim - 1)
         return np.concatenate(
             [
-                tpl.table.observables[: tpl.i_gen],
-                np.tile(tpl.g_obs, self.n_win - 1),
-                tpl.t_obs,
+                column[: tpl.i_gen],
+                np.tile(column[tpl.i_head : tpl.i_gen], reps),
+                column[tpl.i_tail :],
             ]
         )
 
     def site_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        kinds, durs = self.template.table.site_columns()
+        return self._tiled(kinds), self._tiled(durs)
+
+    def locations(self) -> tuple:
         tpl = self.template
-        kinds = np.concatenate(
-            [tpl.kinds[: tpl.i_gen], np.tile(tpl.g_kinds, self.n_win - 1), tpl.t_kinds]
+        table = tpl.table
+        offsets = np.arange(1, self.n_win, dtype=np.int64)[:, None] * self.B
+        rows = np.concatenate(
+            [
+                table.rows[: tpl.i_gen],
+                (table.rows[tpl.i_head : tpl.i_gen][None, :] + offsets).ravel(),
+                table.rows[tpl.i_tail :] + self.d_pos,
+            ]
         )
-        durs = np.concatenate(
-            [tpl.durs[: tpl.i_gen], np.tile(tpl.g_durs, self.n_win - 1), tpl.t_durs]
+        labels = table.readout_labels[: tpl.n_head_reads]
+        for j in range(2, self.n_win + 1):
+            labels += [self.label_maps[k + j - 2][base] for k, base in tpl.g_read_kb]
+        labels += self.tail_labels
+        return rows, self._tiled(table.when), self._tiled(table.paulis), labels
+
+    def mechanisms(self) -> tuple:
+        """Mechanism ids over one sorted key list: the head's keys as walked,
+        each window's translated W1 keys, and the translated tail keys."""
+        tpl = self.template
+        table = tpl.table
+        dets, obs = table.key_detectors, table.key_observables.tolist()
+        head_keys, head_inv = np.unique(table.mechanisms[: tpl.i_gen], return_inverse=True)
+        keys = [(dets[k], obs[k]) for k in head_keys.tolist()]
+        g_obs = [obs[k] for k in tpl.g_keys.tolist()]
+        ids = tpl.g_flat_ids
+        for _ in range(2, self.n_win + 1):
+            ids = self.dnext_big[ids]
+            flat = ids.tolist()
+            keys += [(tuple(flat[a:b]), o) for (a, b), o in zip(tpl.g_fp_bounds, g_obs)]
+        keys += zip(self.tail_fps, [obs[k] for k in tpl.t_keys.tolist()])
+        distinct = sorted(set(keys))
+        index = {key: m for m, key in enumerate(distinct)}
+        remap = np.fromiter((index[key] for key in keys), dtype=np.int64, count=len(keys))
+        n_head, n_gen = len(head_keys), len(tpl.g_keys)
+        windows = n_head + n_gen * np.arange(self.n_win - 1, dtype=np.int64)[:, None]
+        mech = np.concatenate(
+            [
+                remap[head_inv],
+                remap[(windows + tpl.g_inv[None, :]).ravel()],
+                remap[n_head + n_gen * (self.n_win - 1) + tpl.t_inv],
+            ]
         )
-        return kinds, durs
+        return (
+            mech,
+            [fp for fp, _ in distinct],
+            np.array([o for _, o in distinct], dtype=np.uint64),
+        )
 
 
 class _TargetCheck:
@@ -1020,8 +1166,10 @@ class _TargetCheck:
         """A fresh lazy fault table over the shared tiling recipe."""
         tpl = self.template
         return FaultTable(
-            n_detectors=len(self.detectors),
-            n_observables=len(self.observables),
+            len(self.detectors),
+            len(self.observables),
+            kernel=tpl.table.kernel,
+            fallback_reason=tpl.table.fallback_reason,
             method="periodic",
             sites_per_round=tpl.i_gen - tpl.i_head,
             n_bulk_rounds=self.n_bulk,
@@ -1198,7 +1346,12 @@ def _verify_periodic(
     # Early detector ids (everything prologue/W0/W1 footprints reference)
     # must mean the same detector in both compiles.
     det_s = template.detectors
-    early_ids = {d for fp in template.table.footprints[: template.i_gen] for d in fp}
+    table_s = template.table
+    early_ids = {
+        d
+        for k in np.unique(table_s.mechanisms[: template.i_gen]).tolist()
+        for d in table_s.key_detectors[k]
+    }
     for i in early_ids:
         if i >= len(detectors) or index_b.get(frozenset(det_s[i])) != i:
             return None
@@ -1222,16 +1375,13 @@ def _verify_periodic(
     # target's label maps; at j=1 that must reproduce the template's own
     # labels (which the head check proved are the target's W1 labels), and
     # the deepest window must stay within the target's copy range.
-    for s, kb in zip(template.g_sites, template.g_read_kb):
-        if kb is None:
-            continue
-        k, base = kb
+    for label, (k, base) in zip(template.g_read_labels, template.g_read_kb):
         if k + n_win - 2 >= c_b:
             return None
-        if meta_b.label_maps[k - 1].get(base) != s.label:
+        if meta_b.label_maps[k - 1].get(base) != label:
             return None
 
-    # Epilogue translation: site labels and detector footprints.
+    # Epilogue translation: readout labels and the distinct keys' footprints.
     det_big_of: dict[int, int] = {}
 
     def resolve_tail_det(i: int) -> int | None:
@@ -1243,19 +1393,16 @@ def _verify_periodic(
         return None if j < 0 else j
 
     tail_fps: list[tuple[int, ...]] = []
-    for fp in template.t_fps:
-        mapped = [resolve_tail_det(i) for i in fp]
+    for k in template.t_keys.tolist():
+        mapped = [resolve_tail_det(i) for i in table_s.key_detectors[k]]
         if None in mapped:
             return None
         tail_fps.append(tuple(sorted(mapped)))
-    tail_labels: list[str | None] = []
-    for s in template.t_sites:
-        if s.label is None:
-            tail_labels.append(None)
-            continue
-        label = tail_label.get(s.label)
-        if label is None and s.label == f"m?{s.index}":
-            label = f"m?{s.index + d_pos}"
+    tail_labels: list[str] = []
+    for row, small_label in zip(template.t_read_rows, template.t_read_labels):
+        label = tail_label.get(small_label)
+        if label is None and small_label == f"m?{row}":
+            label = f"m?{row + d_pos}"
         if label is None:
             return None
         tail_labels.append(label)
@@ -1366,11 +1513,14 @@ class DetectorErrorModel:
 
 
 def _site_probabilities(table: FaultTable, params: NoiseParams) -> np.ndarray:
-    """Vectorized :meth:`FaultSite.probability` over the whole table.
+    """Every site's firing probability under a parameter set.
 
+    Mirrors :class:`~repro.sim.noise.NoiseModel` exactly: each depolarizing
+    term carries ``p/3`` (``p/15`` for two-qubit), and the dephasing kinds
+    use the duration formula of :meth:`NoiseModel.dephasing_probability`.
     One masked assignment per channel kind, with the dephasing formula
-    applied elementwise — every output element is produced by the exact
-    scalar operations of the per-site method.
+    applied elementwise, so every element comes from the scalar operations
+    of the per-site loop (``site_probability`` in ``tests/oracles.py``).
     """
     kinds, durations = table.site_columns()
     probs = np.zeros(len(kinds), dtype=np.float64)
@@ -1392,50 +1542,48 @@ def build_dem(
     """Fold a fault table and a parameter set into a deduplicated DEM.
 
     Sites with zero probability or no effect (empty footprint, no
-    observable flip) are dropped; sites with identical (footprint,
-    observable) signatures are XOR-combined
+    observable flip) are dropped; sites of one mechanism (identical
+    footprint and observable mask) are XOR-combined
     (``p <- p_a (1 - p_b) + p_b (1 - p_a)``), which is exact for
-    independent mechanisms.  Mechanisms come back sorted by footprint, so
-    extraction is deterministic for a fixed circuit + noise pair.
+    independent mechanisms.  Mechanisms come back in the table's sorted key
+    order, so extraction is deterministic for a fixed circuit + noise pair.
 
-    Probabilities are evaluated as one NumPy pass per channel kind over
-    :meth:`FaultTable.site_columns` — the same scalar formulas as
-    :meth:`FaultSite.probability`, applied elementwise, so the result is
-    bit-identical to the per-site loop it replaced.  Site objects are only
-    materialized when ``keep_sources`` asks for them, which keeps the
-    periodic path's lazy tables lazy.
+    Reads only the table's kind, duration and mechanism-id columns: sites
+    are grouped by a stable sort on mechanism id, and the fold runs one
+    NumPy step per rank within a group, every mechanism's ``r``-th site at
+    once, in site order — bit-identical to the per-site dictionary loop it
+    replaced (``build_dem`` in ``tests/oracles.py``).  Site objects are
+    only built when ``keep_sources`` asks for them.
     """
-    probs_all = _site_probabilities(table, params)
-    sites = table.sites if keep_sources else None
-    groups: dict[tuple[tuple[int, ...], int], list] = {}
-    p_list = probs_all.tolist()
-    obs_list = table.observables.tolist()
-    for s, footprint in enumerate(table.footprints):
-        p = p_list[s]
-        if p <= 0.0:
-            continue
-        obs = obs_list[s]
-        if not footprint and not obs:
-            continue  # invisible fault: flips nothing deterministic
-        entry = groups.get((footprint, obs))
-        if entry is None:
-            groups[(footprint, obs)] = [p, [s] if keep_sources else None]
-        else:
-            entry[0] = entry[0] * (1.0 - p) + p * (1.0 - entry[0])
-            if keep_sources:
-                entry[1].append(s)
-
-    keys = sorted(groups)
-    probs = np.array([groups[k][0] for k in keys], dtype=np.float64)
+    probs = _site_probabilities(table, params)
+    mech = table.mechanisms
+    key_dets, key_obs = table.key_detectors, table.key_observables
+    lengths = np.fromiter(map(len, key_dets), dtype=np.int64, count=len(key_dets))
+    visible = (lengths > 0) | (key_obs != 0)
+    kept = np.flatnonzero(~(probs <= 0.0) & visible[mech])
+    order = kept[np.argsort(mech[kept], kind="stable")]
+    ids = mech[order]
+    site_p = probs[order]
+    first = np.flatnonzero(np.diff(ids, prepend=-1))
+    sizes = np.diff(first, append=ids.size)
+    p = site_p[first]
+    for rank in range(1, int(sizes.max(initial=0))):
+        live = np.flatnonzero(sizes > rank)
+        a, b = p[live], site_p[first[live] + rank]
+        p[live] = a * (1.0 - b) + b * (1.0 - a)
+    mechs = ids[first]
+    sources = None
+    if keep_sources:
+        sites = table.sites
+        groups = np.split(order, first[1:]) if ids.size else []
+        sources = [tuple(sites[s] for s in group.tolist()) for group in groups]
     return DetectorErrorModel(
         n_detectors=table.n_detectors,
         n_observables=table.n_observables,
-        probs=probs,
-        detectors=[k[0] for k in keys],
-        observables=np.array([k[1] for k in keys], dtype=np.uint64),
-        sources=(
-            [tuple(sites[s] for s in groups[k][1]) for k in keys] if keep_sources else None
-        ),
+        probs=p,
+        detectors=[key_dets[m] for m in mechs.tolist()],
+        observables=key_obs[mechs],
+        sources=sources,
     )
 
 

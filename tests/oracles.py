@@ -7,7 +7,10 @@ Each function is the plain loop a production routine replaced:
   reproduce them bit for bit (timing fields aside) in every execution mode;
 * the DEM marginal loops accumulate one mechanism at a time — the
   vectorized ``DetectorErrorModel.detection_rates``/``observable_rates``
-  must equal them exactly.
+  must equal them exactly;
+* the DEM fold prices one fault site at a time and groups sites by
+  ``(footprint, observable mask)`` in a dictionary — the columnar
+  ``repro.sim.dem.build_dem`` must equal it exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from repro.core.compiler import TISCC
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.sweep import OPERATION_PROGRAMS, _profiles, _resolve_noise
+from repro.sim.dem import DetectorErrorModel
 from repro.sim.noise import NoiseModel
 
 
@@ -110,3 +114,55 @@ def observable_rates(dem) -> np.ndarray:
             if int(mask) >> o & 1:
                 prod[o] *= 1.0 - 2.0 * p
     return 0.5 * (1.0 - prod)
+
+
+def site_probability(site, params) -> float:
+    """One fault site's firing probability under a parameter set.
+
+    Each depolarizing term carries ``p/3`` (``p/15`` for two-qubit), and the
+    dephasing kinds use the duration formula of
+    ``NoiseModel.dephasing_probability``.
+    """
+    if site.kind == "gate1":
+        return params.p1 / 3.0
+    if site.kind == "gate2":
+        return params.p2 / 15.0
+    if site.kind == "prep":
+        return params.p_prep
+    if site.kind == "readout":
+        return params.p_meas
+    if site.kind in ("dephase", "idle"):
+        if params.t2_us is None or site.duration_us <= 0:
+            return 0.0
+        return -0.5 * float(np.expm1(-site.duration_us / params.t2_us))
+    raise ValueError(f"unknown fault kind {site.kind!r}")
+
+
+def build_dem(table, params, keep_sources=False) -> DetectorErrorModel:
+    """A fault table's DEM, grouping one site at a time in a dictionary."""
+    sites = table.sites
+    groups: dict[tuple[tuple[int, ...], int], list] = {}
+    obs_list = table.observables.tolist()
+    for s, footprint in enumerate(table.footprints):
+        p = site_probability(sites[s], params)
+        if p <= 0.0:
+            continue
+        obs = obs_list[s]
+        if not footprint and not obs:
+            continue  # invisible fault: flips nothing deterministic
+        entry = groups.get((footprint, obs))
+        if entry is None:
+            groups[(footprint, obs)] = [p, [s]]
+        else:
+            entry[0] = entry[0] * (1.0 - p) + p * (1.0 - entry[0])
+            entry[1].append(s)
+
+    keys = sorted(groups)
+    return DetectorErrorModel(
+        n_detectors=table.n_detectors,
+        n_observables=table.n_observables,
+        probs=np.array([groups[k][0] for k in keys], dtype=np.float64),
+        detectors=[k[0] for k in keys],
+        observables=np.array([k[1] for k in keys], dtype=np.uint64),
+        sources=[tuple(sites[s] for s in groups[k][1]) for k in keys] if keep_sources else None,
+    )

@@ -149,6 +149,19 @@ class TestHappyPaths:
         assert payload["n_mechanisms"] == len(payload["mechanisms"])
         assert all(0 < m["probability"] < 1 for m in payload["mechanisms"])
 
+    def test_dem_stats_name_the_path_and_kernel(self, capsys, tmp_path):
+        path = tmp_path / "dem.json"
+        code, out = run_cli(
+            capsys,
+            "dem", "--distance", "3", "--rounds", "2", "--rate", "1e-3",
+            "--stats", "--json", str(path),
+        )
+        assert code == 0
+        stats = json.loads(path.read_text())["stats"]
+        assert stats["path"] == "full"
+        assert stats["kernel"] in ("native", "python")
+        assert f"(full path, {stats['kernel']} kernel)" in out
+
     def test_lfr_frame_engine_smoke(self, capsys):
         code, out = run_cli(
             capsys,

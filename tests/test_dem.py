@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.decode.memory import MemoryExperiment
 from repro.sim.dem import (
     DemExtractionError,
+    build_dem,
     dem_structure_key,
     extract_dem,
     extract_fault_table,
@@ -187,3 +189,27 @@ class TestProperties:
         swept = exp3.detector_error_model(NoiseModel.uniform(p))
         assert swept.detectors == base.detectors
         assert np.array_equal(swept.observables, base.observables)
+
+
+class TestBuildDemOracle:
+    """The columnar fold equals the per-site dictionary loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel.preset("near_term"), NoiseModel.uniform(2e-3), NoiseModel.uniform(0.6)],
+        ids=["near_term", "uniform", "rate-above-half"],
+    )
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("rounds", [3, 12], ids=["full", "periodic"])
+    def test_fold_matches_the_loop_oracle(self, noise, basis, rounds):
+        exp = MemoryExperiment(distance=3, rounds=rounds, basis=basis)
+        table = exp.fault_table(noise)
+        assert table.method == ("full" if rounds == 3 else "periodic")
+        for keep in (False, True):
+            fast = build_dem(table, noise.params, keep_sources=keep)
+            slow = oracles.build_dem(table, noise.params, keep_sources=keep)
+            assert fast.n_mechanisms > 0
+            assert np.array_equal(fast.probs, slow.probs)  # float64, bitwise
+            assert fast.detectors == slow.detectors
+            assert np.array_equal(fast.observables, slow.observables)
+            assert fast.sources == slow.sources

@@ -7,8 +7,9 @@ rate depend on its tie-breaking.  The Python kernel is forced by making the
 loader report a failure, so each comparison runs the same decoder class over
 the same graph under both kernels.
 
-Both native kernels, the union-find decoder's and the frame sampler's
-(``repro/sim/_frame_kernel.c``), build through :mod:`repro.util.native`; the
+All three native kernels, the union-find decoder's, the frame sampler's
+(``repro/sim/_frame_kernel.c``) and the DEM walk's
+(``repro/sim/_dem_kernel.c``), build through :mod:`repro.util.native`; the
 build-path tests at the end run once per kernel.
 """
 
@@ -38,7 +39,8 @@ from repro.decode import (
     WindowedUnionFindDecoder,
     _uf_native,
 )
-from repro.sim import frame
+from repro.sim import _dem_native, frame
+from repro.sim.dem import FaultTable, extract_fault_table
 from repro.sim.frame import FrameSampler
 from repro.sim.noise import NoiseModel
 from repro.util import native
@@ -207,6 +209,23 @@ def _d3_inputs():
     return exp.detector_error_model(noise), graph, syndromes
 
 
+def _d3_table() -> FaultTable:
+    """A fresh full-walk fault table of the d=3 memory."""
+    exp = MemoryExperiment(distance=3)
+    return extract_fault_table(
+        exp.compiled.circuit,
+        exp.compiled.initial_occupancy,
+        NoiseModel.preset("near_term").params,
+        exp.detector_labels,
+        [exp.observable_labels],
+    )
+
+
+def _walked(table: FaultTable) -> list:
+    columns = [table.rows, table.when, *table.site_columns(), table.paulis, table.mechanisms]
+    return [c.tolist() for c in columns] + [table.key_detectors, table.key_observables.tolist()]
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One native kernel: the module binding it and a user that runs it."""
@@ -235,6 +254,7 @@ KERNELS = {
         make=lambda: FrameSampler(_d3_inputs()[0]),
         output=_sampled,
     ),
+    "dem": Kernel(_dem_native, make=_d3_table, output=_walked),
 }
 
 
