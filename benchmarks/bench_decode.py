@@ -194,7 +194,8 @@ def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
         )
         return elapsed
 
-    t_legacy = time_decoder("legacy (PR 2)", LegacyUnionFindDecoder(experiment.graph))
+    graph = experiment.matching_graph(model)
+    t_legacy = time_decoder("legacy (PR 2)", LegacyUnionFindDecoder(graph))
     weighted = experiment.decoder_for(model)
     t_weighted = time_decoder("union_find", weighted)
     t_unweighted = time_decoder(
@@ -217,8 +218,7 @@ def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
         "kernel": weighted.kernel,
         "kernel_fallback_reason": weighted.fallback_reason,
         "detectors": experiment.n_detectors,
-        "schedule_edges": experiment.graph.n_edges,
-        "dem_edges": experiment.matching_graph(model).n_edges,
+        "dem_edges": graph.n_edges,
         "compile_seconds": t_compile,
         "sample_seconds": t_sample,
         "decoders": rows,

@@ -68,8 +68,9 @@ def run_comparison(d: int = 7, shots: int = 2000, seed: int = 0) -> dict:
         syndromes.sum(axis=0), shots, frames.detectors.sum(axis=0), shots
     )
     raw_f = frames.observables[:, 0]
-    fail_t = int((raw_t ^ experiment.decoder.decode_batch(syndromes)).sum())
-    fail_f = int((raw_f ^ experiment.decoder.decode_batch(frames.detectors)).sum())
+    decoder = experiment.decoder_for(model)
+    fail_t = int((raw_t ^ decoder.decode_batch(syndromes)).sum())
+    fail_f = int((raw_f ^ decoder.decode_batch(frames.detectors)).sum())
     wilson_t = wilson_interval(fail_t, shots, z=3.0)
     wilson_f = wilson_interval(fail_f, shots, z=3.0)
 

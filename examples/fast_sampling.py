@@ -60,7 +60,7 @@ def main() -> None:
     )
 
     t0 = time.perf_counter()
-    predicted = experiment.decoder.decode_batch(samples.detectors)
+    predicted = experiment.decoder_for(NOISE).decode_batch(samples.detectors)
     failures = int((samples.observables[:, 0] ^ predicted).sum())
     print(
         f"decoded in {time.perf_counter() - t0:.2f} s: "

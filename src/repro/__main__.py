@@ -336,11 +336,11 @@ def _validate_rates(
     for p in rates or ():
         if p < 0:
             return f"{flag} must be non-negative probabilities (got {p:g})"
-        if p > 1:
+        if not p <= 1:  # NaN included
             return f"{flag} must be probabilities in [0, 1] (got {p:g})"
     for s in scales or ():
-        if s < 0:
-            return f"--scales must be non-negative (got {s:g})"
+        if not 0 <= s < float("inf"):  # NaN included
+            return f"--scales must be finite and non-negative (got {s:g})"
     return None
 
 

@@ -1,9 +1,9 @@
 """Syndrome decoding: matching graphs, pluggable decoders, memory experiments.
 
 Closes the loop from compiled stabilizer schedules to logical error rates:
-:mod:`repro.decode.graph` holds the detector structure (schedule-built
-unweighted graphs and DEM-built graphs carrying log-likelihood edge
-weights), :mod:`repro.decode.base` defines the :class:`Decoder` protocol
+:mod:`repro.decode.graph` holds the detector structure (graphs built from
+detector error models, carrying log-likelihood edge weights),
+:mod:`repro.decode.base` defines the :class:`Decoder` protocol
 and registry (``get_decoder("union_find" | "union_find_unweighted" |
 "lookup")``), :mod:`repro.decode.union_find` implements the batched
 weighted union-find hot path, :mod:`repro.decode.lookup` the exact
@@ -25,7 +25,6 @@ from repro.decode.graph import (
     DetectorEdge,
     MatchingGraph,
     build_dem_graph,
-    build_memory_graph,
 )
 from repro.decode.lookup import LookupDecoder
 from repro.decode.memory import MemoryExperiment
@@ -36,7 +35,6 @@ __all__ = [
     "BOUNDARY",
     "DetectorEdge",
     "MatchingGraph",
-    "build_memory_graph",
     "build_dem_graph",
     "Decoder",
     "available_decoders",

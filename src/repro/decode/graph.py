@@ -1,4 +1,4 @@
-"""Matching graphs: detector structure of a repeated syndrome schedule.
+"""Matching graphs: the detector structure a decoder matches over.
 
 A *detector* is the XOR of two syndrome measurements that is deterministic
 (zero) in the absence of faults.  For a memory experiment with ``R`` rounds
@@ -25,22 +25,17 @@ the structure a *matching* graph:
   measure-ion visit but before the late face's (§3.3 Z/N pattern layers) —
   is caught by the late face this round and the early face only next round:
   a **diagonal** edge from the late face at slice ``t`` to the early face at
-  slice ``t + 1``, emitted when the caller supplies the schedule's per-face
-  visit layers.
+  slice ``t + 1``.
 
-Each space/boundary edge records whether its data qubit lies on the tracked
-logical operator's support (``frame = 1``): the decoder's correction flips
-the logical verdict once per frame edge it uses.
+Each edge records whether its fault flips the tracked logical operator
+(``frame = 1``): the decoder's correction flips the logical verdict once per
+frame edge it uses.
 
-Two constructions produce :class:`MatchingGraph` instances:
-
-* :func:`build_memory_graph` derives the structure from the compiled
-  stabilizer *schedule* (face supports, visit layers) with unit edge
-  weights — the legacy construction, kept as a noise-free cross-check;
-* :func:`build_dem_graph` derives it from an extracted
-  :class:`~repro.sim.dem.DetectorErrorModel`, so every edge is an actual
-  error *mechanism* of the noisy circuit carrying a log-likelihood weight
-  ``log((1 - p) / p)`` — the graph weighted union-find growth consumes.
+:func:`build_dem_graph` builds the graph from an extracted
+:class:`~repro.sim.dem.DetectorErrorModel`, so every edge is an actual error
+*mechanism* of the noisy circuit carrying a log-likelihood weight
+``log((1 - p) / p)`` — the graph weighted union-find growth consumes.  The
+ideal model has no mechanism, so its graph is every detector and no edge.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ __all__ = [
     "BOUNDARY",
     "DetectorEdge",
     "MatchingGraph",
-    "build_memory_graph",
     "build_dem_graph",
 ]
 
@@ -71,10 +65,9 @@ class DetectorEdge:
 
     ``u``/``v`` are detector node ids (``v`` may be :data:`BOUNDARY`),
     ``frame`` is 1 when the fault flips the tracked logical operator,
-    ``kind`` tags the mechanism (``"space"``, ``"time"``, ``"diagonal"``,
-    or ``"dem"`` for DEM-derived edges), and ``weight`` is the
-    log-likelihood cost of traversing the edge (1.0 for unweighted
-    schedule-built graphs).
+    ``kind`` tags the mechanism (``"dem"`` for DEM-derived edges), and
+    ``weight`` is the log-likelihood cost of traversing the edge (1.0 for
+    unweighted graphs).
     """
 
     u: int
@@ -118,81 +111,6 @@ class MatchingGraph:
         return f"<MatchingGraph {tag}{self.n_detectors} detectors, {self.n_edges} edges>"
 
 
-def build_memory_graph(
-    face_supports: list[set[int]],
-    logical_sites: set[int],
-    rounds: int,
-    visit_layers: list[dict[int, int]] | None = None,
-) -> MatchingGraph:
-    """Decoding graph for ``rounds`` QEC rounds over one stabilizer sector.
-
-    ``face_supports[f]`` is the set of data qsites checked by face ``f`` (all
-    faces of the sector anticommuting with the error type that flips the
-    tracked logical); ``logical_sites`` the tracked logical operator's data
-    support.  Detector ``(f, t)`` gets node id ``t * F + f`` for time slices
-    ``t = 0 .. rounds`` — the layout syndrome extraction must follow.
-
-    ``visit_layers[f]`` maps each of face ``f``'s data qsites to the layer
-    (1-4) in which its measure ion visits that qubit; when given, mid-round
-    data errors on shared qubits get their exact diagonal edges (without
-    them a single such fault needs two edges, which noticeably degrades the
-    union-find decoder's effective distance).
-    """
-    if rounds < 1:
-        raise ValueError("need at least one round of error correction")
-    n_faces = len(face_supports)
-    if n_faces < 1:
-        raise ValueError("need at least one face in the decoded sector")
-
-    site_faces: dict[int, list[int]] = {}
-    for f, support in enumerate(face_supports):
-        for site in support:
-            site_faces.setdefault(site, []).append(f)
-
-    edges: list[DetectorEdge] = []
-    slices = rounds + 1
-    for t in range(slices):
-        base = t * n_faces
-        for site, faces in sorted(site_faces.items()):
-            frame = 1 if site in logical_sites else 0
-            if len(faces) == 2:
-                edges.append(
-                    DetectorEdge(base + faces[0], base + faces[1], frame, "space")
-                )
-            elif len(faces) == 1:
-                edges.append(DetectorEdge(base + faces[0], BOUNDARY, frame, "space"))
-            else:
-                raise ValueError(
-                    f"data site {site} is checked by {len(faces)} same-sector "
-                    "faces; a surface-code sector allows at most two"
-                )
-    for t in range(slices - 1):
-        for f in range(n_faces):
-            edges.append(
-                DetectorEdge(t * n_faces + f, (t + 1) * n_faces + f, 0, "time")
-            )
-    if visit_layers is not None:
-        if len(visit_layers) != n_faces:
-            raise ValueError("visit_layers must give one site->layer map per face")
-        for site, faces in sorted(site_faces.items()):
-            if len(faces) != 2:
-                continue  # boundary qubits are covered at both adjacent slices
-            frame = 1 if site in logical_sites else 0
-            early, late = sorted(faces, key=lambda f: visit_layers[f][site])
-            if visit_layers[early][site] == visit_layers[late][site]:
-                raise ValueError(
-                    f"faces {early} and {late} both visit site {site} in "
-                    "the same layer; the Z/N pattern forbids this"
-                )
-            for t in range(slices - 1):
-                edges.append(
-                    DetectorEdge(
-                        t * n_faces + late, (t + 1) * n_faces + early, frame, "diagonal"
-                    )
-                )
-    return MatchingGraph(slices * n_faces, edges)
-
-
 def build_dem_graph(dem, observable: int = 0) -> MatchingGraph:
     """Decoding graph built from a :class:`~repro.sim.dem.DetectorErrorModel`.
 
@@ -200,8 +118,8 @@ def build_dem_graph(dem, observable: int = 0) -> MatchingGraph:
     mechanisms attach to the open boundary, two-detector mechanisms connect
     their detectors, and mechanisms firing more than two detectors are
     rejected (they would be hyperedges — the memory experiments this graph
-    serves never produce them because the schedule-built diagonal edges
-    already split mid-round faults).  Mechanisms sharing a detector pair are
+    serves never produce them: a mid-round data fault fires one diagonal
+    pair).  Mechanisms sharing a detector pair are
     XOR-combined (``p <- p_a(1-p_b) + p_b(1-p_a)``) and the frame bit of
     the most probable contributor wins; each edge's ``weight`` is the
     log-likelihood cost ``log((1 - p) / p)`` of its combined probability.

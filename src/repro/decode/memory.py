@@ -4,12 +4,12 @@ The canonical benchmark behind every "logical error rate vs distance" plot:
 prepare a logical |0> (or |+>), run ``R`` rounds of error correction, and
 measure the logical operator transversally.  :class:`MemoryExperiment`
 compiles that program once through the TISCC stack, extracts the detector
-structure from the compiled stabilizer schedule (the per-round face outcome
+layout from the compiled stabilizer schedule (the per-round face outcome
 labels of the patch's :class:`~repro.code.stabilizer_circuits.RoundRecord`
 bookkeeping plus the final transversal data labels), and decodes whole
 :class:`~repro.sim.batch.BatchResult` batches with any registered decoder
-(weighted union-find by default, over the DEM-built matching graph when a
-noise model is in play).
+(weighted union-find by default) over the matching graph built from the
+detector error model of the noise in play.
 
 Only the stabilizer sector that checks the tracked logical is decoded: a
 Z-basis memory tracks logical Z, which is flipped by X data errors, which
@@ -22,8 +22,10 @@ Two sampling engines share the detector layout: the packed-tableau replay
 reference) and the detector-error-model fast path
 (:meth:`MemoryExperiment.detector_error_model` +
 :meth:`MemoryExperiment.sample_frame`, no tableau at all) — select with
-``run(engine="frame")``, which falls back to the tableau automatically for
-non-Clifford schedules.
+``run(engine="frame")``.  Decoding a noisy run needs the detector error
+model on either engine, so a non-Clifford schedule raises
+:class:`~repro.sim.dem.DemExtractionError`; non-Clifford circuits sample
+through :meth:`~repro.core.compiler.TISCC.simulate_shots` instead.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ import numpy as np
 from repro.core.compiler import TISCC
 from repro.decode.base import Decoder, decoder_class, get_decoder
 from repro.hardware.profile import HardwareProfile
-from repro.decode.graph import MatchingGraph, build_dem_graph, build_memory_graph
+from repro.decode.graph import MatchingGraph, build_dem_graph
 from repro.estimator.report import LogicalErrorReport
 from repro.estimator.spec import ExperimentSpec
 from repro.sim.batch import BatchResult
 from repro.sim.dem import (
-    DemExtractionError,
     DetectorErrorModel,
     FaultTable,
     PeriodicTemplate,
@@ -63,8 +64,8 @@ class _MemoryCore:
 
     Everything here is a pure function of the spec's compile axes
     (:attr:`~repro.estimator.spec.ExperimentSpec.compile_key`) — the
-    compiled circuit, detector layout, and schedule graph — plus the mutable
-    caches keyed by noise parameters.  Cached per key so repeated
+    compiled circuit, detector layout, and noiseless decoding graph — plus
+    the mutable caches keyed by noise parameters.  Cached per key so repeated
     :class:`MemoryExperiment` constructions (rate sweeps, CLI invocations,
     benchmarks) compile each distance at most once per process.
 
@@ -187,15 +188,6 @@ def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
                 labels = final_labels[f] + [round_labels[t - 1][f]]
             detector_labels.append(labels)
 
-    graph = build_memory_graph(
-        [set(p.data_sites.values()) for p in faces],
-        logical_sites,
-        n_rounds,
-        visit_layers=[
-            {p.data_sites[corner]: layer for layer, corner in p.visits()}
-            for p in faces
-        ],
-    )
     core = _MemoryCore(
         compiler=compiler,
         compiled=compiled,
@@ -207,7 +199,8 @@ def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
         logical_value=measure_result.value,
         observable_labels=observable_labels,
         detector_labels=detector_labels,
-        graph=graph,
+        # The ideal model's DEM graph: no mechanism, so no edge.
+        graph=MatchingGraph(len(detector_labels), []),
     )
     _CORE_CACHE[key] = core
     while len(_CORE_CACHE) > _CORE_CACHE_MAX:
@@ -216,22 +209,23 @@ def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
 
 
 class MemoryExperiment:
-    """A distance-``d`` memory experiment with a prebuilt decoder.
+    """A distance-``d`` memory experiment, compiled once and decoded per noise model.
 
     ``basis`` selects the tracked logical: ``"Z"`` prepares |0>, idles for
     ``rounds`` rounds (default ``max(dx, dz)``), measures every data qubit
-    in Z, and decodes the Z-face detector graph; ``"X"`` is the transversal
-    dual.  Compilation and graph construction happen once in the
-    constructor; :meth:`run` then samples and decodes arbitrarily many
-    batches against the same compiled circuit.
+    in Z, and decodes the Z-face detectors; ``"X"`` is the transversal
+    dual.  Compilation happens once in the constructor; :meth:`run` then
+    samples and decodes arbitrarily many batches against the same compiled
+    circuit.
 
     ``decoder`` names the registered decoder (see
     :func:`~repro.decode.base.get_decoder`) used by default; :meth:`run`
-    and :meth:`decode_batch` accept a per-call override.  When a noise
-    model is in play, decoding runs over the DEM-built matching graph
-    (log-likelihood edge weights, cached per parameter set); the
-    schedule-built graph remains on :attr:`graph` as the noise-free
-    cross-check and the fallback for non-Clifford schedules.
+    and :meth:`decode_batch` accept a per-call override, and
+    :meth:`decoder_for` builds and caches the instances.  Decoding runs over
+    the matching graph of the noise model's detector error model
+    (log-likelihood edge weights, cached per parameter set); without noise
+    it runs over :attr:`graph`, every detector and no edge, since noiseless
+    syndromes are all zero.
 
     The other keywords are :class:`~repro.estimator.spec.ExperimentSpec`
     axes, kept on :attr:`spec`; ``window``/``commit`` default to
@@ -259,11 +253,12 @@ class MemoryExperiment:
             raise ValueError("give either distance or both dx and dz")
         #: The experiment's axes (basis, SIMD, decoder, window shape, ...).
         self.spec = ExperimentSpec(dx, dz, rounds, basis, profile, simd, decoder, window, commit)
+        decoder_class(decoder)  # an unknown name fails here, in one line
         #: Hardware profile the experiment compiles and caches under.
         self.profile = self.spec.profile
-        # Compilation, label extraction, and graph construction are shared
-        # per compile key across every instance in the process: rate sweeps
-        # and repeated constructions pay for the compile once.
+        # Compilation and label extraction are shared per compile key
+        # across every instance in the process: rate sweeps and repeated
+        # constructions pay for the compile once.
         # The shared bundle is treated as immutable — code that mutates
         # :attr:`compiled` (e.g. splicing instructions into the circuit)
         # must call :meth:`clear_compile_cache` around the experiment to
@@ -292,6 +287,7 @@ class MemoryExperiment:
         #: rate-independent, so a rate sweep extracts at most once); shared
         #: with every other instance of the same core.
         self._fault_tables: dict[tuple, FaultTable] = core.fault_tables
+        #: The noiseless decoding graph: every detector, no edge.
         self.graph: MatchingGraph = core.graph
         #: DEM-built matching graphs cached per noise-parameter key.
         self._dem_graphs: dict[tuple, MatchingGraph] = core.dem_graphs
@@ -300,10 +296,6 @@ class MemoryExperiment:
         #: scratch state, and the documented way to parallelize is one
         #: experiment (hence one decoder) per worker.
         self._decoders: dict[tuple, Decoder] = {}
-        # Building the default decoder over the schedule graph validates its
-        # name; the instance stays on :attr:`decoder` for direct use.
-        self.decoder: Decoder = self._build_decoder(decoder, self.graph)
-        self._decoders[self._decoder_key("schedule", decoder)] = self.decoder
 
     @classmethod
     def from_spec(cls, spec: ExperimentSpec) -> MemoryExperiment:
@@ -421,25 +413,20 @@ class MemoryExperiment:
         return (p.p1, p.p2, p.p_prep, p.p_meas, p.t2_us)
 
     def matching_graph(self, noise: NoiseModel | None = None) -> MatchingGraph:
-        """The decoding graph for ``noise``: DEM-built and weighted when possible.
+        """The decoding graph for ``noise``, built from its detector error model.
 
-        With a non-trivial noise model the graph is rebuilt from the
-        :meth:`detector_error_model` (every edge an actual mechanism of the
-        noisy circuit, weighted ``log((1-p)/p)``) and cached per parameter
-        set; without one — or when the schedule cannot be folded into a DEM
-        — the schedule-built :attr:`graph` is returned instead.
+        Every edge is an actual mechanism of the noisy circuit, weighted
+        ``log((1-p)/p)``, and the graph is cached per parameter set.  With no
+        noise, or a trivial model, it is :attr:`graph`: the ideal model's DEM
+        has no mechanism, so its graph is every detector and no edge.
         """
         if noise is None or noise.is_trivial:
             return self.graph
         key = self._params_key(noise)
-        cached = self._dem_graphs.get(key)
-        if cached is None:
-            try:
-                cached = build_dem_graph(self.detector_error_model(noise))
-            except DemExtractionError:
-                cached = self.graph  # non-Clifford schedule: legacy fallback
-            self._dem_graphs[key] = cached
-        return cached
+        graph = self._dem_graphs.get(key)
+        if graph is None:
+            graph = self._dem_graphs[key] = build_dem_graph(self.detector_error_model(noise))
+        return graph
 
     def _decoder_key(self, graph_key, name: str) -> tuple:
         """Cache key of one built decoder.
@@ -469,37 +456,30 @@ class MemoryExperiment:
     def decoder_for(
         self, noise: NoiseModel | None = None, decoder: str | None = None
     ) -> Decoder:
-        """A cached decoder instance for ``noise`` (see :meth:`matching_graph`).
+        """The decoder ``decoder`` (default: the experiment's) for ``noise``.
 
-        Raises :class:`ValueError` when the selected graph's detector count
-        disagrees with this experiment's :attr:`n_detectors` — a mismatch
-        would otherwise decode garbage silently.  The guard runs *before*
-        the freshly built decoder enters the cache (a rejected decoder used
-        to be cached anyway, wedging every later call with the same key)
-        and again on cache hits, so externally injected instances are
-        checked too.
+        Built over :meth:`matching_graph` on first use and cached per
+        instance.  Raises :class:`ValueError` when the decoder's graph has a
+        detector count other than :attr:`n_detectors` — a mismatch would
+        otherwise decode garbage silently.  The guard runs before a decoder
+        enters the cache, so a rejected one never wedges later calls, and on
+        every cache hit, so externally injected instances are checked too.
         """
         name = decoder if decoder is not None else self.spec.decoder
         graph = self.matching_graph(noise)
         key = self._decoder_key(
-            "schedule" if graph is self.graph else self._params_key(noise), name
+            "ideal" if graph is self.graph else self._params_key(noise), name
         )
         built = self._decoders.get(key)
         if built is None:
             built = self._build_decoder(name, graph)
-            if built.graph.n_detectors != self.n_detectors:
-                raise ValueError(
-                    f"decoder graph has {built.graph.n_detectors} detectors but "
-                    f"this experiment produces {self.n_detectors}; the decoder "
-                    "was built for a different detector layout"
-                )
-            self._decoders[key] = built
-        elif built.graph.n_detectors != self.n_detectors:
+        if built.graph.n_detectors != self.n_detectors:
             raise ValueError(
                 f"decoder graph has {built.graph.n_detectors} detectors but "
                 f"this experiment produces {self.n_detectors}; the decoder "
                 "was built for a different detector layout"
             )
+        self._decoders[key] = built
         return built
 
     def frame_sampler(self, noise: NoiseModel | None = None) -> FrameSampler:
@@ -601,11 +581,12 @@ class MemoryExperiment:
         from the detector error model with no tableau at all, decoding each
         ``max_batch`` chunk as it is produced so peak memory stays
         O(max_batch × n_detectors) however many shots are requested.
-        ``"tableau"`` (the constructor-validated default, kept as the
-        reference) replays the packed stabilizer engine per batch; the
-        frame path falls back to it automatically if the schedule cannot be
-        folded into a DEM (non-Clifford instructions).  Per-shot streams
-        make frame results identical for any ``max_batch`` chunking.
+        ``"tableau"`` (the default, kept as the reference) replays the
+        packed stabilizer engine per batch.  Per-shot streams make frame
+        results identical for any ``max_batch`` chunking.  Both engines
+        decode over the noise model's DEM graph, so with noise a
+        non-Clifford schedule raises
+        :class:`~repro.sim.dem.DemExtractionError` on either.
 
         On the frame path *all* randomness is noise randomness, so
         ``noise_seed`` (when given) selects the mechanism-sampling streams
@@ -628,17 +609,14 @@ class MemoryExperiment:
         if engine not in ("frame", "tableau"):
             raise ValueError(f"engine must be 'frame' or 'tableau', got {engine!r}")
         if engine == "frame":
-            try:
-                return self._run_frame(
-                    n_shots,
-                    noise,
-                    seed if noise_seed is None else noise_seed,
-                    max_batch,
-                    decoder,
-                    shot_offset,
-                )
-            except DemExtractionError:
-                pass  # automatic fallback to the reference engine
+            return self._run_frame(
+                n_shots,
+                noise,
+                seed if noise_seed is None else noise_seed,
+                max_batch,
+                decoder,
+                shot_offset,
+            )
         if shot_offset:
             raise ValueError(
                 "shot_offset requires the frame engine's per-shot streams; "

@@ -234,10 +234,11 @@ def logical_error_sweep(
 
     ``engine="frame"`` (default) samples each point from the detector
     error model — extracted once per distance and re-weighted per noise
-    model, orders of magnitude faster than the packed-tableau replay —
-    falling back to the tableau engine automatically for schedules that
-    cannot be folded into a DEM.  ``engine="tableau"`` forces the
-    reference path.  ``max_batch`` chunks frame sampling; per-shot
+    model, orders of magnitude faster than the packed-tableau replay.
+    ``engine="tableau"`` forces the reference path.  Both engines decode
+    over the DEM graph, so a noisy point whose schedule cannot be folded
+    into a DEM raises :class:`~repro.sim.dem.DemExtractionError` on
+    either.  ``max_batch`` chunks frame sampling; per-shot
     ``SeedSequence.spawn`` streams make sweep results identical for any
     chunking (a property the test suite locks down).
 

@@ -229,9 +229,6 @@ class HardwareCircuit:
         self._dur: list[float] = []
         #: Sparse label table: append-order row index -> label.
         self._label_of: dict[int, str] = {}
-        #: Rows with arity > 2 (never produced by the compiler, but the
-        #: container stays general): row index -> full site tuple.
-        self._extra_sites: dict[int, tuple[int, ...]] = {}
         self._measure_count = 0
         #: Provenance of every bulk template replay (see :class:`ReplayBlock`).
         self._replays: list[ReplayBlock] = []
@@ -284,9 +281,7 @@ class HardwareCircuit:
         sites = tuple(sites)
         n = len(sites)
         if n > 2:
-            self._extra_sites[self._frozen_len + len(self._codes)] = tuple(
-                int(s) for s in sites
-            )
+            raise ValueError(f"{name} acts on {n} sites; a circuit row takes at most two")
         if label is not None:
             self._label_of[self._frozen_len + len(self._codes)] = label
         code = _CODE_OF.get(name)
@@ -311,8 +306,6 @@ class HardwareCircuit:
         other._freeze_builder()
         self._frozen.extend(other._frozen)
         self._frozen_len += other._frozen_len
-        for row, sites in other._extra_sites.items():
-            self._extra_sites[offset + row] = sites
         for row, label in other._label_of.items():
             self._label_of[offset + row] = label
         self._replays.extend(rec.shifted(offset) for rec in other._replays)
@@ -338,7 +331,6 @@ class HardwareCircuit:
         new._frozen.append((cols.codes, cols.site0, cols.site1, cols.nsites, t, cols.duration))
         new._frozen_len = cols.n
         new._label_of = dict(self._label_of)
-        new._extra_sites = dict(self._extra_sites)
         new._measure_count = self._measure_count
         new._replays = list(self._replays)
         return new
@@ -365,8 +357,6 @@ class HardwareCircuit:
         """
         if not (0 <= start <= stop <= len(self)):
             raise ValueError(f"replay block [{start}, {stop}) out of range")
-        if any(start <= row < stop for row in self._extra_sites):
-            raise ValueError("cannot replay a block containing arity>2 rows")
         if copies < 1 or start == stop:
             return [{} for _ in range(max(copies, 0))]
         cols = self.columns()
@@ -452,10 +442,6 @@ class HardwareCircuit:
                     np.empty(0, dtype=np.float64),
                 )
             self._cols = CircuitColumns(*parts, labels=self._label_of)
-            if self._extra_sites:
-                sites = self._cols.sites  # force decode, then patch arity>2 rows
-                for row, tup in self._extra_sites.items():
-                    sites[row] = tup
         return self._cols
 
     def _order(self) -> np.ndarray:
@@ -468,42 +454,26 @@ class HardwareCircuit:
         """
         if self._sort_order is None:
             cols = self.columns()
-            if self._extra_sites:
-                # Rare general-arity path: defer to the reference sort key.
-                instrs = cols.instructions()
-                self._sort_order = np.array(
-                    sorted(
-                        range(len(instrs)),
-                        key=lambda i: (
-                            instrs[i].t,
-                            0 if instrs[i].name == "Load" else 1,
-                            instrs[i].sites,
-                            instrs[i].name,
-                        ),
-                    ),
-                    dtype=np.int64,
+            rank = _name_rank()[cols.codes].astype(np.int64)
+            load = np.where(cols.codes == _LOAD_CODE, np.int64(0), np.int64(1))
+            max_site = max(
+                int(cols.site0.max(initial=-1)), int(cols.site1.max(initial=-1))
+            )
+            if max_site + 1 < (1 << 21) and len(_NAME_OF) < (1 << 10):
+                # Fold the four tie-break keys into one int64 (load-
+                # first, site0, site1, name rank — 1+21+21+10 bits) so
+                # the sort is a two-key lexsort with time as primary.
+                tiebreak = (
+                    (load << np.int64(52))
+                    | ((cols.site0 + 1) << np.int64(31))
+                    | ((cols.site1 + 1) << np.int64(10))
+                    | rank
                 )
-            else:
-                rank = _name_rank()[cols.codes].astype(np.int64)
-                load = np.where(cols.codes == _LOAD_CODE, np.int64(0), np.int64(1))
-                max_site = max(
-                    int(cols.site0.max(initial=-1)), int(cols.site1.max(initial=-1))
+                self._sort_order = np.lexsort((tiebreak, cols.t))
+            else:  # pragma: no cover - gigantic grids only
+                self._sort_order = np.lexsort(
+                    (rank, cols.site1, cols.site0, load, cols.t)
                 )
-                if max_site + 1 < (1 << 21) and len(_NAME_OF) < (1 << 10):
-                    # Fold the four tie-break keys into one int64 (load-
-                    # first, site0, site1, name rank — 1+21+21+10 bits) so
-                    # the sort is a two-key lexsort with time as primary.
-                    tiebreak = (
-                        (load << np.int64(52))
-                        | ((cols.site0 + 1) << np.int64(31))
-                        | ((cols.site1 + 1) << np.int64(10))
-                        | rank
-                    )
-                    self._sort_order = np.lexsort((tiebreak, cols.t))
-                else:  # pragma: no cover - gigantic grids only
-                    self._sort_order = np.lexsort(
-                        (rank, cols.site1, cols.site0, load, cols.t)
-                    )
         return self._sort_order
 
     def sorted_columns(self) -> CircuitColumns:
@@ -526,9 +496,6 @@ class HardwareCircuit:
                 duration=cols.duration[order],
                 labels=labels,
             )
-            if self._extra_sites:
-                all_sites = cols.sites
-                sorted_cols._sites = [all_sites[i] for i in order.tolist()]
             self._sorted_cols = sorted_cols
         return self._sorted_cols
 
@@ -561,10 +528,7 @@ class HardwareCircuit:
         if self._used_sites is None:
             cols = self.columns()
             sites = np.unique(np.concatenate([cols.site0, cols.site1]))
-            used = set(sites[sites >= 0].tolist())
-            for tup in self._extra_sites.values():
-                used.update(tup)
-            self._used_sites = used
+            self._used_sites = set(sites[sites >= 0].tolist())
         return set(self._used_sites)
 
     def count(self, name: str) -> int:

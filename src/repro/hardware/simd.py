@@ -184,8 +184,6 @@ def simd_schedule(
 
     cols = circuit.sorted_columns()
     n = cols.n
-    if n and int(cols.nsites.max()) > 2:
-        raise ValueError("simd_schedule does not support arity>2 rows")
     profile = grid.profile
     laser = _laser_names(profile)
     names = cols.names

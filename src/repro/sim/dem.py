@@ -107,8 +107,9 @@ class DemExtractionError(RuntimeError):
 
     Raised for non-Clifford schedules (quasi-probability T substitutes are
     per-shot random, so no fixed fault footprint exists) and unknown
-    instructions.  Callers that want graceful degradation catch this and
-    fall back to the packed-tableau engine.
+    instructions.  No engine falls back from it: a noisy memory experiment
+    needs the model to decode on either engine, and non-Clifford circuits
+    sample through :meth:`~repro.core.compiler.TISCC.simulate_shots` (§4.1).
     """
 
 
@@ -693,8 +694,6 @@ def _replay_geometry(circuit: HardwareCircuit) -> dict | None:
     metas = circuit.replay_blocks
     if len(metas) != 1:
         return None
-    if getattr(circuit, "_extra_sites", None):
-        return None  # arity>2 rows are invisible to the column checks below
     meta = metas[0]
     B, C = meta.block, meta.copies
     if B <= 0 or C < 4:

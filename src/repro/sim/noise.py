@@ -79,13 +79,13 @@ class NoiseParams:
             p = getattr(self, field_name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{field_name}={p} is not a probability")
-        if self.t2_us is not None and self.t2_us <= 0:
+        if self.t2_us is not None and not self.t2_us > 0:
             raise ValueError(f"t2_us={self.t2_us} must be positive (or None)")
 
     def scaled(self, factor: float) -> "NoiseParams":
         """Scale every error rate by ``factor`` (T2 shrinks by the factor)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
+        if not (factor >= 0 and np.isfinite(factor)):
+            raise ValueError(f"scale factor must be finite and non-negative, got {factor}")
         return replace(
             self,
             name=f"{self.name}*{factor:g}",

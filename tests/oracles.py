@@ -10,7 +10,11 @@ Each function is the plain loop a production routine replaced:
   must equal them exactly;
 * the DEM fold prices one fault site at a time and groups sites by
   ``(footprint, observable mask)`` in a dictionary — the columnar
-  ``repro.sim.dem.build_dem`` must equal it exactly.
+  ``repro.sim.dem.build_dem`` must equal it exactly;
+* the schedule graph derives a memory experiment's decoding graph from its
+  face supports and visit layers, with unit weights — every DEM-built
+  graph must share its nodes and the frame bit of every shared edge, and
+  the decoders are checked on its single faults.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.compiler import TISCC
+from repro.decode.graph import BOUNDARY, DetectorEdge, MatchingGraph
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.sweep import OPERATION_PROGRAMS, _profiles, _resolve_noise
 from repro.sim.dem import DetectorErrorModel
@@ -165,4 +170,80 @@ def build_dem(table, params, keep_sources=False) -> DetectorErrorModel:
         detectors=[k[0] for k in keys],
         observables=np.array([k[1] for k in keys], dtype=np.uint64),
         sources=[tuple(sites[s] for s in groups[k][1]) for k in keys] if keep_sources else None,
+    )
+
+
+def build_memory_graph(face_supports, logical_sites, rounds, visit_layers=None) -> MatchingGraph:
+    """Decoding graph for ``rounds`` QEC rounds over one stabilizer sector.
+
+    ``face_supports[f]`` is the set of data qsites checked by face ``f`` (all
+    faces of the sector anticommuting with the error type that flips the
+    tracked logical); ``logical_sites`` the tracked logical operator's data
+    support.  Detector ``(f, t)`` gets node id ``t * F + f`` for time slices
+    ``t = 0 .. rounds`` — the layout syndrome extraction must follow.
+
+    ``visit_layers[f]`` maps each of face ``f``'s data qsites to the layer
+    (1-4) in which its measure ion visits that qubit; when given, mid-round
+    data errors on shared qubits get their exact diagonal edges (without
+    them a single such fault needs two edges, which noticeably degrades the
+    union-find decoder's effective distance).
+    """
+    if rounds < 1:
+        raise ValueError("need at least one round of error correction")
+    n_faces = len(face_supports)
+    if n_faces < 1:
+        raise ValueError("need at least one face in the decoded sector")
+
+    site_faces: dict[int, list[int]] = {}
+    for f, support in enumerate(face_supports):
+        for site in support:
+            site_faces.setdefault(site, []).append(f)
+
+    edges: list[DetectorEdge] = []
+    slices = rounds + 1
+    for t in range(slices):
+        base = t * n_faces
+        for site, faces in sorted(site_faces.items()):
+            frame = 1 if site in logical_sites else 0
+            if len(faces) == 2:
+                edges.append(DetectorEdge(base + faces[0], base + faces[1], frame, "space"))
+            elif len(faces) == 1:
+                edges.append(DetectorEdge(base + faces[0], BOUNDARY, frame, "space"))
+            else:
+                raise ValueError(
+                    f"data site {site} is checked by {len(faces)} same-sector "
+                    "faces; a surface-code sector allows at most two"
+                )
+    for t in range(slices - 1):
+        for f in range(n_faces):
+            edges.append(DetectorEdge(t * n_faces + f, (t + 1) * n_faces + f, 0, "time"))
+    if visit_layers is not None:
+        if len(visit_layers) != n_faces:
+            raise ValueError("visit_layers must give one site->layer map per face")
+        for site, faces in sorted(site_faces.items()):
+            if len(faces) != 2:
+                continue  # boundary qubits are covered at both adjacent slices
+            frame = 1 if site in logical_sites else 0
+            early, late = sorted(faces, key=lambda f: visit_layers[f][site])
+            if visit_layers[early][site] == visit_layers[late][site]:
+                raise ValueError(
+                    f"faces {early} and {late} both visit site {site} in "
+                    "the same layer; the Z/N pattern forbids this"
+                )
+            for t in range(slices - 1):
+                edges.append(
+                    DetectorEdge(t * n_faces + late, (t + 1) * n_faces + early, frame, "diagonal")
+                )
+    return MatchingGraph(slices * n_faces, edges)
+
+
+def schedule_graph(exp: MemoryExperiment) -> MatchingGraph:
+    """A memory experiment's schedule-built graph, visit-layer diagonals included."""
+    return build_memory_graph(
+        [set(p.data_sites.values()) for p in exp.faces],
+        exp.logical_sites,
+        exp.rounds,
+        visit_layers=[
+            {p.data_sites[corner]: layer for layer, corner in p.visits()} for p in exp.faces
+        ],
     )

@@ -58,6 +58,22 @@ class TestValidation:
         assert code == 2
         assert "scales" in out
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (["--scales", "nan"], "--scales must be finite and non-negative (got nan)"),
+            (["--scales", "inf"], "--scales must be finite and non-negative (got inf)"),
+            (["--rates", "nan"], "--rates must be probabilities in [0, 1] (got nan)"),
+        ],
+        ids=["scales-nan", "scales-inf", "rates-nan"],
+    )
+    def test_non_finite_rates_and_scales_name_the_flag(self, capsys, args, expected):
+        """These used to reach NoiseParams or the decoding graph and fail
+        there, naming a weight, ``t2_us`` or ``p1`` instead of the flag."""
+        code, out = run_cli(capsys, "lfr", "--distances", "3", *args)
+        assert code == 2
+        assert out == expected + "\n"
+
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",

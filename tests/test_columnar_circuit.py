@@ -8,6 +8,7 @@ bulk :meth:`HardwareCircuit.replay_block` primitive is equivalent to
 re-appending the block by hand.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,15 +101,14 @@ class TestColumnarRoundTrip:
         c.append("Prepare_Z", (2,), 0.0, 10.0)
         assert [i.name for i in c] == ["Prepare_Z", "Load", "X_pi/2"]
 
-    def test_high_arity_rows_survive(self):
-        """Arity > 2 is outside the compiler's output but must round-trip."""
+    def test_three_site_append_rejected(self):
+        """A row acts on at most two sites; a third is a one-line error."""
         c = HardwareCircuit()
         c.append("Prepare_Z", (1,), 5.0, 10.0)
-        c.append("Weird", (3, 2, 1), 0.0, 1.0)
-        assert c.instructions[1].sites == (3, 2, 1)
-        assert c.sorted_instructions()[0].sites == (3, 2, 1)
-        assert c.used_sites() == {1, 2, 3}
-        assert "Weird 3 2 1 @0.000" in c.to_text()
+        with pytest.raises(ValueError, match="at most two") as err:
+            c.append("Weird", (3, 2, 1), 0.0, 1.0)
+        assert "\n" not in str(err.value)
+        assert len(c) == 1 and c.used_sites() == {1}
 
 
 class TestColumnsView:

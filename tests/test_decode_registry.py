@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import schedule_graph
 from repro.decode import (
     BOUNDARY,
     Decoder,
@@ -19,7 +20,9 @@ from repro.decode import (
     decoder_class,
     get_decoder,
 )
+from repro.decode import _uf_native
 from repro.sim.noise import NoiseModel
+from repro.util import native
 
 
 def syndrome_of(graph: MatchingGraph, edge_indices) -> np.ndarray:
@@ -35,11 +38,10 @@ def syndrome_of(graph: MatchingGraph, edge_indices) -> np.ndarray:
 def build_decoder(name: str, exp: MemoryExperiment) -> Decoder:
     """Instantiate any registry entry over an experiment's schedule graph,
     supplying the detector layout to decoders that want it."""
+    graph = schedule_graph(exp)
     if decoder_class(name).wants_layout:
-        return get_decoder(
-            name, exp.graph, n_faces=len(exp.faces), window=4, commit=2
-        )
-    return get_decoder(name, exp.graph)
+        return get_decoder(name, graph, n_faces=len(exp.faces), window=4, commit=2)
+    return get_decoder(name, graph)
 
 
 @pytest.fixture(scope="module")
@@ -148,12 +150,12 @@ class TestDetectorCountGuard:
 
     def test_mismatched_decoder_graph_raises(self, exp3):
         wrong = MatchingGraph(3, [DetectorEdge(0, 1), DetectorEdge(2, BOUNDARY)])
-        exp3._decoders[("schedule", "union_find")] = get_decoder("union_find", wrong)
+        exp3._decoders[("ideal", "union_find")] = get_decoder("union_find", wrong)
         try:
             with pytest.raises(ValueError, match="different detector layout"):
                 exp3.decoder_for(None, "union_find")
         finally:
-            exp3._decoders.pop(("schedule", "union_find"), None)
+            exp3._decoders.pop(("ideal", "union_find"), None)
 
     def test_matching_decoder_graph_accepted(self, exp3):
         dec = exp3.decoder_for(None, "union_find")
@@ -180,6 +182,58 @@ class TestDetectorCountGuard:
             assert dec.graph.n_detectors == exp.n_detectors
         finally:
             exp._dem_graphs.pop(key, None)
+
+
+class TestNoiselessPath:
+    """Without noise, decoding runs over the ideal model's DEM graph."""
+
+    @pytest.mark.parametrize("simd", [False, True])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_graph_is_the_ideal_dem_graph(self, basis, simd):
+        exp = MemoryExperiment(distance=3, basis=basis, simd=simd)
+        ideal = NoiseModel.preset("ideal")
+        dem_graph = build_dem_graph(exp.detector_error_model(ideal))
+        assert exp.graph.n_detectors == dem_graph.n_detectors == exp.n_detectors
+        assert exp.graph.edges == dem_graph.edges == []
+        assert exp.matching_graph(None) is exp.matching_graph(ideal) is exp.graph
+
+    @pytest.mark.parametrize("engine", ["frame", "tableau"])
+    @pytest.mark.parametrize("name", available_decoders())
+    def test_noiseless_runs_never_fail(self, exp3, engine, name):
+        report = exp3.run(40, noise=None, seed=4, engine=engine, decoder=name)
+        assert report.failures == report.raw_failures == 0
+        assert report.mean_defects == 0.0
+        assert report.decoder == name
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            pytest.param(
+                "native",
+                marks=pytest.mark.skipif(
+                    native.find_compiler() is None, reason="no C compiler on PATH"
+                ),
+            ),
+            "python",
+        ],
+    )
+    @pytest.mark.parametrize("name", available_decoders())
+    def test_edgeless_graph_decodes_zeros_and_rejects_defects(self, monkeypatch, kernel, name):
+        if kernel == "python":
+            monkeypatch.setitem(native._loaded, _uf_native.SOURCE, (None, "forced by the test"))
+        exp = MemoryExperiment(distance=3)  # a fresh instance builds its own decoders
+        dec = exp.decoder_for(None, name)
+        if isinstance(dec, UnionFindDecoder):
+            assert dec.kernel == kernel
+        zeros = np.zeros((5, exp.n_detectors), dtype=np.uint8)
+        assert not dec.decode_batch(zeros).any()
+        assert dec.decode(zeros[0]) == 0
+        syndromes = zeros.copy()
+        syndromes[2, 7] = 1
+        for call in (lambda: dec.decode_batch(syndromes), lambda: dec.decode(syndromes[2])):
+            with pytest.raises(RuntimeError) as err:
+                call()
+            assert "\n" not in str(err.value)
 
 
 class TestFrameSamplerCache:
@@ -218,11 +272,12 @@ class TestSingleFaultEquivalence:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     @pytest.mark.parametrize("name", ["union_find", "union_find_unweighted", "lookup"])
     def test_schedule_graph_single_faults(self, basis, name):
-        exp = MemoryExperiment(distance=3, basis=basis)
-        dec = get_decoder(name, exp.graph)
-        for k in range(exp.graph.n_edges):
-            syn = syndrome_of(exp.graph, [k])
-            assert dec.decode(syn) == exp.graph.edges[k].frame, exp.graph.edges[k]
+        graph = schedule_graph(MemoryExperiment(distance=3, basis=basis))
+        dec = get_decoder(name, graph)
+        assert graph.n_edges
+        for k in range(graph.n_edges):
+            syn = syndrome_of(graph, [k])
+            assert dec.decode(syn) == graph.edges[k].frame, graph.edges[k]
 
     @pytest.mark.parametrize("basis", ["Z", "X"])
     @pytest.mark.parametrize("name", ["union_find", "union_find_unweighted", "lookup"])

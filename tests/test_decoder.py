@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import build_memory_graph, schedule_graph
 from repro.decode import (
     BOUNDARY,
     DetectorEdge,
     MatchingGraph,
     MemoryExperiment,
     UnionFindDecoder,
-    build_memory_graph,
 )
 
 
@@ -120,23 +120,24 @@ class TestUnionFindDecoder:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_every_single_fault_is_corrected(self, basis):
         """Any single edge fault must be decoded with the right frame parity."""
-        exp = MemoryExperiment(distance=3, basis=basis)
-        graph, dec = exp.graph, exp.decoder
+        graph = schedule_graph(MemoryExperiment(distance=3, basis=basis))
+        dec = UnionFindDecoder(graph)
+        assert graph.n_edges
         for k in range(graph.n_edges):
             syn = syndrome_of(graph, [k])
             assert dec.decode(syn) == frame_of(graph, [k]), graph.edges[k]
 
     def test_batch_decode_matches_single_shot_decode(self):
-        exp = MemoryExperiment(distance=3, basis="Z")
+        dec = UnionFindDecoder(schedule_graph(MemoryExperiment(distance=3, basis="Z")))
         rng = np.random.default_rng(9)
-        syndromes = (rng.random((64, exp.n_detectors)) < 0.06).astype(np.uint8)
-        batch_verdicts = exp.decoder.decode_batch(syndromes)
-        single_verdicts = np.array([exp.decoder.decode(s) for s in syndromes])
+        syndromes = (rng.random((64, dec.graph.n_detectors)) < 0.06).astype(np.uint8)
+        batch_verdicts = dec.decode_batch(syndromes)
+        single_verdicts = np.array([dec.decode(s) for s in syndromes])
         assert np.array_equal(batch_verdicts, single_verdicts)
 
     def test_distant_pairs_decode_independently(self):
-        exp = MemoryExperiment(distance=3, basis="Z")
-        graph, dec = exp.graph, exp.decoder
+        graph = schedule_graph(MemoryExperiment(distance=3, basis="Z"))
+        dec = UnionFindDecoder(graph)
         # Two single faults far apart in time slices decode to the XOR of
         # their frames (clusters grow and peel independently).
         time_edges = [k for k, e in enumerate(graph.edges) if e.kind == "time"]

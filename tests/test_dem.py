@@ -176,10 +176,11 @@ class TestProperties:
     @settings(max_examples=10, deadline=None)
     def test_zero_noise_frames_decode_trivially(self, exp3, seed, shots):
         """Frame-sampled syndromes at zero noise are empty and decode to 0."""
-        samples = exp3.sample_frame(shots, noise=NoiseModel.preset("ideal"), seed=seed)
+        ideal = NoiseModel.preset("ideal")
+        samples = exp3.sample_frame(shots, noise=ideal, seed=seed)
         assert not samples.detectors.any()
         assert not samples.observables.any()
-        assert not exp3.decoder.decode_batch(samples.detectors).any()
+        assert not exp3.decoder_for(ideal).decode_batch(samples.detectors).any()
 
     @given(p=st.floats(min_value=1e-5, max_value=0.02))
     @settings(max_examples=8, deadline=None)

@@ -116,28 +116,27 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="need at least one shot"):
             exp3.run(shots, noise=NoiseModel.uniform(1e-3), engine=engine, max_batch=max_batch)
 
-    def test_non_clifford_falls_back_to_tableau(self):
-        """engine='frame' on a T-injection schedule silently uses the tableau."""
-        from repro.core.compiler import TISCC
-        from repro.decode.memory import MemoryExperiment as ME
+    def test_noisy_non_clifford_memory_raises(self):
+        """Both engines decode over the DEM graph, so neither runs a
+        non-Clifford schedule with noise: each raises the one-line error."""
+        from repro.sim.dem import DemExtractionError
 
         # Compiled cores are shared per (distance, rounds, basis); isolate
         # this experiment so splicing a gate below cannot leak to (or pick
         # up state from) other tests' experiments.
-        ME.clear_compile_cache()
+        MemoryExperiment.clear_compile_cache()
         try:
-            exp = ME(distance=3, rounds=1)
-            # Splice a non-Clifford instruction into the compiled stream so
-            # DEM extraction fails while the quasi-Clifford tableau path
-            # still runs.
+            exp = MemoryExperiment(distance=3, rounds=1)
+            # Splice a non-Clifford instruction into the compiled stream, so
+            # no detector error model exists for it.
             site = exp.compiled.circuit.sorted_instructions()[0].sites[0]
             exp.compiled.circuit.append("Z_pi/8", (site,), t=0.05, duration=0.1)
-            assert isinstance(exp.compiler, TISCC)
-            rep = exp.run(20, noise=NoiseModel.uniform(1e-3), seed=1, engine="frame")
-            assert rep.engine == "tableau"
-            assert rep.n_shots == 20
+            for engine in ("frame", "tableau"):
+                with pytest.raises(DemExtractionError, match="non-Clifford") as err:
+                    exp.run(20, noise=NoiseModel.uniform(1e-3), seed=1, engine=engine)
+                assert "\n" not in str(err.value)
         finally:
-            ME.clear_compile_cache()
+            MemoryExperiment.clear_compile_cache()
 
     def test_frame_and_tableau_agree_at_zero_noise(self, exp3):
         for noise in (None, NoiseModel.preset("ideal")):
@@ -175,8 +174,9 @@ def assert_engines_indistinguishable(distance, model, shots, seed):
         wilson_interval(int(raw_f.sum()), shots, z=3.0),
     ), "raw logical flip rates disagree"
 
-    fail_t = int((raw_t ^ exp.decoder.decode_batch(syn_t)).sum())
-    fail_f = int((raw_f ^ exp.decoder.decode_batch(frames.detectors)).sum())
+    decoder = exp.decoder_for(model)
+    fail_t = int((raw_t ^ decoder.decode_batch(syn_t)).sum())
+    fail_f = int((raw_f ^ decoder.decode_batch(frames.detectors)).sum())
     assert intervals_overlap(
         wilson_interval(fail_t, shots, z=3.0), wilson_interval(fail_f, shots, z=3.0)
     ), f"decoded LERs disagree: {fail_t}/{shots} vs {fail_f}/{shots}"

@@ -1,4 +1,4 @@
-"""Property suite for matching-graph construction (schedule- and DEM-built).
+"""Property suite for matching graphs: DEM-built, and the schedule-built oracle.
 
 Three structural invariants every decodable memory graph must satisfy:
 
@@ -11,9 +11,9 @@ Three structural invariants every decodable memory graph must satisfy:
   consistent: the parity of a path entering at boundary edge ``e1`` and
   leaving at ``e2`` is ``frame(e1) ^ phi(u1) ^ phi(u2) ^ frame(e2)``
   regardless of the route taken in between;
-* **DEM/schedule agreement** — for ideal-structure noise the DEM-built
-  graph has the same node count as the schedule-built one and agrees with
-  it on the frame bit of every shared edge pair.
+* **DEM/schedule agreement** — the DEM-built graph has the same node count
+  as the schedule-built one (``oracles.schedule_graph``) and agrees with it
+  on the frame bit of every shared edge pair.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decode import BOUNDARY, MemoryExperiment, build_memory_graph
+from oracles import build_memory_graph, schedule_graph
+from repro.decode import BOUNDARY, MemoryExperiment
 from repro.sim.noise import NoiseModel
 
 
@@ -127,7 +128,7 @@ def _memory(basis: str, distance: int = 3) -> MemoryExperiment:
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_schedule_graph_invariants(basis):
-    graph = _memory(basis).graph
+    graph = schedule_graph(_memory(basis))
     assert boundary_reachable(graph) == set(range(graph.n_detectors))
     phi = frame_potential(graph)
     assert phi is not None
@@ -154,10 +155,11 @@ def test_dem_graph_invariants_and_schedule_agreement(basis, noise_name):
     assert dem_graph is not exp.graph
     assert boundary_reachable(dem_graph) == set(range(dem_graph.n_detectors))
     assert frame_potential(dem_graph) is not None
-    # Agreement with the legacy schedule-built cross-check.
-    assert dem_graph.n_detectors == exp.graph.n_detectors
+    # Agreement with the schedule-built cross-check.
+    sched_graph = schedule_graph(exp)
+    assert dem_graph.n_detectors == sched_graph.n_detectors
     dem_frames = {frozenset((e.u, e.v)): e.frame for e in dem_graph.edges}
-    sched_frames = {frozenset((e.u, e.v)): e.frame for e in exp.graph.edges}
+    sched_frames = {frozenset((e.u, e.v)): e.frame for e in sched_graph.edges}
     shared = set(dem_frames) & set(sched_frames)
     assert shared, "graphs share no edges at all"
     for pair in shared:

@@ -54,6 +54,16 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(t2_us=0.0)
 
+    def test_non_finite_values_rejected(self):
+        """A NaN T2 used to pass (``nan <= 0`` is False) and silently disabled
+        dephasing on the tableau engine; ``scaled(nan)`` returned every rate
+        as 1.0 and T2 as NaN."""
+        with pytest.raises(ValueError, match="t2_us=nan must be positive"):
+            NoiseParams(t2_us=float("nan"))
+        for factor in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                NOISE_PRESETS["near_term"].scaled(factor)
+
     def test_scaled(self):
         m = NoiseModel.preset("near_term").scaled(2.0)
         assert m.params.p2 == pytest.approx(2 * NOISE_PRESETS["near_term"].p2)

@@ -186,8 +186,8 @@ class TestMemoryCompileCache:
         a = MemoryExperiment(distance=3, decoder="union_find")
         b = MemoryExperiment(distance=3, decoder="lookup")
         assert a.compiled is b.compiled
-        assert a.decoder.name == "union_find"
-        assert b.decoder.name == "lookup"
+        assert a.decoder_for().name == "union_find"
+        assert b.decoder_for().name == "lookup"
 
     def test_clear_cache_forces_recompile(self):
         from repro.decode.memory import MemoryExperiment

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import schedule_graph
 from repro.decode import MemoryExperiment, get_decoder
 from repro.decode.graph import BOUNDARY, DetectorEdge, MatchingGraph
 from repro.decode.window import WindowedUnionFindDecoder, window_spans
@@ -86,8 +87,9 @@ def test_single_faults_exact_at_d3(memory3, window, commit):
     """Every single mechanism must decode to its own frame bit — the
     windowed decoder corrects weight-1 errors perfectly at every grid
     point, exactly like the whole-block decoder."""
-    graph = memory3.graph
+    graph = schedule_graph(memory3)
     syndromes, frames = _single_fault_batch(graph)
+    assert len(frames)
     win = WindowedUnionFindDecoder(
         graph, n_faces=len(memory3.faces), window=window, commit=commit
     )
@@ -124,7 +126,7 @@ def test_windowed_matches_whole_block_on_random_batch(memory3):
 def test_stream_chunking_is_exact(memory3, data):
     """Feeding the slice stream in any per-slice order/grouping is
     shot-for-shot identical to one decode_batch call."""
-    win = memory3.decoder_for(None, "union_find_windowed")
+    win = memory3.decoder_for(NoiseModel.uniform(1e-3), "union_find_windowed")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n_shots = data.draw(st.integers(1, 40))
     syndromes = (rng.random((n_shots, win.n)) < 0.03).astype(np.uint8)
@@ -253,7 +255,7 @@ def test_windowed_decoder_validates_layout(memory3):
 
 def test_interior_windows_share_one_kind():
     exp = MemoryExperiment(dx=3, dz=3, rounds=30)
-    dec = exp.decoder_for(None, "union_find_windowed")
+    dec = exp.decoder_for(NoiseModel.uniform(1e-3), "union_find_windowed")
     # Dozens of spans, but only a handful of structurally distinct windows
     # (first / interior / trailing) — interior windows share one inner
     # decoder, which is what keeps construction O(window) too.
