@@ -19,7 +19,10 @@ count once).  Equivalence is asserted on the spot, not assumed:
 The bench also reports the scheduled-vs-baseline makespan ratio (wall-time
 win) and the per-profile picture for the two beam-pass-limited shipped
 profiles (``fast_projected``: wide site-parallel groups; ``slow_junction``:
-one serial beam with per-pass overhead).
+one serial beam with per-pass overhead).  It fails unless the scheduler ran
+its native kernel (``repro/hardware/_simd_kernel.c``), so a broken kernel
+build cannot pass on the Python fallback; the kernel and any fallback
+reason land in the JSON artifact.
 
 Run directly::
 
@@ -156,6 +159,8 @@ def run_comparison(d: int = 7) -> dict:
     equivalence = verify_dem_equivalence()
     return {
         "d": d,
+        "kernel": headline[0]["kernel"],
+        "fallback_reason": headline[0]["fallback_reason"],
         "headline": headline,
         "per_profile": per_profile,
         "equivalence": equivalence,
@@ -175,11 +180,21 @@ def report(res: dict) -> None:
                 f"{r['pass_reduction']:.1%}",
                 f"{r['makespan_ratio']:.3f}",
                 f"{r['schedule_seconds']:.3f}",
+                r["kernel"],
             ]
         )
     print_table(
         f"SIMD beam-pass scheduling (d={res['d']})",
-        ["op", "profile", "base_passes", "beam_passes", "reduction", "makespan", "sched_s"],
+        [
+            "op",
+            "profile",
+            "base_passes",
+            "beam_passes",
+            "reduction",
+            "makespan",
+            "sched_s",
+            "kernel",
+        ],
         rows,
     )
     eq = res["equivalence"]
@@ -205,6 +220,7 @@ def test_simd_beam_pass_reduction():
     """Quick-scale pytest entry: >=30% fewer passes, equivalence proven."""
     res = run_comparison(d=5)
     report(res)
+    assert res["kernel"] == "native", res["fallback_reason"]
     assert _ok(res, 0.30)
 
 
@@ -227,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w") as fh:
             json.dump(res, fh, indent=2)
         print(f"wrote {args.json}")
+    if res["kernel"] != "native":
+        print(f"FAIL: the scheduler ran its {res['kernel']} kernel: {res['fallback_reason']}")
+        return 1
     if not _ok(res, args.min_reduction):
         print(
             f"FAIL: need >= {args.min_reduction:.0%} beam-pass reduction on every "
@@ -234,7 +253,10 @@ def main(argv: list[str] | None = None) -> int:
             "LER counters preserved"
         )
         return 1
-    print(f"PASS: >= {args.min_reduction:.0%} beam-pass reduction, equivalence held")
+    print(
+        f"PASS: >= {args.min_reduction:.0%} beam-pass reduction, equivalence held, "
+        "native kernel"
+    )
     return 0
 
 

@@ -127,7 +127,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         )
     if args.timings:
         simd_part = (
-            f", simd {compiled.simd_seconds:.3f} s" if compiled.simd_report is not None else ""
+            f", simd {compiled.simd_seconds:.3f} s ({compiled.simd_report.kernel} kernel)"
+            if compiled.simd_report is not None
+            else ""
         )
         print(
             f"# phase timings: compile {compiled.compile_seconds:.3f} s"

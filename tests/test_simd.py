@@ -108,6 +108,23 @@ class TestScheduleProperties:
         _, report = simd_schedule(compiled.circuit, compiler.grid)
         assert report.pass_reduction >= 0.30  # acceptance floor, d=3 already ~0.47
 
+    @pytest.mark.parametrize("width", [True, False, 2.5, 2.0, -1, "2", None])
+    def test_bad_width_rejected_in_one_line(self, width):
+        # As HardwareProfile rejects a bad simd_width: a bool is not a width,
+        # and the native kernel takes an int64.
+        compiler, compiled = compiled_memory(3)
+        with pytest.raises(ValueError, match=r"^width must be an integer >= 0") as err:
+            simd_schedule(compiled.circuit, compiler.grid, width=width)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match=r"^width must be an integer >= 0"):
+            baseline_beam_passes(compiled.circuit, compiler.profile, width)
+
+    def test_baseline_passes_is_an_int(self):
+        compiler, compiled = compiled_memory(3)
+        for width in (0, 2):
+            passes = baseline_beam_passes(compiled.circuit, compiler.profile, width)
+            assert type(passes) is int and passes > 0
+
     def test_retimed_rejects_a_wrong_shape(self):
         circuit = compiled_memory(3)[1].circuit
         n = len(circuit)

@@ -7,10 +7,11 @@ rate depend on its tie-breaking.  The Python kernel is forced by making the
 loader report a failure, so each comparison runs the same decoder class over
 the same graph under both kernels.
 
-All three native kernels, the union-find decoder's, the frame sampler's
-(``repro/sim/_frame_kernel.c``) and the DEM walk's
-(``repro/sim/_dem_kernel.c``), build through :mod:`repro.util.native`; the
-build-path tests at the end run once per kernel.
+All four native kernels, the union-find decoder's, the frame sampler's
+(``repro/sim/_frame_kernel.c``), the DEM walk's (``repro/sim/_dem_kernel.c``)
+and the SIMD scheduler's (``repro/hardware/_simd_kernel.c``), build through
+:mod:`repro.util.native`; the build-path tests at the end run once per
+kernel.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compiler import TISCC
+from repro.core.router import lattice_surgery_cnot_program
 from repro.decode import (
     BOUNDARY,
     DetectorEdge,
@@ -39,6 +42,8 @@ from repro.decode import (
     WindowedUnionFindDecoder,
     _uf_native,
 )
+from repro.hardware import _simd_native
+from repro.hardware.simd import simd_schedule
 from repro.sim import _dem_native, frame
 from repro.sim.dem import FaultTable, extract_fault_table
 from repro.sim.frame import FrameSampler
@@ -226,6 +231,25 @@ def _walked(table: FaultTable) -> list:
     return [c.tolist() for c in columns] + [table.key_detectors, table.key_observables.tolist()]
 
 
+@functools.cache
+def _d3_cnot():
+    """A d=3 lattice-surgery CNOT's unscheduled circuit and its grid."""
+    compiler = TISCC(dx=3, dz=3, tile_rows=2, tile_cols=2)
+    compiled = compiler.compile(lattice_surgery_cnot_program(), validate=False, estimate=False)
+    return compiled.circuit, compiler.grid
+
+
+def _d3_schedule() -> SimpleNamespace:
+    """A fresh width-3 serial-beam SIMD schedule of the d=3 CNOT."""
+    scheduled, report = simd_schedule(*_d3_cnot(), width=3, mode="pass_serial", overhead_us=2.5)
+    return SimpleNamespace(
+        kernel=report.kernel,
+        fallback_reason=report.fallback_reason,
+        starts=scheduled.columns().t.tolist(),
+        passes=report.beam_passes,
+    )
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One native kernel: the module binding it and a user that runs it."""
@@ -255,6 +279,11 @@ KERNELS = {
         output=_sampled,
     ),
     "dem": Kernel(_dem_native, make=_d3_table, output=_walked),
+    "simd": Kernel(
+        _simd_native,
+        make=_d3_schedule,
+        output=lambda schedule: [schedule.starts, schedule.passes],
+    ),
 }
 
 
