@@ -1,8 +1,8 @@
 """Compile-path benchmark: columnar compiler core vs the pre-refactor path.
 
 Acceptance target for the columnar refactor (structure-of-arrays
-``HardwareCircuit``, QEC-round template replay, vectorized validity and
-resource estimation): at d=11 the compile + validate + estimate pipeline
+``HardwareCircuit``, QEC-round template replay, native validity replay and
+vectorized resource estimation): at d=11 the compile + validate + estimate pipeline
 must run at least **10x** faster than the pre-refactor path for both the
 single-tile memory program and the multi-tile lattice-surgery CNOT, and
 the columnar circuit must serialize **byte-identically** to the legacy
@@ -13,6 +13,11 @@ The legacy leg reproduces the pre-refactor behavior exactly, the same way
 (template replay off), the instruction-by-instruction reference validity
 replay, the object-iterating resource estimator kept verbatim below, and
 the original uncached per-call grid geometry scans monkeypatched back in.
+The columnar leg validates on the native validity kernel
+(``repro/hardware/_validity_kernel.c``); the table's ``kernel`` column and
+``--json`` say which replay each leg's validation ran, and both the script
+and its pytest entry fail unless the columnar leg's was native, so a broken
+kernel build cannot pass on the reference-replay fallback.
 
 Run directly::
 
@@ -46,7 +51,7 @@ from repro.hardware.grid import (
 )
 from repro.hardware.resources import ResourceReport, estimate_resources
 from repro.hardware.validity import check_circuit, check_circuit_reference
-from repro.util.geometry import SiteType, ZONE_PITCH_M, site_exists
+from repro.util.geometry import SiteType, site_exists
 
 try:
     from benchmarks.conftest import print_table
@@ -233,7 +238,10 @@ def legacy_estimate_resources(grid, circuit, operation="", dx=0, dz=0):
         r1 = max(r for r, _ in coords)
         c0 = min(c for _, c in coords)
         c1 = max(c for _, c in coords)
-        area = ((r1 - r0 + 1) * ZONE_PITCH_M) * ((c1 - c0 + 1) * ZONE_PITCH_M)
+        # The pitch the grid's profile prices (420.0 µm * 1e-6, one ulp off
+        # the old module constant 420e-6), as the columnar estimator uses.
+        pitch_m = grid.profile.zone_pitch_m
+        area = ((r1 - r0 + 1) * pitch_m) * ((c1 - c0 + 1) * pitch_m)
         zones = grid.zones_in_bbox(r0, c0, r1, c1)
     else:
         area = 0.0
@@ -341,6 +349,8 @@ def _run_leg_once(op: str, d: int, legacy: bool) -> dict:
         "total_seconds": t_compile + t_validate + t_estimate,
         "text": compiled.circuit.to_text(),
         "validity": validity,
+        "kernel": validity.kernel,
+        "fallback_reason": validity.fallback_reason,
         "resources": resources,
     }
 
@@ -379,6 +389,8 @@ def run_bench(distances: list[int], repeat: int = 2) -> dict:
                             "validate_seconds",
                             "estimate_seconds",
                             "total_seconds",
+                            "kernel",
+                            "fallback_reason",
                         )
                     }
                 )
@@ -386,9 +398,13 @@ def run_bench(distances: list[int], repeat: int = 2) -> dict:
             rows[-1]["equivalent"] = same
 
     d_max = max(distances)
+    columnar = [r for r in rows if r["path"] == "columnar"]
+    fallback = next((r for r in columnar if r["kernel"] != "native"), columnar[0])
     return {
         "distances": distances,
         "programs": list(PROGRAMS),
+        "kernel": fallback["kernel"],
+        "fallback_reason": fallback["fallback_reason"],
         "rows": rows,
         "speedups": {f"{op}@d{d}": s for (op, d), s in speedups.items()},
         "speedup": min(speedups[(op, d_max)] for op in PROGRAMS),
@@ -400,7 +416,7 @@ def report(res: dict) -> None:
     print_table(
         "compile + validate + estimate (columnar vs pre-refactor)",
         ["program", "d", "path", "instr", "compile [s]", "validate [s]",
-         "estimate [s]", "total [s]", "speedup"],
+         "kernel", "estimate [s]", "total [s]", "speedup"],
         [
             [
                 r["op"],
@@ -409,6 +425,7 @@ def report(res: dict) -> None:
                 str(r["n_instructions"]),
                 f"{r['compile_seconds']:.3f}",
                 f"{r['validate_seconds']:.3f}",
+                r["kernel"],
                 f"{r['estimate_seconds']:.3f}",
                 f"{r['total_seconds']:.3f}",
                 f"{r['speedup']:.1f}x" if "speedup" in r else "",
@@ -427,6 +444,7 @@ def test_compile_speedup():
     """Quick-scale pytest entry: the columnar path must win clearly."""
     res = run_bench(distances=[3, 5])
     report(res)
+    assert res["kernel"] == "native", res["fallback_reason"]
     assert res["equivalent"]
     assert res["speedup"] >= 3.0
 
@@ -464,6 +482,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w") as fh:
             json.dump(res, fh, indent=2)
         print(f"wrote {args.json}")
+    if res["kernel"] != "native":
+        print(f"FAIL: validation ran its {res['kernel']} kernel: {res['fallback_reason']}")
+        return 1
     if not res["equivalent"]:
         print("FAIL: columnar path is not byte-identical to the legacy path")
         return 1
@@ -473,7 +494,10 @@ def main(argv: list[str] | None = None) -> int:
             f"got {res['speedup']:.1f}x"
         )
         return 1
-    print(f"OK: >= {target:.1f}x at d={max(distances)}, outputs byte-identical")
+    print(
+        f"OK: >= {target:.1f}x at d={max(distances)}, outputs byte-identical, "
+        "native validity kernel"
+    )
     return 0
 
 

@@ -134,7 +134,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(
             f"# phase timings: compile {compiled.compile_seconds:.3f} s"
             + simd_part
-            + f", validate {compiled.validate_seconds:.3f} s, "
+            + f", validate {compiled.validate_seconds:.3f} s ({compiled.validity.kernel} kernel), "
             f"estimate {compiled.estimate_seconds:.3f} s"
         )
     if args.resources and compiled.resources:

@@ -525,10 +525,14 @@ class HardwareCircuit:
         return float(self.columns().t.min())
 
     def used_sites(self) -> set[int]:
+        """Every non-negative site a row names: one boolean scatter, no sort."""
         if self._used_sites is None:
             cols = self.columns()
-            sites = np.unique(np.concatenate([cols.site0, cols.site1]))
-            self._used_sites = set(sites[sites >= 0].tolist())
+            top = max(int(cols.site0.max(initial=-1)), int(cols.site1.max(initial=-1)))
+            used = np.zeros(top + 1, dtype=bool)
+            for column in (cols.site0, cols.site1):
+                used[column[column >= 0]] = True
+            self._used_sites = set(np.flatnonzero(used).tolist())
         return set(self._used_sites)
 
     def count(self, name: str) -> int:

@@ -46,6 +46,9 @@ MOVE_US = DEFAULT_PROFILE.move_us
 #: Default-profile view, like :data:`MOVE_US`.
 JUNCTION_HOP_US = DEFAULT_PROFILE.junction_hop_us
 
+#: :meth:`GridManager.site_kinds` codes.
+NO_SITE, JUNCTION_SITE, ZONE_SITE = 0, 1, 2
+
 
 class SiteBlockedError(RuntimeError):
     """A move targets a site occupied by a parked ion with no scheduled departure."""
@@ -122,6 +125,7 @@ class GridManager:
         self.t_horizon = 0.0
 
         # --- geometry caches (built lazily; the grid is immutable) --------
+        self._site_kinds: "np.ndarray | None" = None
         self._zone_mask_arr: "np.ndarray | None" = None
         self._zone_list: list[bool] | None = None
         self._neighbor_table: list[list[int]] | None = None
@@ -148,20 +152,32 @@ class GridManager:
         r, c = self.coords(site)
         return site_type_at(r, c)
 
+    def site_kinds(self) -> np.ndarray:
+        """``(n_positions,)`` int8 array, per position: :data:`NO_SITE` (a
+        cell interior), :data:`JUNCTION_SITE` or :data:`ZONE_SITE`.
+
+        Built once per grid (the geometry is immutable).  With ``width`` and
+        ``height`` it is the whole geometry the native validity replay
+        reads: adjacency and junction crossings follow from it.
+        """
+        if self._site_kinds is None:
+            kinds = np.full(self.n_positions, NO_SITE, dtype=np.int8)
+            for r in range(self.height):
+                for c in range(self.width):
+                    if site_exists(r, c):
+                        junction = site_type_at(r, c) is SiteType.JUNCTION
+                        kinds[r * self.width + c] = JUNCTION_SITE if junction else ZONE_SITE
+            self._site_kinds = kinds
+        return self._site_kinds
+
     def zone_mask(self) -> np.ndarray:
         """``(n_positions,)`` bool array: True where a site is a trapping zone.
 
-        Built once per grid (the geometry is immutable); shared by the
-        vectorized validity checker and resource estimator.
+        Built once per grid; shared by the resource estimator and the
+        geometry lookups below.
         """
         if self._zone_mask_arr is None:
-            mask = np.zeros(self.n_positions, dtype=bool)
-            for r in range(self.height):
-                base = r * self.width
-                for c in range(self.width):
-                    if site_exists(r, c) and site_type_at(r, c) is not SiteType.JUNCTION:
-                        mask[base + c] = True
-            self._zone_mask_arr = mask
+            self._zone_mask_arr = self.site_kinds() == ZONE_SITE
         return self._zone_mask_arr
 
     def _neighbors_of(self) -> list[list[int]]:

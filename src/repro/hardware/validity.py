@@ -10,27 +10,36 @@ violation.  It is deliberately independent of the scheduling logic in
 :class:`~repro.hardware.grid.GridManager` so that it can double-check any
 compiled circuit, exactly as ORQCS re-models the hardware on its side.
 
-Two implementations share the contract:
+One specification and one fast pass share the contract:
 
-* :func:`check_circuit_reference` — the original instruction-by-instruction
-  replay over :class:`Instruction` objects, kept verbatim as the executable
-  specification (and the error-reporting path);
-* :func:`check_circuit` — the production path, which consumes the circuit's
-  sorted columns directly: static legality (arities, zone membership, move
-  durations, hop geometry) is verified with vectorized array expressions,
-  ion-busy and junction-overlap constraints with sorted-array sweeps, and
-  only the occupancy state machine (who is where, in time order) runs as a
-  tight scalar loop over the move/load rows.  Any detected violation defers
-  to the reference checker so the raised error is identical.
+* :func:`check_circuit_reference` is the specification: an
+  instruction-by-instruction replay over :class:`Instruction` objects in
+  execution order.  It raises every error message, it is the fallback when
+  no C compiler is available, and it is the native pass's oracle.
+* :func:`check_circuit` runs the same state machine in C
+  (``_validity_kernel.c``, built on first use and cached by
+  :mod:`repro.util.native`): one O(n) loop over the circuit's append-order
+  columns read through :meth:`HardwareCircuit.sort_order`, so no sorted
+  copy of the columns is built.  It returns the report when every row is
+  valid.  Otherwise it re-runs the reference, which raises the same row's
+  error with its message.  :attr:`ValidityReport.kernel` says which replay
+  accepted the circuit and :attr:`ValidityReport.fallback_reason` why the
+  reference ran instead of the native pass.
+
+A vectorized NumPy replay used to sit between the two.  It was deleted, not
+kept as a test oracle, because it was not the specification: it accepted
+Loads onto negative sites and Loads before a never-used site's release at
+0.0, both of which the reference rejects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from repro.hardware.circuit import HardwareCircuit, Instruction, name_code
+from repro.hardware.circuit import HardwareCircuit, Instruction
 from repro.hardware.grid import GridManager
 
 __all__ = [
@@ -39,6 +48,10 @@ __all__ = [
     "check_circuit",
     "check_circuit_reference",
 ]
+
+#: The native validity replay, built and loaded by :mod:`repro.util.native`
+#: at the first :func:`check_circuit` call, never at import.
+SOURCE = Path(__file__).with_name("_validity_kernel.c")
 
 _EPS = 1e-9
 
@@ -64,6 +77,12 @@ class ValidityReport:
     sites_used: set[int] = field(default_factory=set)
     final_occupancy: dict[int, int] = field(default_factory=dict)
     makespan: float = 0.0
+    #: The replay that accepted the circuit: ``"native"`` (the C pass) or
+    #: ``"python"`` (the reference).  Not compared: both give equal reports.
+    kernel: str = field(default="python", compare=False)
+    #: Why the reference ran instead of the native pass (compiler stderr
+    #: included); ``None`` when it did not fall back.
+    fallback_reason: str | None = field(default=None, compare=False)
 
 
 def check_circuit_reference(
@@ -81,29 +100,32 @@ def check_circuit_reference(
     * a move's destination has been fully vacated before the transit begins;
     * no two ions cross the same junction at overlapping times;
     * gates/preps/measurements act on occupied zones, with ZZ requiring
-      lattice adjacency.
+      lattice adjacency;
+    * every site a row names is a grid position.
 
-    This is the executable specification: one Python iteration per
-    instruction.  :func:`check_circuit` is the vectorized production path.
+    A site never vacated counts as released at 0.0, and an ion loaded
+    mid-circuit gets the id one above every id before it.  This is the
+    executable specification: one Python iteration per instruction.
+    :func:`check_circuit` is the native production path.
     """
+    _check_initial(grid, initial_occupancy)
     occupant: dict[int, int] = dict(initial_occupancy)
     site_release: dict[int, float] = {}
     ion_free: dict[int, float] = {ion: 0.0 for ion in occupant.values()}
     junction_free: dict[int, float] = {}
     report = ValidityReport(final_occupancy=occupant)
 
-    for site, ion in occupant.items():
-        if not grid.is_zone(site):
-            raise CircuitValidityError(f"initial occupancy places ion {ion} on junction {site}")
-    if len(set(occupant.values())) != len(occupant):
-        raise CircuitValidityError("initial occupancy maps two sites to the same ion")
-
     for inst in circuit.sorted_instructions():
         report.n_instructions += 1
         report.sites_used.update(inst.sites)
         t, dur = inst.t, inst.duration
+        for s in inst.sites:
+            if not 0 <= s < grid.n_positions:
+                raise CircuitValidityError(f"qsite {s} out of range", inst)
 
         if inst.name == "Load":
+            if len(inst.sites) != 1:
+                raise CircuitValidityError("Load takes exactly one qsite", inst)
             (s,) = inst.sites
             if s in occupant:
                 raise CircuitValidityError(f"Load onto occupied site {s}", inst)
@@ -194,36 +216,13 @@ def check_circuit_reference(
     return report
 
 
-def _move_geometry(
-    grid: GridManager, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classify move hops: (is_adjacent_zone_hop, junction id or -1).
-
-    Vectorized equivalent of ``dst in grid.neighbors(src)`` plus
-    ``grid.junction_between(src, dst)``: adjacency is a unit Manhattan step
-    between existing sites; junction crossings are resolved through the
-    grid's flanking-pair lookup.
-    """
-    width = grid.width
-    r0, c0 = np.divmod(src, width)
-    r1, c1 = np.divmod(dst, width)
-    manhattan = np.abs(r1 - r0) + np.abs(c1 - c0)
-    zone = grid.zone_mask()
-    # Unit steps between two zones are always between *existing* sites.
-    adjacent = (manhattan == 1) & zone[src] & zone[dst]
-    junction = np.full(len(src), -1, dtype=np.int64)
-    # Junction resolution per *unique* hop pair: a circuit reuses the same
-    # few corridor hops thousands of times.
-    todo = np.nonzero(~adjacent)[0]
-    if len(todo):
-        pair = src[todo] * np.int64(grid.n_positions) + dst[todo]
-        unique, inverse = np.unique(pair, return_inverse=True)
-        resolved = np.empty(len(unique), dtype=np.int64)
-        for k, p in enumerate(unique.tolist()):
-            j = grid.junction_between(p // grid.n_positions, p % grid.n_positions)
-            resolved[k] = -1 if j is None else j
-        junction[todo] = resolved[inverse]
-    return adjacent, junction
+def _check_initial(grid: GridManager, initial_occupancy: dict[int, int]) -> None:
+    """Ions start on distinct trapping zones, one ion per site."""
+    for site, ion in initial_occupancy.items():
+        if not grid.is_zone(site):
+            raise CircuitValidityError(f"initial occupancy places ion {ion} on junction {site}")
+    if len(set(initial_occupancy.values())) != len(initial_occupancy):
+        raise CircuitValidityError("initial occupancy maps two sites to the same ion")
 
 
 def check_circuit(
@@ -231,228 +230,45 @@ def check_circuit(
     circuit: HardwareCircuit,
     initial_occupancy: dict[int, int],
 ) -> ValidityReport:
-    """Columnar validity replay; see :func:`check_circuit_reference`.
+    """Replay ``circuit`` natively; see :func:`check_circuit_reference`.
 
-    Operates on :meth:`HardwareCircuit.sorted_columns`: all static checks
-    and the busy/overlap sweeps are vectorized; only occupancy evolution
-    (which ion is where) runs as a scalar loop over move/load rows.  On the
-    first sign of trouble the reference checker re-runs the replay so the
-    raised :class:`CircuitValidityError` is byte-identical to the original
-    implementation's.
+    Accepts exactly the circuits the reference accepts, with an equal
+    report.  When a row is invalid the reference re-runs and raises that
+    row's :class:`CircuitValidityError`, so messages are the reference's.
+    Without a native kernel the reference runs instead, and the report's
+    ``fallback_reason`` says why.
     """
-    for site, ion in initial_occupancy.items():
-        if not grid.is_zone(site):
-            raise CircuitValidityError(f"initial occupancy places ion {ion} on junction {site}")
-    if len(set(initial_occupancy.values())) != len(initial_occupancy):
-        raise CircuitValidityError("initial occupancy maps two sites to the same ion")
+    # Imported here, not at module level: loading the native kernel (and
+    # building it, the first time on a host) is validation work, never
+    # import-time work.
+    from repro.hardware import _validity_native
+    from repro.util import native
 
-    cols = circuit.sorted_columns()
-    n = cols.n
-    report = ValidityReport(final_occupancy=dict(initial_occupancy))
-    if n == 0:
+    lib, reason = native.load(SOURCE, _validity_native._declare)
+    if lib is None:
+        report = check_circuit_reference(grid, circuit, initial_occupancy)
+        report.fallback_reason = reason
         return report
-
-    site0, site1, nsites = cols.site0, cols.site1, cols.nsites
-    t, dur = cols.t, cols.duration
-    end = t + dur
-
-    def fail() -> ValidityReport:
-        # Re-run the reference replay: it raises the chronologically-first
-        # violation with the exact legacy message.  (Returning its report
-        # also covers the impossible false-positive case.)
+    _check_initial(grid, initial_occupancy)
+    sites = np.fromiter(initial_occupancy, dtype=np.int64, count=len(initial_occupancy))
+    run = _validity_native.replay(lib, grid, circuit, sites)
+    if run.failed_at >= 0:
+        # The reference stops at the same row and raises its error message.
         return check_circuit_reference(grid, circuit, initial_occupancy)
 
-    if (site0 >= grid.n_positions).any() or (site1 >= grid.n_positions).any():
-        return fail()
-
-    codes = cols.codes
-
-    def mask_of(name: str) -> np.ndarray:
-        code = name_code(name)
-        return codes == (np.int32(-1) if code is None else np.int32(code))
-
-    is_move = mask_of("Move")
-    is_load = mask_of("Load")
-    is_zz = mask_of("ZZ")
-    is_single = ~(is_move | is_load | is_zz)
-
-    # --- arity and zone-membership checks (vectorized) -------------------
-    if (
-        (nsites[is_move | is_zz] != 2).any()
-        or (nsites[is_load | is_single] != 1).any()
-    ):
-        return fail()
-    zone = grid.zone_mask()
-    if is_load.any() and not zone[site0[is_load]].all():
-        return fail()
-    if is_zz.any():
-        a, b = site0[is_zz], site1[is_zz]
-        r0, c0 = np.divmod(a, grid.width)
-        r1, c1 = np.divmod(b, grid.width)
-        gate_ok = (np.abs(r1 - r0) + np.abs(c1 - c0) == 1) & zone[a] & zone[b]
-        if not gate_ok.all():
-            return fail()
-
-    # --- move legality: zones, single hops, exact durations --------------
-    move_idx = np.nonzero(is_move)[0]
-    junction_ids = np.empty(0, dtype=np.int64)
-    if len(move_idx):
-        src, dst = site0[move_idx], site1[move_idx]
-        if not (zone[src] & zone[dst]).all():
-            return fail()
-        adjacent, junction = _move_geometry(grid, src, dst)
-        crossing = junction >= 0
-        if not (adjacent | crossing).all():
-            return fail()
-        if (np.abs(dur[move_idx[adjacent]] - grid.move_us) > _EPS).any():
-            return fail()
-        if (np.abs(dur[move_idx[crossing]] - grid.junction_hop_us) > _EPS).any():
-            return fail()
-        junction_ids = junction[crossing]
-        # Junction exclusivity: within each junction's crossings (already in
-        # time order), each must start after the previous one ended.
-        cross_rows = move_idx[crossing]
-        order = np.argsort(junction_ids, kind="stable")
-        jt, je = t[cross_rows][order], end[cross_rows][order]
-        same = junction_ids[order][1:] == junction_ids[order][:-1]
-        if (same & (jt[1:] + _EPS < je[:-1])).any():
-            return fail()
-
-    # --- per-site event sweep (fully vectorized) -------------------------
-    # Flatten the replay into one entry stream: every row contributes an
-    # operation interval at each site it touches; Move rows additionally
-    # open an occupancy episode at the destination and close one at the
-    # source, Loads open one, and the initial occupancy seeds an episode
-    # per occupied site.  Grouped by site and swept in execution order,
-    # three segmented passes reproduce every dynamic constraint of the
-    # reference replay:
-    #
-    # * interval chaining -- an entry may not start before the previous
-    #   entry at its site ended.  Within an episode that is exactly the
-    #   per-ion busy rule (an ion parked at a site does nothing anywhere
-    #   else, and the moves that carry it between sites appear in both
-    #   sites' streams); across episodes it is the site-vacancy rule.
-    # * episode alternation -- a running (+1 arrival, -1 departure) count
-    #   catches moves/loads onto occupied sites, moves from empty sites,
-    #   and operations on unoccupied sites.
-    # * ion identity -- each move-arrival's ion is the ion of the episode
-    #   its source-departure closed; resolved for all chains at once by
-    #   pointer doubling over the governing-arrival links.
-    move_rows = np.nonzero(is_move)[0]
-    load_rows = np.nonzero(is_load)[0]
-    zz_rows = np.nonzero(is_zz)[0]
-    op_rows = np.nonzero(is_single | is_zz)[0]
-    n_init, n_load, n_move = len(initial_occupancy), len(load_rows), len(move_rows)
-    n_op = len(op_rows)
-    init_sites = np.fromiter(initial_occupancy, dtype=np.int64, count=n_init)
-
-    # Entry stream: [initial | load-arrivals | move-departures |
-    #               move-arrivals | op intervals (gates/preps/measures,
-    #               ZZ at both sites)].  Moves and Loads already carry
-    #               their busy interval on their episode entries.
-    e_site = np.concatenate(
-        [init_sites, site0[load_rows], site0[move_rows], site1[move_rows],
-         site0[op_rows], site1[zz_rows]]
+    # Dense ion index -> ion id: the initial ions, then one id per Load
+    # above every id before it.
+    ions = np.fromiter(initial_occupancy.values(), dtype=np.int64, count=len(sites))
+    first_load = int(ions.max()) + 1 if len(ions) else 0
+    ion_ids = np.concatenate([ions, first_load + np.arange(run.n_ions - len(ions))])
+    occupied = np.flatnonzero(run.occupant >= 0)
+    return ValidityReport(
+        n_instructions=len(circuit),
+        n_moves=run.n_moves,
+        n_junction_crossings=run.n_junction_crossings,
+        junctions_used=set(np.flatnonzero(run.junction_used).tolist()),
+        sites_used=circuit.used_sites(),  # cached, shared with §3.4 estimation
+        final_occupancy=dict(zip(occupied.tolist(), ion_ids[run.occupant[occupied]].tolist())),
+        makespan=run.makespan,
+        kernel="native",
     )
-    # Execution position per entry; the initial occupancy precedes row 0.
-    # A row touches each site at most once, so (site, order) is unique and
-    # entries at one site sort into exact replay order.
-    e_order = np.concatenate(
-        [np.full(n_init, -1, dtype=np.int64), load_rows, move_rows, move_rows,
-         op_rows, zz_rows]
-    )
-    e_t = np.concatenate(
-        [np.full(n_init, -np.inf), t[load_rows], t[move_rows], t[move_rows],
-         t[op_rows], t[zz_rows]]
-    )
-    e_end = np.concatenate(
-        [np.zeros(n_init), t[load_rows], end[move_rows], end[move_rows],
-         end[op_rows], end[zz_rows]]
-    )
-    # +1 opens an episode, -1 closes one, 0 is a plain operation interval.
-    e_delta = np.concatenate(
-        [np.ones(n_init, dtype=np.int8),
-         np.ones(n_load, dtype=np.int8),
-         np.full(n_move, -1, dtype=np.int8),
-         np.ones(n_move, dtype=np.int8),
-         np.zeros(n_op + len(zz_rows), dtype=np.int8)]
-    )
-    # Arrival-event ids: [0, n_init) initial, then loads, then move dsts.
-    n_events = n_init + n_load + n_move
-    e_event = np.full(len(e_site), -1, dtype=np.int64)
-    e_event[:n_init] = np.arange(n_init)
-    e_event[n_init : n_init + n_load] = n_init + np.arange(n_load)
-    arr0 = n_init + n_load + n_move
-    e_event[arr0 : arr0 + n_move] = n_init + n_load + np.arange(n_move)
-
-    # (site, order) pairs are unique, so a single fused int64 key sorts the
-    # stream with one argsort pass.
-    order = np.argsort(e_site * np.int64(n + 2) + (e_order + 1))
-    s_site = e_site[order]
-    s_t = e_t[order]
-    s_end = e_end[order]
-    s_delta = e_delta[order]
-    s_event = e_event[order]
-
-    same_site = s_site[1:] == s_site[:-1]
-    # Interval chaining: busy-ion and site-vacancy violations in one test.
-    if (same_site & (s_t[1:] + _EPS < s_end[:-1])).any():
-        return fail()
-    # Episode alternation via a segmented running occupancy count.
-    new_group = np.r_[True, ~same_site]
-    grp_id = np.cumsum(new_group) - 1
-    csum = np.cumsum(s_delta)
-    base = (csum - s_delta)[new_group]
-    count = csum - base[grp_id]
-    if count.min() < 0 or count.max() > 1:
-        return fail()
-    if ((s_delta == 0) & (count == 0)).any():
-        return fail()
-
-    # Governing arrival per position: segmented running max of arrival
-    # positions (the additive group offset keeps maxima from leaking
-    # across site groups).
-    big = np.int64(len(s_site) + 2)
-    pos = np.arange(len(s_site), dtype=np.int64)
-    marked = np.where(s_event >= 0, pos, np.int64(-1))
-    gov_pos = np.maximum.accumulate(marked + grp_id * big) - grp_id * big
-
-    # Ion identity by pointer doubling: a move-arrival's parent is the
-    # arrival governing its source departure (alternation above guarantees
-    # it exists); initial and Load events are the chain roots.
-    entry_pos = np.empty(len(s_site), dtype=np.int64)
-    entry_pos[order] = pos  # original entry index -> sorted position
-    dep0 = n_init + n_load
-    dep_positions = entry_pos[dep0 : dep0 + n_move]
-    parent = np.arange(n_events, dtype=np.int64)
-    parent[n_init + n_load :] = s_event[gov_pos[dep_positions]]
-    while True:
-        hop = parent[parent]
-        if np.array_equal(hop, parent):
-            break
-        parent = hop
-    event_ion = np.empty(n_events, dtype=np.int64)
-    event_ion[:n_init] = np.fromiter(
-        initial_occupancy.values(), dtype=np.int64, count=n_init
-    )
-    # Loads allocate ids above every id seen so far, in execution order.
-    max_ion = int(event_ion[:n_init].max()) if n_init else -1
-    event_ion[n_init : n_init + n_load] = max_ion + 1 + np.arange(n_load)
-    event_ion = event_ion[parent]
-
-    # Final occupancy: a site group whose last entry leaves the running
-    # count at 1 still holds the ion of its governing arrival.
-    group_last = np.r_[~same_site, True]
-    occupant: dict[int, int] = {}
-    for p in np.nonzero(group_last & (count == 1))[0].tolist():
-        occupant[int(s_site[p])] = int(event_ion[s_event[gov_pos[p]]])
-
-    # --- report ----------------------------------------------------------
-    report.n_instructions = n
-    report.n_moves = int(len(move_idx))
-    report.n_junction_crossings = int(len(junction_ids))
-    report.junctions_used = set(np.unique(junction_ids).tolist())
-    report.sites_used = circuit.used_sites()  # cached, shared with §3.4
-    report.final_occupancy = occupant
-    report.makespan = float(end.max())
-    return report

@@ -7,9 +7,10 @@ rate depend on its tie-breaking.  The Python kernel is forced by making the
 loader report a failure, so each comparison runs the same decoder class over
 the same graph under both kernels.
 
-All four native kernels, the union-find decoder's, the frame sampler's
-(``repro/sim/_frame_kernel.c``), the DEM walk's (``repro/sim/_dem_kernel.c``)
-and the SIMD scheduler's (``repro/hardware/_simd_kernel.c``), build through
+All five native kernels, the union-find decoder's, the frame sampler's
+(``repro/sim/_frame_kernel.c``), the DEM walk's (``repro/sim/_dem_kernel.c``),
+the SIMD scheduler's (``repro/hardware/_simd_kernel.c``) and the validity
+replay's (``repro/hardware/_validity_kernel.c``), build through
 :mod:`repro.util.native`; the build-path tests at the end run once per
 kernel.
 """
@@ -42,8 +43,9 @@ from repro.decode import (
     WindowedUnionFindDecoder,
     _uf_native,
 )
-from repro.hardware import _simd_native
+from repro.hardware import _simd_native, _validity_native
 from repro.hardware.simd import simd_schedule
+from repro.hardware.validity import ValidityReport, check_circuit
 from repro.sim import _dem_native, frame
 from repro.sim.dem import FaultTable, extract_fault_table
 from repro.sim.frame import FrameSampler
@@ -233,15 +235,16 @@ def _walked(table: FaultTable) -> list:
 
 @functools.cache
 def _d3_cnot():
-    """A d=3 lattice-surgery CNOT's unscheduled circuit and its grid."""
+    """A d=3 lattice-surgery CNOT's unscheduled circuit, its grid and initial occupancy."""
     compiler = TISCC(dx=3, dz=3, tile_rows=2, tile_cols=2)
     compiled = compiler.compile(lattice_surgery_cnot_program(), validate=False, estimate=False)
-    return compiled.circuit, compiler.grid
+    return compiled.circuit, compiler.grid, compiled.initial_occupancy
 
 
 def _d3_schedule() -> SimpleNamespace:
     """A fresh width-3 serial-beam SIMD schedule of the d=3 CNOT."""
-    scheduled, report = simd_schedule(*_d3_cnot(), width=3, mode="pass_serial", overhead_us=2.5)
+    circuit, grid, _ = _d3_cnot()
+    scheduled, report = simd_schedule(circuit, grid, width=3, mode="pass_serial", overhead_us=2.5)
     return SimpleNamespace(
         kernel=report.kernel,
         fallback_reason=report.fallback_reason,
@@ -260,6 +263,12 @@ class Kernel:
     make: Callable[[], object]
     #: The user's output on a fixed input.
     output: Callable[[object], list]
+
+
+def _d3_validity() -> ValidityReport:
+    """A validity replay of the d=3 CNOT."""
+    circuit, grid, occupancy = _d3_cnot()
+    return check_circuit(grid, circuit, occupancy)
 
 
 def _sampled(sampler: FrameSampler) -> list:
@@ -284,6 +293,7 @@ KERNELS = {
         make=_d3_schedule,
         output=lambda schedule: [schedule.starts, schedule.passes],
     ),
+    "validity": Kernel(_validity_native, make=_d3_validity, output=lambda report: [report]),
 }
 
 

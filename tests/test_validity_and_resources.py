@@ -5,7 +5,11 @@ import pytest
 from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.grid import GridManager, JUNCTION_HOP_US, MOVE_US
 from repro.hardware.resources import estimate_resources
-from repro.hardware.validity import CircuitValidityError, check_circuit
+from repro.hardware.validity import (
+    CircuitValidityError,
+    check_circuit,
+    check_circuit_reference,
+)
 from repro.util.geometry import ZONE_PITCH_M
 from tests.conftest import fresh_patch
 
@@ -90,6 +94,42 @@ class TestValidityChecker:
         c.append("Load", (s,), 0.0, 0.0)
         with pytest.raises(CircuitValidityError):
             check_circuit(g, c, {s: 0})
+
+    @pytest.mark.parametrize("checker", [check_circuit, check_circuit_reference])
+    def test_load_onto_a_negative_site_rejected(self, checker):
+        c = HardwareCircuit()
+        c.append("Load", (-2,), 0.0, 0.0)
+        with pytest.raises(CircuitValidityError, match=r"^qsite -2 out of range \(at 'Load -2"):
+            checker(self.grid(), c, {})
+
+    @pytest.mark.parametrize("checker", [check_circuit, check_circuit_reference])
+    def test_load_before_a_fresh_site_is_released_rejected(self, checker):
+        """A never-used site counts as released at 0.0."""
+        c = HardwareCircuit()
+        c.append("Load", (1,), -50.0, 0.0)
+        with pytest.raises(CircuitValidityError, match="^site 1 not vacated at load time"):
+            checker(self.grid(), c, {})
+
+    @pytest.mark.parametrize("checker", [check_circuit, check_circuit_reference])
+    @pytest.mark.parametrize(
+        "name,sites",
+        [
+            ("ZZ", (1, 81)),
+            ("Move", (1, 81)),
+            ("Move", (-1, 2)),
+            ("Move", (81, 2)),
+            ("X_pi/2", (81,)),
+            ("Load", (81,)),
+        ],
+    )
+    def test_row_sites_off_the_grid_rejected(self, checker, name, sites):
+        """Not the grid's bare ValueError: a validity error naming the site."""
+        g = self.grid()
+        c = HardwareCircuit()
+        c.append(name, sites, 0.0, 10.0)
+        bad = next(s for s in sites if not 0 <= s < g.n_positions)
+        with pytest.raises(CircuitValidityError, match=f"^qsite {bad} out of range"):
+            checker(g, c, {1: 0})
 
 
 class TestResources:
