@@ -32,6 +32,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
 
@@ -221,6 +223,34 @@ def _validate_seed(seed: int) -> str | None:
     return None
 
 
+def _validate_json_path(path: str | None) -> str | None:
+    """One-line complaint for a ``--json`` path that cannot be written, or None.
+
+    Checked before the run, so a long sweep never ends in a traceback over
+    where to put its results.
+    """
+    if path is None:
+        return None
+    if os.path.isdir(path):
+        return f"--json {path} is a directory, not a file"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"--json {path}: no such directory {parent}"
+    return None
+
+
+def _write_json(path: str, payload) -> int:
+    """Write ``payload`` to ``--json`` ``path``; exit code 2 with one line on failure."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+    except OSError as err:
+        print(f"--json {path}: {err.strerror or err}")
+        return 2
+    print(f"# wrote {path}")
+    return 0
+
+
 def _add_profile_argument(parser: argparse.ArgumentParser, repeatable: bool = False) -> None:
     """``--profile NAME|PATH``: hardware profile selection.
 
@@ -347,8 +377,6 @@ def _validate_rates(
 
 
 def _cmd_lfr(args: argparse.Namespace) -> int:
-    import json
-
     from repro.estimator.sweep import logical_error_sweep
     from repro.sim.noise import NoiseModel
 
@@ -361,6 +389,7 @@ def _cmd_lfr(args: argparse.Namespace) -> int:
         or _validate_seed(args.seed)
         or _validate_job_args(args)
         or _validate_window_args(args)
+        or _validate_json_path(args.json)
     )
     if complaint:
         print(complaint)
@@ -412,21 +441,20 @@ def _cmd_lfr(args: argparse.Namespace) -> int:
     _print_job_summary(args, stats)
     print(format_logical_error_table(reports, title="decoded logical error rates"))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2)
-        print(f"# wrote {args.json}")
+        return _write_json(args.json, [r.to_dict() for r in reports])
     return 0
 
 
 def _cmd_dem(args: argparse.Namespace) -> int:
-    import json
     from collections import Counter
 
     from repro.decode.memory import MemoryExperiment
     from repro.sim.noise import NoiseModel
 
-    complaint = _validate_distances([args.distance]) or _validate_rates(
-        None if args.rate is None else [args.rate], flag="--rate"
+    complaint = (
+        _validate_distances([args.distance])
+        or _validate_rates(None if args.rate is None else [args.rate], flag="--rate")
+        or _validate_json_path(args.json)
     )
     if complaint:
         print(complaint)
@@ -510,9 +538,7 @@ def _cmd_dem(args: argparse.Namespace) -> int:
             # --stats + --json is not an error: the same fields ride along
             # inside the artifact.
             payload["stats"] = stats
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"# wrote {args.json}")
+        return _write_json(args.json, payload)
     return 0
 
 

@@ -4,10 +4,10 @@ The canonical benchmark behind every "logical error rate vs distance" plot:
 prepare a logical |0> (or |+>), run ``R`` rounds of error correction, and
 measure the logical operator transversally.  :class:`MemoryExperiment`
 compiles that program once through the TISCC stack, extracts the detector
-layout from the compiled stabilizer schedule (the per-round face outcome
-labels of the patch's :class:`~repro.code.stabilizer_circuits.RoundRecord`
-bookkeeping plus the final transversal data labels), and decodes whole
-:class:`~repro.sim.batch.BatchResult` batches with any registered decoder
+layout from the compiled stabilizer schedule (one label set per detector,
+from the per-round face outcome labels of the patch's
+:class:`~repro.code.stabilizer_circuits.RoundRecord` bookkeeping plus the
+final transversal data labels), and decodes with any registered decoder
 (weighted union-find by default) over the matching graph built from the
 detector error model of the noise in play.
 
@@ -17,13 +17,14 @@ fire the Z faces (and symmetrically for X memories).  The complementary
 sector's outcomes are simulated but carry no information about this
 logical, so they never enter the matching graph.
 
-Two sampling engines share the detector layout: the packed-tableau replay
+Two sampling engines share that layout: the packed-tableau replay
 (:meth:`MemoryExperiment.sample` + :meth:`MemoryExperiment.syndromes`, the
 reference) and the detector-error-model fast path
 (:meth:`MemoryExperiment.detector_error_model` +
-:meth:`MemoryExperiment.sample_frame`, no tableau at all) — select with
-``run(engine="frame")``.  Decoding a noisy run needs the detector error
-model on either engine, so a non-Clifford schedule raises
+:meth:`MemoryExperiment.sample_frame`, no tableau at all), which
+:meth:`MemoryExperiment.run` decodes chunk by chunk in one loop — select
+with ``run(engine="frame")``.  Decoding a noisy run needs the detector
+error model on either engine, so a non-Clifford schedule raises
 :class:`~repro.sim.dem.DemExtractionError`; non-Clifford circuits sample
 through :meth:`~repro.core.compiler.TISCC.simulate_shots` instead.
 """
@@ -70,9 +71,13 @@ class _MemoryCore:
     benchmarks) compile each distance at most once per process.
 
     ``fault_tables`` entries may be lazily-tiled periodic tables (built
-    from the rounds-independent ``_TEMPLATE_CACHE`` below rather than a
+    from a ``_TEMPLATE_ROUNDS``-round core's ``templates`` rather than a
     walk of this core's own circuit); their contents are bit-identical to
-    a full walk either way.
+    a full walk either way.  ``templates`` maps
+    :func:`~repro.sim.dem.dem_structure_key` to the
+    :class:`~repro.sim.dem.PeriodicTemplate` this core's circuit yields, or
+    ``None`` when it cannot serve as one (cached so the failure is only
+    diagnosed once).
     """
 
     compiler: TISCC
@@ -80,15 +85,13 @@ class _MemoryCore:
     rounds: int
     faces: list
     logical_sites: set[int]
-    round_labels: list[list[str]]
-    final_labels: list[list[str]]
-    logical_value: object
     observable_labels: list[str]
     detector_labels: list[list[str]]
     graph: MatchingGraph
     fault_tables: dict = field(default_factory=dict)
     dem_graphs: dict = field(default_factory=dict)
     frame_samplers: dict = field(default_factory=dict)
+    templates: dict = field(default_factory=dict)
 
 
 #: :attr:`ExperimentSpec.compile_key` -> compiled core, LRU-capped.
@@ -100,14 +103,11 @@ _CORE_CACHE_MAX = 32
 #: self-check (>= 6; 9 rounds -> 8 copies) with a couple to spare.
 _TEMPLATE_ROUNDS = 9
 
-#: (template spec's compile key, dem_structure_key) ->
-#: :class:`~repro.sim.dem.PeriodicTemplate` or ``None`` (template
-#: construction failed; cached so the failure is only diagnosed once).
-#: Rounds-independent by construction — every experiment over the same
-#: patch/basis/profile/noise-structure shares one entry no matter its
-#: ``rounds``, so changing ``rounds`` never re-walks a circuit.
-_TEMPLATE_CACHE: OrderedDict[tuple, PeriodicTemplate | None] = OrderedDict()
-_TEMPLATE_CACHE_MAX = 16
+#: Byte budget of one frame-engine chunk's ``(shots, n_detectors)`` uint8
+#: detector matrix: :meth:`MemoryExperiment.run` samples and decodes
+#: ``max(1, CHUNK_BYTES // n_detectors)`` shots at a time, so a run's peak
+#: memory does not grow with its shot count.
+CHUNK_BYTES = 16 << 20
 
 
 def _periodic_template(spec: ExperimentSpec, params: NoiseParams) -> PeriodicTemplate | None:
@@ -115,30 +115,27 @@ def _periodic_template(spec: ExperimentSpec, params: NoiseParams) -> PeriodicTem
 
     Compiles a ``_TEMPLATE_ROUNDS``-round memory (through the ordinary
     ``_memory_core`` cache, SIMD-scheduled when ``spec.simd`` is, so its
-    rounds are timed like the target's) and full-walks it exactly once; the
-    resulting :class:`~repro.sim.dem.PeriodicTemplate` then serves every
-    round count via :func:`~repro.sim.dem.extract_fault_table`'s tiling
-    path.
+    rounds are timed like the target's) and full-walks it once per noise
+    structure; the resulting :class:`~repro.sim.dem.PeriodicTemplate`,
+    kept on that compile's core, then serves every round count via
+    :func:`~repro.sim.dem.extract_fault_table`'s tiling path.  Every
+    experiment over the same patch/basis/profile/noise structure shares it
+    whatever its ``rounds``, so changing ``rounds`` never re-walks a
+    circuit.
     """
-    template_spec = ExperimentSpec(
-        spec.dx, spec.dz, _TEMPLATE_ROUNDS, spec.basis, spec.profile, spec.simd
+    core = _memory_core(
+        ExperimentSpec(spec.dx, spec.dz, _TEMPLATE_ROUNDS, spec.basis, spec.profile, spec.simd)
     )
-    key = (template_spec.compile_key, dem_structure_key(params))
-    if key in _TEMPLATE_CACHE:
-        _TEMPLATE_CACHE.move_to_end(key)
-        return _TEMPLATE_CACHE[key]
-    core = _memory_core(template_spec)
-    template = make_periodic_template(
-        core.compiled.circuit,
-        core.compiled.initial_occupancy,
-        params,
-        core.detector_labels,
-        [core.observable_labels],
-    )
-    _TEMPLATE_CACHE[key] = template
-    while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_MAX:
-        _TEMPLATE_CACHE.popitem(last=False)
-    return template
+    key = dem_structure_key(params)
+    if key not in core.templates:
+        core.templates[key] = make_periodic_template(
+            core.compiled.circuit,
+            core.compiled.initial_occupancy,
+            params,
+            core.detector_labels,
+            [core.observable_labels],
+        )
+    return core.templates[key]
 
 
 def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
@@ -162,31 +159,25 @@ def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
     logical = patch.logical_z if basis == "Z" else patch.logical_x
     logical_sites = set(logical.pauli.support)
 
-    round_labels = [
-        [rec.outcome_labels[p.face] for p in faces] for rec in patch.round_records
-    ]
-    measure_result = compiled.results[-1]
+    # Face outcome labels per round, in face order: ``[round][face]``.
+    by_round = [[rec.outcome_labels[p.face] for p in faces] for rec in patch.round_records]
     site_label = {
         patch.layout.data_site(*ij): label
-        for ij, label in measure_result.labels.items()
+        for ij, label in compiled.results[-1].labels.items()
     }
-    final_labels = [
-        [site_label[s] for s in sorted(p.data_sites.values())] for p in faces
-    ]
     observable_labels = [site_label[s] for s in sorted(logical_sites)] + list(
         logical.corrections
     )
-    n_faces = len(faces)
-    detector_labels: list[list[str]] = []
-    for t in range(n_rounds + 1):
-        for f in range(n_faces):
-            if t == 0:
-                labels = [round_labels[0][f]]
-            elif t < n_rounds:
-                labels = [round_labels[t][f], round_labels[t - 1][f]]
-            else:
-                labels = final_labels[f] + [round_labels[t - 1][f]]
-            detector_labels.append(labels)
+    # Slice 0 is round 0 alone, slice t XORs rounds t/t-1, and slice R XORs
+    # the face parity recomputed from the final transversal data labels
+    # against round R-1.
+    detector_labels = [[label] for label in by_round[0]]
+    for cur, prev in zip(by_round[1:], by_round):
+        detector_labels += [[c, p] for c, p in zip(cur, prev)]
+    detector_labels += [
+        [site_label[s] for s in sorted(face.data_sites.values())] + [p]
+        for face, p in zip(faces, by_round[-1])
+    ]
 
     core = _MemoryCore(
         compiler=compiler,
@@ -194,9 +185,6 @@ def _memory_core(spec: ExperimentSpec) -> _MemoryCore:
         rounds=n_rounds,
         faces=faces,
         logical_sites=logical_sites,
-        round_labels=round_labels,
-        final_labels=final_labels,
-        logical_value=measure_result.value,
         observable_labels=observable_labels,
         detector_labels=detector_labels,
         # The ideal model's DEM graph: no mechanism, so no edge.
@@ -270,11 +258,6 @@ class MemoryExperiment:
         self.rounds = core.rounds
         self.faces = core.faces
         self.logical_sites = core.logical_sites
-        #: Face outcome labels per round, in face order: ``[round][face]``.
-        self.round_labels: list[list[str]] = core.round_labels
-        #: Final transversal data labels per face, in face order.
-        self.final_labels: list[list[str]] = core.final_labels
-        self._logical_value = core.logical_value
         #: Labels whose XOR parity is the logical readout: the transversal
         #: labels on the tracked logical's data support, plus any correction
         #: labels the operator ledger accumulated (empty for plain memory).
@@ -306,11 +289,10 @@ class MemoryExperiment:
     def clear_compile_cache() -> None:
         """Drop every cached compiled memory experiment (mainly for tests).
 
-        Also drops the periodic-extraction template cache, which holds
-        references into cached compiles.
+        The periodic-extraction templates live on their compiles' cores, so
+        they go too.
         """
         _CORE_CACHE.clear()
-        _TEMPLATE_CACHE.clear()
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -428,51 +410,36 @@ class MemoryExperiment:
             graph = self._dem_graphs[key] = build_dem_graph(self.detector_error_model(noise))
         return graph
 
-    def _decoder_key(self, graph_key, name: str) -> tuple:
-        """Cache key of one built decoder.
-
-        Layout-aware decoders additionally key on the experiment's window
-        shape, so two experiments over the same core that differ only in
-        ``(window, commit)`` never share an instance.
-        """
-        key: tuple = (graph_key, name)
-        if decoder_class(name).wants_layout:
-            key += (self.spec.window, self.spec.commit)
-        return key
-
-    def _build_decoder(self, name: str, graph: MatchingGraph) -> Decoder:
-        """Instantiate decoder ``name`` over ``graph`` with layout kwargs if wanted."""
-        if decoder_class(name).wants_layout:
-            d, spec = max(self.dx, self.dz), self.spec
-            return get_decoder(
-                name,
-                graph,
-                n_faces=len(self.faces),
-                window=spec.window if spec.window is not None else 2 * d,
-                commit=spec.commit if spec.commit is not None else d,
-            )
-        return get_decoder(name, graph)
-
     def decoder_for(
         self, noise: NoiseModel | None = None, decoder: str | None = None
     ) -> Decoder:
         """The decoder ``decoder`` (default: the experiment's) for ``noise``.
 
         Built over :meth:`matching_graph` on first use and cached per
-        instance.  Raises :class:`ValueError` when the decoder's graph has a
-        detector count other than :attr:`n_detectors` — a mismatch would
+        instance.  Layout-aware decoders also get the face count and window
+        shape, and key on the experiment's ``(window, commit)``, so two
+        experiments over the same core that differ only there never share
+        an instance.  Raises :class:`ValueError` when the decoder's graph has
+        a detector count other than :attr:`n_detectors` — a mismatch would
         otherwise decode garbage silently.  The guard runs before a decoder
         enters the cache, so a rejected one never wedges later calls, and on
         every cache hit, so externally injected instances are checked too.
         """
         name = decoder if decoder is not None else self.spec.decoder
         graph = self.matching_graph(noise)
-        key = self._decoder_key(
-            "ideal" if graph is self.graph else self._params_key(noise), name
-        )
+        key: tuple = ("ideal" if graph is self.graph else self._params_key(noise), name)
+        layout = {}
+        if decoder_class(name).wants_layout:
+            d, spec = max(self.dx, self.dz), self.spec
+            key += (spec.window, spec.commit)
+            layout = dict(
+                n_faces=len(self.faces),
+                window=spec.window if spec.window is not None else 2 * d,
+                commit=spec.commit if spec.commit is not None else d,
+            )
         built = self._decoders.get(key)
         if built is None:
-            built = self._build_decoder(name, graph)
+            built = get_decoder(name, graph, **layout)
         if built.graph.n_detectors != self.n_detectors:
             raise ValueError(
                 f"decoder graph has {built.graph.n_detectors} detectors but "
@@ -521,29 +488,15 @@ class MemoryExperiment:
     def syndromes(self, batch: BatchResult) -> np.ndarray:
         """Detector bit matrix ``(n_shots, n_detectors)`` for a batch.
 
-        Slice 0 is the first round's face outcomes (deterministic for the
-        prepared state), slices ``1..R-1`` are consecutive-round XORs, and
-        slice ``R`` XORs the last round against face parities recomputed
-        from the final transversal data measurements.
+        Column ``i`` XORs the outcomes named by ``detector_labels[i]``, the
+        layout the detector error model, the frame sampler and every
+        decoding graph share.
         """
-        n_faces = len(self.faces)
-        det = np.empty((batch.n_shots, self.n_detectors), dtype=np.uint8)
-        prev = np.zeros((batch.n_shots, n_faces), dtype=np.uint8)
-        for t, labels in enumerate(self.round_labels):
-            cur = np.stack([batch.outcomes[lab] for lab in labels], axis=1)
-            det[:, t * n_faces : (t + 1) * n_faces] = cur ^ prev
-            prev = cur
-        final = np.zeros((batch.n_shots, n_faces), dtype=np.uint8)
-        for f, labels in enumerate(self.final_labels):
-            for lab in labels:
-                final[:, f] ^= batch.outcomes[lab]
-        det[:, self.rounds * n_faces :] = final ^ prev
-        return det
+        return np.stack([_parity(batch, labels) for labels in self.detector_labels], axis=1)
 
     def measured_flips(self, batch: BatchResult) -> np.ndarray:
-        """Raw (undecoded) logical flips per shot: measured sign != prepared."""
-        values = np.asarray(self._logical_value(batch))
-        return (values < 0).astype(np.uint8)
+        """Raw (undecoded) logical flips per shot: the XOR of :attr:`observable_labels`."""
+        return _parity(batch, self.observable_labels)
 
     # -------------------------------------------------------------- decoding
     def decode_batch(
@@ -570,23 +523,24 @@ class MemoryExperiment:
         seed: int | None = 0,
         noise_seed: int | None = None,
         engine: str = "tableau",
-        max_batch: int | None = None,
         decoder: str | None = None,
         shot_offset: int = 0,
     ) -> LogicalErrorReport:
         """Sample ``n_shots``, decode them, and summarize the logical fidelity.
 
-        ``engine`` selects the sampling path.  ``"frame"`` — what rate
-        sweeps and the CLI actually run — samples detection events directly
-        from the detector error model with no tableau at all, decoding each
-        ``max_batch`` chunk as it is produced so peak memory stays
-        O(max_batch × n_detectors) however many shots are requested.
-        ``"tableau"`` (the default, kept as the reference) replays the
-        packed stabilizer engine per batch.  Per-shot streams make frame
-        results identical for any ``max_batch`` chunking.  Both engines
-        decode over the noise model's DEM graph, so with noise a
-        non-Clifford schedule raises
-        :class:`~repro.sim.dem.DemExtractionError` on either.
+        ``engine`` selects how each chunk of ``(detectors, observable
+        flips)`` is drawn; one loop then decodes, counts and times every
+        chunk the same way, over the noise model's DEM graph (so with noise
+        a non-Clifford schedule raises
+        :class:`~repro.sim.dem.DemExtractionError` on either engine).
+        ``"frame"`` — what rate sweeps and the CLI run — samples the DEM
+        directly, with no tableau, ``max(1, CHUNK_BYTES // n_detectors)``
+        shots per chunk, so peak memory is one chunk's detector matrix
+        however many shots are requested; per-shot streams make the counts
+        identical for every chunk size.  ``"tableau"`` (the default, kept
+        as the reference) replays the packed stabilizer engine over all
+        ``n_shots`` as one chunk, because its shared noise stream must not
+        split.
 
         On the frame path *all* randomness is noise randomness, so
         ``noise_seed`` (when given) selects the mechanism-sampling streams
@@ -606,107 +560,44 @@ class MemoryExperiment:
         """
         if n_shots < 1:
             raise ValueError("need at least one shot")
-        if engine not in ("frame", "tableau"):
-            raise ValueError(f"engine must be 'frame' or 'tableau', got {engine!r}")
         if engine == "frame":
-            return self._run_frame(
-                n_shots,
-                noise,
-                seed if noise_seed is None else noise_seed,
-                max_batch,
-                decoder,
-                shot_offset,
-            )
-        if shot_offset:
-            raise ValueError(
-                "shot_offset requires the frame engine's per-shot streams; "
-                "the tableau engine cannot shard the shot axis"
-            )
+            sampler = self.frame_sampler(noise)
+            stream = seed if noise_seed is None else noise_seed
+            step = max(1, CHUNK_BYTES // self.n_detectors)
+
+            def draw(offset: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+                part = sampler.sample(n, seed=stream, shot_offset=shot_offset + offset)
+                return part.detectors, part.observables[:, 0]
+
+        elif engine == "tableau":
+            if shot_offset:
+                raise ValueError(
+                    "shot_offset requires the frame engine's per-shot streams; "
+                    "the tableau engine cannot shard the shot axis"
+                )
+            step = n_shots
+
+            def draw(offset: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+                batch = self.sample(n, noise=noise, seed=seed, noise_seed=noise_seed)
+                return self.syndromes(batch), self.measured_flips(batch)
+
+        else:
+            raise ValueError(f"engine must be 'frame' or 'tableau', got {engine!r}")
 
         dec = self.decoder_for(noise, decoder)
-        t0 = time.perf_counter()
-        batch = self.sample(n_shots, noise=noise, seed=seed, noise_seed=noise_seed)
-        sim_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        syndromes = self.syndromes(batch)
-        raw = self.measured_flips(batch)
-        failures = raw ^ dec.decode_batch(syndromes)
-        decode_seconds = time.perf_counter() - t0
-
-        return self._report(
-            noise,
-            n_shots,
-            failures=int(failures.sum()),
-            raw_failures=int(raw.sum()),
-            mean_defects=float(syndromes.sum(axis=1).mean()),
-            sim_seconds=sim_seconds,
-            decode_seconds=decode_seconds,
-            engine="tableau",
-            decoder=dec.name,
-        )
-
-    def _run_frame(
-        self,
-        n_shots: int,
-        noise: NoiseModel | None,
-        seed: int | None,
-        max_batch: int | None,
-        decoder: str | None = None,
-        shot_offset: int = 0,
-    ) -> LogicalErrorReport:
-        """Frame-engine body of :meth:`run` (DEM built/cached up front).
-
-        Streams: each ``max_batch`` chunk is sampled, decoded, and reduced
-        to integer failure/defect counts before the next chunk is drawn, so
-        peak memory is one chunk's detector matrix — ``max_batch`` really
-        is the memory bound it claims to be (the whole batch used to be
-        concatenated and decoded as one block).  Per-shot seeding makes the
-        counts identical for every chunking.
-        """
-        sampler = self.frame_sampler(noise)
-        dec = self.decoder_for(noise, decoder)
-
-        step = max_batch if max_batch is not None and max_batch >= 1 else n_shots
-        failures = 0
-        raw_failures = 0
-        defect_total = 0
-        sim_seconds = 0.0
-        decode_seconds = 0.0
-        for off in range(0, n_shots, step):
+        failures = raw_failures = defects = 0
+        sim_seconds = decode_seconds = 0.0
+        for offset in range(0, n_shots, step):
             t0 = time.perf_counter()
-            part = sampler.sample(
-                min(step, n_shots - off), seed=seed, shot_offset=shot_offset + off
-            )
+            detectors, raw = draw(offset, min(step, n_shots - offset))
             t1 = time.perf_counter()
-            raw = part.observables[:, 0]
-            fail = raw ^ dec.decode_batch(part.detectors)
-            t2 = time.perf_counter()
+            fail = raw ^ dec.decode_batch(detectors)
+            decode_seconds += time.perf_counter() - t1
             sim_seconds += t1 - t0
-            decode_seconds += t2 - t1
             failures += int(fail.sum())
             raw_failures += int(raw.sum())
-            defect_total += int(part.detectors.sum())
+            defects += int(detectors.sum())
 
-        return self._report(
-            noise,
-            n_shots,
-            failures=failures,
-            raw_failures=raw_failures,
-            mean_defects=defect_total / n_shots if n_shots else 0.0,
-            sim_seconds=sim_seconds,
-            decode_seconds=decode_seconds,
-            engine="frame",
-            decoder=dec.name,
-        )
-
-    def _report(
-        self,
-        noise: NoiseModel | None,
-        n_shots: int,
-        **kwargs,
-    ) -> LogicalErrorReport:
-        params = noise.params if noise is not None else None
         return LogicalErrorReport(
             operation=self.compiled.operation,
             dx=self.dx,
@@ -714,9 +605,15 @@ class MemoryExperiment:
             rounds=self.rounds,
             n_shots=n_shots,
             noise_name=noise.name if noise is not None else "none",
-            physical_rate=params.p2 if params is not None else None,
+            physical_rate=noise.params.p2 if noise is not None else None,
             profile=self.profile.name,
-            **kwargs,
+            failures=failures,
+            raw_failures=raw_failures,
+            mean_defects=defects / n_shots,
+            sim_seconds=sim_seconds,
+            decode_seconds=decode_seconds,
+            engine=engine,
+            decoder=dec.name,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -724,3 +621,11 @@ class MemoryExperiment:
             f"<MemoryExperiment {self.spec.basis} dx={self.dx} dz={self.dz} "
             f"rounds={self.rounds} detectors={self.n_detectors}>"
         )
+
+
+def _parity(batch: BatchResult, labels: list[str]) -> np.ndarray:
+    """Per-shot XOR of the outcome bits ``labels`` name."""
+    bits = np.zeros(batch.n_shots, dtype=np.uint8)
+    for label in labels:
+        bits ^= batch.outcomes[label]
+    return bits

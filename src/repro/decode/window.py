@@ -32,8 +32,8 @@ decode_batch` (the registry contract, fed column slices of a materialized
 syndrome matrix) and :meth:`~WindowedUnionFindDecoder.decode_stream`, which
 consumes an *iterator* of per-slice ``(n_shots, faces)`` detector arrays
 and buffers only the active window — the streaming shape a bounded-latency
-hardware decoder has, and the path :meth:`MemoryExperiment._run_frame`
-drives chunk by chunk.
+hardware decoder has.  :meth:`MemoryExperiment.run` feeds ``decode_batch``
+one memory-bounded chunk of shots at a time.
 """
 
 from __future__ import annotations

@@ -72,13 +72,18 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.results_dir = self.root / self.RESULTS
-        self.results_dir.mkdir(parents=True, exist_ok=True)
         #: key -> sha256 recorded in the manifest (authoritative when present).
         self._manifest: dict[str, str] = {}
         #: every key believed to have a result file.
         self._known: set[str] = set()
         self.stats = {"hits": 0, "misses": 0, "corrupt": 0, "torn_lines": 0, "rescued": 0}
-        self._load()
+        try:
+            self.results_dir.mkdir(parents=True, exist_ok=True)
+            self._load()
+        except OSError as err:
+            raise CheckpointError(
+                f"checkpoint {self.root} is not a usable directory: {err.strerror or err}"
+            ) from None
 
     # -------------------------------------------------------------- loading
     def _load(self) -> None:
@@ -200,11 +205,13 @@ class ResultCache:
         if meta_path.exists():
             try:
                 stored = json.loads(meta_path.read_text())
-            except ValueError:
+            except (OSError, ValueError):
+                stored = None
+            if not isinstance(stored, dict):
                 raise CheckpointError(
                     f"checkpoint {self.root} has an unreadable meta.json; "
                     "use a fresh --checkpoint directory"
-                ) from None
+                )
             if stored.get("fingerprint") != fingerprint:
                 raise CheckpointError(
                     f"checkpoint {self.root} was written for a different sweep "

@@ -27,9 +27,10 @@ seed itself: the engines spawn per-shot streams via
 neither the executing worker, the submission order, nor any chunk size —
 so *any* sharding of the cell list merges to bit-identical reports (the
 property suite in ``tests/test_sweep_jobs.py`` checks every mode against
-the plain loops in ``tests/oracles.py``).  ``max_batch`` is therefore an
-execution knob excluded from the cell key.  Wall-clock timing fields are
-the one nondeterministic part of a payload; compare runs with
+the plain loops in ``tests/oracles.py``), and the frame engine's
+memory-bounded chunks inside a cell (``repro.decode.memory.CHUNK_BYTES``)
+never enter the cell key.  Wall-clock timing fields are the one
+nondeterministic part of a payload; compare runs with
 :func:`payload_fingerprint`, which drops them.
 """
 
@@ -72,9 +73,9 @@ class SweepCell:
     experiment (one row of :func:`~repro.estimator.sweep.logical_error_sweep`),
     ``"resource"`` compiles one operation at one distance (one row of
     :func:`~repro.estimator.sweep.sweep_operation`).  ``spec`` holds the
-    experiment's axes.  ``max_batch`` chunks frame sampling inside a cell;
-    results are chunk-invariant in it (per-shot seed streams), so it does
-    not enter the cell key.
+    experiment's axes.  The frame engine samples a cell in memory-bounded
+    chunks whose size is no cell parameter: per-shot seed streams make the
+    results identical for any chunking.
     """
 
     kind: str
@@ -84,7 +85,6 @@ class SweepCell:
     engine: str = "frame"
     shots: int = 0
     seed: int = 0
-    max_batch: int | None = None
     #: First global shot index of this cell's slice of the per-shot seed
     #: streams (frame engine only).  Nonzero for shot-axis shards produced
     #: by :func:`shard_cell`; enters the key only when nonzero, so
@@ -139,7 +139,6 @@ def logical_error_cells(
     shots: int,
     seed: int = 0,
     engine: str = "frame",
-    max_batch: int | None = None,
 ) -> list[SweepCell]:
     """Cells of a logical-error sweep, spec-major; a ``None`` model is noiseless."""
     return [
@@ -151,7 +150,6 @@ def logical_error_cells(
             engine=engine,
             shots=shots,
             seed=seed,
-            max_batch=max_batch,
         )
         for spec in specs
         for model in noise_models
@@ -281,7 +279,6 @@ def execute_cell(cell: SweepCell) -> dict:
             noise=model,
             seed=cell.seed,
             engine=cell.engine,
-            max_batch=cell.max_batch,
             shot_offset=cell.shot_offset,
         )
         return report.to_dict()

@@ -210,7 +210,6 @@ def logical_error_sweep(
     rounds: int | None = None,
     seed: int = 0,
     engine: str = "frame",
-    max_batch: int | None = None,
     decoder: str | None = None,
     profile: HardwareProfile | str | Sequence[HardwareProfile | str] | None = None,
     jobs: int = 1,
@@ -238,9 +237,11 @@ def logical_error_sweep(
     ``engine="tableau"`` forces the reference path.  Both engines decode
     over the DEM graph, so a noisy point whose schedule cannot be folded
     into a DEM raises :class:`~repro.sim.dem.DemExtractionError` on
-    either.  ``max_batch`` chunks frame sampling; per-shot
-    ``SeedSequence.spawn`` streams make sweep results identical for any
-    chunking (a property the test suite locks down).
+    either.  The frame engine samples and decodes each point in
+    memory-bounded chunks (``repro.decode.memory.CHUNK_BYTES`` of detector
+    matrix each); per-shot ``SeedSequence.spawn`` streams make sweep
+    results identical for any chunking (a property the test suite locks
+    down).
 
     ``decoder`` names a registered decoder (``"union_find"``,
     ``"union_find_unweighted"``, ``"union_find_windowed"``, ``"lookup"``,
@@ -295,7 +296,6 @@ def logical_error_sweep(
             shots=shots,
             seed=seed,
             engine=engine,
-            max_batch=max_batch,
         )
     ]
     groups = [shard_cell(c, shot_shards) for c in cells]

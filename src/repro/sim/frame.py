@@ -25,8 +25,8 @@ rebuilds numpy's ``SeedSequence`` and PCG64 stream exactly.  Because the
 stream depends only on the *absolute* shot index, sampling 10 000 shots in
 one call or in any chunking of calls with matching ``shot_offset`` yields
 bit-identical results — the property ``tests/test_frame_sampler.py`` locks
-down and :func:`~repro.estimator.sweep.logical_error_sweep` relies on for
-``max_batch`` chunking.
+down and :meth:`~repro.decode.memory.MemoryExperiment.run` relies on when
+it samples a run in memory-bounded chunks.
 """
 
 from __future__ import annotations

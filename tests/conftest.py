@@ -16,7 +16,7 @@ from repro.sim.interpreter import CircuitInterpreter
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "slow: long-running randomized fuzz suites "
+        "slow: long-running suites (randomized fuzz, memory gates) "
         '(deselect with -m "not slow" for a quick pass)',
     )
 

@@ -14,7 +14,12 @@ Each function is the plain loop a production routine replaced:
 * the schedule graph derives a memory experiment's decoding graph from its
   face supports and visit layers, with unit weights — every DEM-built
   graph must share its nodes and the frame bit of every shared edge, and
-  the decoders are checked on its single faults.
+  the decoders are checked on its single faults;
+* the memory syndrome loop rebuilds a tableau batch's detectors round by
+  round from the patch's round records and reads the logical flip off the
+  compiled readout's sign — ``MemoryExperiment.syndromes`` and
+  ``measured_flips``, XORs over the DEM's detector and observable labels,
+  must equal it exactly.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ def logical_error_sweep(
     rounds=None,
     seed=0,
     engine="frame",
-    max_batch=None,
     decoder=None,
     profile=None,
     window=None,
@@ -90,16 +94,33 @@ def logical_error_sweep(
                 simd=simd,
             )
             for model in models:
-                reports.append(
-                    experiment.run(
-                        shots,
-                        noise=model,
-                        seed=seed,
-                        engine=engine,
-                        max_batch=max_batch,
-                    )
-                )
+                reports.append(experiment.run(shots, noise=model, seed=seed, engine=engine))
     return reports
+
+
+def memory_syndromes(exp: MemoryExperiment, batch) -> tuple[np.ndarray, np.ndarray]:
+    """A tableau batch's ``(detector matrix, raw logical flips)``, round by round.
+
+    Slice 0 is the first round's face outcomes, slices ``1..R-1`` XOR
+    consecutive rounds, and slice ``R`` XORs the last round against the face
+    parities of the final transversal data measurements.  A flip is a
+    negative logical readout sign.
+    """
+    patch = exp.compiler.tiles[(0, 0)].patch
+    measure = exp.compiled.results[-1]
+    site_label = {patch.layout.data_site(*ij): label for ij, label in measure.labels.items()}
+    layers = [
+        np.stack([batch.outcomes[rec.outcome_labels[face.face]] for face in exp.faces], axis=1)
+        for rec in patch.round_records
+    ]
+    final = np.zeros_like(layers[0])
+    for i, face in enumerate(exp.faces):
+        for site in face.data_sites.values():
+            final[:, i] ^= batch.outcomes[site_label[site]]
+    layers.append(final)
+    slices = [layers[0]] + [cur ^ prev for prev, cur in zip(layers, layers[1:])]
+    flips = (np.asarray(measure.value(batch)) < 0).astype(np.uint8)
+    return np.concatenate(slices, axis=1), flips
 
 
 def detection_rates(dem) -> np.ndarray:

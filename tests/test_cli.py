@@ -142,6 +142,59 @@ class TestValidation:
         assert "unknown noise preset" in out
         assert "Traceback" not in out
 
+    SMALL = {
+        "lfr": ["lfr", "--distances", "3", "--rates", "1e-3", "--shots", "20", "--rounds", "1"],
+        "sweep": ["sweep", "--op", "Idle", "--distances", "3"],
+        "dem": ["dem", "--distance", "3", "--rounds", "1", "--rate", "1e-3"],
+    }
+
+    @pytest.mark.parametrize("child", ["", "sub"], ids=["file", "below-file"])
+    @pytest.mark.parametrize("cmd", ["lfr", "sweep"])
+    def test_checkpoint_that_is_not_a_directory_is_one_line_error(
+        self, capsys, tmp_path, cmd, child
+    ):
+        (tmp_path / "F").write_text("")
+        ck = str(tmp_path / "F" / child) if child else str(tmp_path / "F")
+        code, out = run_cli(capsys, *self.SMALL[cmd], "--checkpoint", ck)
+        assert code == 2
+        assert out.startswith(f"checkpoint {ck} is not a usable directory: ")
+        assert out.count("\n") == 1
+
+    def test_checkpoint_whose_manifest_is_a_directory_is_one_line_error(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        (ck / "manifest.jsonl").mkdir(parents=True)
+        code, out = run_cli(capsys, *self.SMALL["sweep"], "--checkpoint", str(ck))
+        assert code == 2
+        assert out.startswith(f"checkpoint {ck} is not a usable directory: ")
+        assert out.count("\n") == 1
+
+    def test_checkpoint_meta_that_is_not_an_object_is_one_line_error(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        (ck / "meta.json").write_text("[1]")
+        code, out = run_cli(capsys, *self.SMALL["sweep"], "--checkpoint", str(ck))
+        assert code == 2
+        assert out == (
+            f"checkpoint {ck} has an unreadable meta.json; use a fresh --checkpoint directory\n"
+        )
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("cmd", ["lfr", "dem"])
+    def test_unwritable_json_path_is_rejected_before_running(self, capsys, tmp_path, cmd, target):
+        path = str(tmp_path) if target == "directory" else str(tmp_path / "missing" / "x.json")
+        code, out = run_cli(capsys, *self.SMALL[cmd], "--json", path)
+        assert code == 2
+        assert out.startswith(f"--json {path}") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", ["lfr", "dem"])
+    def test_failed_json_write_is_one_line_error(self, capsys, tmp_path, cmd):
+        # Passes the pre-run check, then fails to open: too long a file name.
+        path = str(tmp_path / ("x" * 300 + ".json"))
+        code, out = run_cli(capsys, *self.SMALL[cmd], "--json", path)
+        assert code == 2
+        assert out.splitlines()[-1].startswith(f"--json {path}: ")
+        assert "Traceback" not in out and "# wrote" not in out
+
 
 class TestHappyPaths:
     def test_dem_summary(self, capsys):

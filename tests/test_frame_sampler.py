@@ -4,8 +4,10 @@ Two layers of lock-down for the fast sampling path:
 
 * Seed plumbing — per-shot ``SeedSequence.spawn`` streams make sampling
   bit-reproducible and invariant under batch chunking, for the sampler
-  itself, for ``MemoryExperiment.run(engine="frame", max_batch=...)``, and
-  for ``logical_error_sweep`` (the regression the satellite task names).
+  itself, for ``MemoryExperiment.run(engine="frame")`` (whose chunk size the
+  tests shrink by patching ``repro.decode.memory.CHUNK_BYTES``), and for
+  ``logical_error_sweep``; a frame run never samples more than one chunk's
+  byte budget at once.
 * Distribution — frame samples must be statistically indistinguishable
   from the packed-tableau engine: summed per-detector chi-square on firing
   marginals, agreement with the DEM's analytic marginals, and decoded /
@@ -14,9 +16,14 @@ Two layers of lock-down for the fast sampling path:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repro.decode import memory
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.sweep import logical_error_sweep
 from repro.sim import frame
@@ -62,11 +69,12 @@ class TestSeedPlumbing:
         small = FrameSampler(sampler.dem).sample(100, seed=11)
         assert np.array_equal(full.detectors, small.detectors)
 
-    def test_run_results_independent_of_max_batch(self, exp3):
+    def test_run_results_independent_of_chunk_size(self, exp3, monkeypatch):
         model = NoiseModel.uniform(4e-3)
         baseline = exp3.run(500, noise=model, seed=9, engine="frame")
-        for max_batch in (100, 177, 500, 1000):
-            rep = exp3.run(500, noise=model, seed=9, engine="frame", max_batch=max_batch)
+        for chunk in (100, 177, 500, 1000):
+            monkeypatch.setattr(memory, "CHUNK_BYTES", chunk * exp3.n_detectors)
+            rep = exp3.run(500, noise=model, seed=9, engine="frame")
             assert rep.failures == baseline.failures
             assert rep.raw_failures == baseline.raw_failures
             assert rep.mean_defects == pytest.approx(baseline.mean_defects)
@@ -85,14 +93,77 @@ class TestSeedPlumbing:
         assert (a.failures, a.raw_failures) == (b.failures, b.raw_failures)
         assert a.mean_defects != c.mean_defects or a.raw_failures != c.raw_failures
 
-    def test_sweep_reproducible_regardless_of_chunking(self):
-        """The satellite regression: fixed seed -> identical sweep, any chunking."""
+    def test_sweep_reproducible_regardless_of_chunking(self, monkeypatch):
+        """Fixed seed -> identical sweep, any chunking."""
         kwargs = dict(rates=[2e-3], shots=400, rounds=2, seed=21, engine="frame")
         baseline = logical_error_sweep([3], **kwargs)
-        for max_batch in (64, 150, 400):
-            swept = logical_error_sweep([3], max_batch=max_batch, **kwargs)
+        n_detectors = MemoryExperiment(distance=3, rounds=2).n_detectors
+        for chunk in (64, 150, 400):
+            monkeypatch.setattr(memory, "CHUNK_BYTES", chunk * n_detectors)
+            swept = logical_error_sweep([3], **kwargs)
             assert [r.failures for r in swept] == [r.failures for r in baseline]
             assert [r.raw_failures for r in swept] == [r.raw_failures for r in baseline]
+
+
+class TestChunkBudget:
+    """A frame run holds one chunk's detector matrix at a time, however many
+    shots it draws: at most ``CHUNK_BYTES // n_detectors`` shots per chunk."""
+
+    def test_sampler_calls_stay_within_the_byte_budget(self, monkeypatch):
+        exp = MemoryExperiment(distance=5, rounds=100)  # 1,212 detectors
+        model = NoiseModel.uniform(5e-4)
+        shots = 30_000
+        step = memory.CHUNK_BYTES // exp.n_detectors
+        assert step < shots, "the run must span more than one chunk"
+        calls = []
+        sample = FrameSampler.sample
+
+        def recording_sample(self, n_shots, *args, **kwargs):
+            calls.append(n_shots)
+            return sample(self, n_shots, *args, **kwargs)
+
+        monkeypatch.setattr(FrameSampler, "sample", recording_sample)
+        chunked = exp.run(shots, noise=model, seed=1, engine="frame")
+        assert max(calls) <= step and sum(calls) == shots
+        assert len(calls) == -(-shots // step)
+
+        monkeypatch.setattr(memory, "CHUNK_BYTES", shots * exp.n_detectors)
+        del calls[:]
+        whole = exp.run(shots, noise=model, seed=1, engine="frame")
+        assert calls == [shots]
+        assert (chunked.failures, chunked.raw_failures, chunked.mean_defects) == (
+            whole.failures,
+            whole.raw_failures,
+            whole.mean_defects,
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the child's VmHWM")
+    def test_d11_cli_run_peak_rss_is_bounded(self):
+        """Memory gate: a 400,000-shot d=11 ``tiscc lfr`` cell stays under
+        200 MB peak RSS (sampled as one block it peaks near 350 MB).
+
+        The child reports its own high-water mark, so the C compiler runs
+        that build the native kernels do not count.  It reads ``VmHWM``
+        rather than ``RUSAGE_SELF``: Linux carries ``ru_maxrss`` over from
+        the forking process, so under a large pytest process it would
+        report the parent's peak."""
+        code = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            "code = main(['lfr', '--distances', '11', '--noise', 'near_term',"
+            " '--shots', '400000'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line for line in fh if line.startswith('VmHWM:')).strip())\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH="src" + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=1800
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        peak_mb = int(proc.stdout.split("VmHWM:")[-1].split()[0]) / 1024
+        assert peak_mb < 200, f"peak RSS {peak_mb:.0f} MB"
 
 
 class TestEngineBehaviour:
@@ -108,13 +179,12 @@ class TestEngineBehaviour:
             exp3.run(10, engine="statevector")
 
     @pytest.mark.parametrize("engine", ["frame", "tableau"])
-    @pytest.mark.parametrize("max_batch", [None, 10])
     @pytest.mark.parametrize("shots", [0, -3])
-    def test_fewer_than_one_shot_rejected(self, exp3, engine, max_batch, shots):
+    def test_fewer_than_one_shot_rejected(self, exp3, engine, shots):
         """Regression: the frame engine crashed in range() or divided by
         zero on 0 shots, and reported n_shots=-3 for -3."""
         with pytest.raises(ValueError, match="need at least one shot"):
-            exp3.run(shots, noise=NoiseModel.uniform(1e-3), engine=engine, max_batch=max_batch)
+            exp3.run(shots, noise=NoiseModel.uniform(1e-3), engine=engine)
 
     def test_noisy_non_clifford_memory_raises(self):
         """Both engines decode over the DEM graph, so neither runs a

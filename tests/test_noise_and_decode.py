@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.code.pauli import PauliString
 from repro.decode import MemoryExperiment
 from repro.estimator.sweep import logical_error_sweep
@@ -219,6 +220,21 @@ def test_decoder_is_trivial_on_zero_noise_batches(seed, shots, basis):
     assert not exp.syndromes(batch).any()
     assert not exp.measured_flips(batch).any()
     assert not exp.decode_batch(batch).any()
+
+
+@pytest.mark.parametrize("profile", ["baseline", "slow_junction", "fast_projected"])
+@pytest.mark.parametrize("simd", [False, True], ids=["serial", "simd"])
+@pytest.mark.parametrize("basis", ["Z", "X"])
+def test_syndromes_match_the_round_by_round_layout(basis, simd, profile):
+    """``syndromes``/``measured_flips`` XOR over the DEM's detector and
+    observable labels; on noisy batches they equal the layout rebuilt round
+    by round from the patch's records and the logical readout's sign."""
+    exp = MemoryExperiment(distance=3, rounds=3, basis=basis, simd=simd, profile=profile)
+    batch = exp.sample(200, noise=NoiseModel.preset("near_term", profile=exp.profile), seed=7)
+    detectors, flips = oracles.memory_syndromes(exp, batch)
+    assert detectors.any() and flips.any(), "the noise must fire for the check to bite"
+    assert np.array_equal(exp.syndromes(batch), detectors)
+    assert np.array_equal(exp.measured_flips(batch), flips)
 
 
 class TestLogicalErrorSweep:

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from repro.decode import memory
 from repro.estimator import sweep
 from repro.estimator.cache import CheckpointError, ResultCache, content_hash
 from repro.estimator.jobs import (
@@ -290,14 +291,13 @@ class TestCheckpointSemantics:
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in cached]
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in again]
 
-    def test_cell_key_ignores_chunking_and_noise_name(self):
+    def test_cell_key_ignores_noise_name(self):
         base = make_cells()[0]
         renamed = logical_error_cells(
             SPECS, [NoiseModel.uniform(RATES[0], name="other-name")],
             shots=SHOTS, seed=0,
         )[0]
-        chunked = make_cells(max_batch=7)[0]
-        assert base.key() == renamed.key() == chunked.key()
+        assert base.key() == renamed.key()
         different = make_cells(seed=1)[0]
         assert base.key() != different.key()
 
@@ -408,9 +408,11 @@ class TestShardingProperty:
     """Any sharding merges to exactly the oracle loop's output.
 
     Extends the chunk-invariant-seed guarantee to every execution mode:
-    worker count (1..4), frame-sampling chunk size, and submission order
-    are all drawn by hypothesis, and every combination must reproduce the
-    oracle bit-for-bit (timing fields aside).
+    worker count (1..4), frame-sampling chunk size (forced through
+    ``repro.decode.memory.CHUNK_BYTES``, which forked pool workers
+    inherit), and submission order are all drawn by hypothesis, and every
+    combination must reproduce the oracle bit-for-bit (timing fields
+    aside).
     """
 
     @settings(
@@ -420,15 +422,17 @@ class TestShardingProperty:
     )
     @given(
         jobs=st.integers(min_value=1, max_value=4),
-        max_batch=st.one_of(st.none(), st.integers(min_value=1, max_value=SHOTS + 10)),
+        chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=SHOTS + 10)),
         order=st.permutations(list(range(len(DISTANCES) * len(RATES)))),
     )
-    def test_any_sharding_merges_to_serial(
-        self, serial_fingerprints, jobs, max_batch, order
-    ):
-        cells = make_cells(max_batch=max_batch)
+    def test_any_sharding_merges_to_serial(self, serial_fingerprints, jobs, chunk, order):
+        cells = make_cells()
         shuffled = [cells[i] for i in order]
-        payloads = run_cells(shuffled, jobs=jobs)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                n_detectors = memory.MemoryExperiment.from_spec(SPECS[0]).n_detectors
+                mp.setattr(memory, "CHUNK_BYTES", chunk * n_detectors)
+            payloads = run_cells(shuffled, jobs=jobs)
         # The oracle's payloads, in submitted order rather than completion order.
         assert [payload_fingerprint(p) for p in payloads] == [
             serial_fingerprints[i] for i in order
@@ -527,7 +531,8 @@ class TestShotSharding:
 
 
 #: (sweep function, positional args, keyword args shared with the oracle,
-#: execution-only keyword args the oracle does not take).
+#: execution-only keyword args the oracle does not take, or ``chunk_bytes``:
+#: the frame chunk budget the sweep runs under).
 ORACLE_CASES = [
     pytest.param(
         "logical_error_sweep",
@@ -573,9 +578,10 @@ ORACLE_CASES = [
     pytest.param(
         "logical_error_sweep",
         ([3],),
-        dict(rates=RATES, shots=SHOTS, rounds=2, basis="X", max_batch=37),
-        {},
-        id="x-basis-max-batch",
+        dict(rates=RATES, shots=SHOTS, rounds=2, basis="X"),
+        # 37 shots of 12 detectors per frame chunk.
+        dict(chunk_bytes=37 * 12),
+        id="x-basis-small-chunks",
     ),
     pytest.param(
         "logical_error_sweep",
@@ -617,8 +623,15 @@ ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("func, args, kwargs, run", ORACLE_CASES)
-def test_sweep_matches_oracle(func, args, kwargs, run):
-    """Every sweep mode reproduces the oracle loop bit for bit."""
-    got = getattr(sweep, func)(*args, **kwargs, **run)
+def test_sweep_matches_oracle(func, args, kwargs, run, monkeypatch):
+    """Every sweep mode reproduces the oracle loop bit for bit.
+
+    A ``chunk_bytes`` entry in ``run`` shrinks the frame engine's chunk
+    budget for the sweep only; the oracle runs each point as one chunk.
+    """
     want = getattr(oracles, func)(*args, **kwargs)
+    run = dict(run)
+    if "chunk_bytes" in run:
+        monkeypatch.setattr(memory, "CHUNK_BYTES", run.pop("chunk_bytes"))
+    got = getattr(sweep, func)(*args, **kwargs, **run)
     assert fingerprints(got) == fingerprints(want)

@@ -11,8 +11,9 @@ the exact parts down:
 * ``decode_stream`` over any slice chunking is shot-for-shot identical to
   ``decode_batch`` on the materialized matrix (hypothesis property);
 * the chunked frame path of ``MemoryExperiment.run`` is count-identical
-  for any ``max_batch`` (hypothesis property), now that chunks are decoded
-  as they are sampled;
+  for any chunk size (hypothesis property, shrinking
+  ``repro.decode.memory.CHUNK_BYTES``), since chunks are decoded as they
+  are sampled;
 * window/commit thread from the experiment constructor through
   ``decoder_for`` and the sweep cells.
 """
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import schedule_graph
-from repro.decode import MemoryExperiment, get_decoder
+from repro.decode import MemoryExperiment, get_decoder, memory
 from repro.decode.graph import BOUNDARY, DetectorEdge, MatchingGraph
 from repro.decode.window import WindowedUnionFindDecoder, window_spans
 from repro.estimator.sweep import logical_error_sweep
@@ -156,24 +157,28 @@ def test_stream_rejects_bad_slice_shapes(memory3):
 
 # ----------------------------------------------- chunked frame-path parity
 @settings(deadline=None, max_examples=15, suppress_health_check=[HealthCheck.too_slow])
-@given(max_batch=st.one_of(st.none(), st.integers(1, 400)))
-def test_run_frame_chunking_invariant(memory3, max_batch):
-    """Satellite regression: the frame path now decodes chunk by chunk —
-    any max_batch must produce the unchunked counters exactly."""
+@given(chunk=st.one_of(st.none(), st.integers(1, 400)))
+def test_run_frame_chunking_invariant(memory3, chunk):
+    """The frame path decodes chunk by chunk: any chunk size must produce
+    the unchunked counters exactly."""
     model = NoiseModel.uniform(3e-3)
     baseline = memory3.run(700, noise=model, seed=5, engine="frame")
-    chunked = memory3.run(700, noise=model, seed=5, engine="frame", max_batch=max_batch)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(memory, "CHUNK_BYTES", chunk * memory3.n_detectors)
+        chunked = memory3.run(700, noise=model, seed=5, engine="frame")
     assert chunked.failures == baseline.failures
     assert chunked.raw_failures == baseline.raw_failures
     assert chunked.mean_defects == baseline.mean_defects
 
 
-def test_run_frame_windowed_chunking_invariant(memory3):
+def test_run_frame_windowed_chunking_invariant(memory3, monkeypatch):
     """Same invariance with the windowed decoder doing the chunk decodes."""
     model = NoiseModel.uniform(3e-3)
     kwargs = dict(noise=model, seed=5, engine="frame", decoder="union_find_windowed")
     baseline = memory3.run(600, **kwargs)
-    chunked = memory3.run(600, max_batch=97, **kwargs)
+    monkeypatch.setattr(memory, "CHUNK_BYTES", 97 * memory3.n_detectors)
+    chunked = memory3.run(600, **kwargs)
     assert chunked.failures == baseline.failures
     assert chunked.mean_defects == baseline.mean_defects
 
