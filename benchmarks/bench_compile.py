@@ -10,14 +10,17 @@ one (with equal validity reports and resource figures).
 
 The legacy leg reproduces the pre-refactor behavior exactly, the same way
 ``bench_decode.py`` keeps the PR 2 decoder: QEC rounds compiled one by one
-(template replay off), the instruction-by-instruction reference validity
-replay, the object-iterating resource estimator kept verbatim below, and
-the original uncached per-call grid geometry scans monkeypatched back in.
-The columnar leg validates on the native validity kernel
-(``repro/hardware/_validity_kernel.c``); the table's ``kernel`` column and
-``--json`` say which replay each leg's validation ran, and both the script
-and its pytest entry fail unless the columnar leg's was native, so a broken
-kernel build cannot pass on the reference-replay fallback.
+(template replay off) by the Python round loop, the
+instruction-by-instruction reference validity replay, the object-iterating
+resource estimator kept verbatim below, and the original uncached per-call
+grid geometry scans monkeypatched back in.  The columnar leg schedules its
+rounds on the native round kernel (``repro/code/_round_kernel.c``) and
+validates on the native validity kernel
+(``repro/hardware/_validity_kernel.c``); the table's ``round kernel`` and
+``kernel`` columns and ``--json`` say which scheduler and which replay each
+leg ran, and both the script and its pytest entry fail unless the columnar
+leg's were native, so a broken kernel build cannot pass on a Python
+fallback.
 
 Run directly::
 
@@ -38,6 +41,7 @@ import time
 from contextlib import contextmanager
 
 import repro.core.compiler as compiler_module
+from repro.code import stabilizer_circuits
 from repro.code.stabilizer_circuits import SyndromeScheduler
 from repro.core.compiler import TISCC
 from repro.core.router import lattice_surgery_cnot_program
@@ -51,6 +55,7 @@ from repro.hardware.grid import (
 )
 from repro.hardware.resources import ResourceReport, estimate_resources
 from repro.hardware.validity import check_circuit, check_circuit_reference
+from repro.util import native
 from repro.util.geometry import SiteType, site_exists
 
 try:
@@ -265,7 +270,12 @@ def legacy_estimate_resources(grid, circuit, operation="", dx=0, dz=0):
 @contextmanager
 def legacy_compiler_path():
     """Run the exact pre-refactor pipeline: list-of-Instruction circuits,
-    round-by-round scheduling, and uncached per-call geometry scans."""
+    round-by-round scheduling in the Python round loop (the round kernel
+    would bypass the patched grid methods and cannot append to the legacy
+    container), and uncached per-call geometry scans."""
+    source = stabilizer_circuits.SOURCE
+    loaded = native._loaded.get(source)
+    native._loaded[source] = (None, "the pre-refactor path schedules rounds in Python")
     saved = (
         GridManager.neighbors,
         GridManager.is_zone,
@@ -287,6 +297,10 @@ def legacy_compiler_path():
     try:
         yield
     finally:
+        if loaded is None:
+            native._loaded.pop(source, None)
+        else:
+            native._loaded[source] = loaded
         (
             GridManager.neighbors,
             GridManager.is_zone,
@@ -351,6 +365,8 @@ def _run_leg_once(op: str, d: int, legacy: bool) -> dict:
         "validity": validity,
         "kernel": validity.kernel,
         "fallback_reason": validity.fallback_reason,
+        "round_kernel": compiled.round_kernel,
+        "round_fallback_reason": compiled.round_fallback_reason,
         "resources": resources,
     }
 
@@ -389,6 +405,8 @@ def run_bench(distances: list[int], repeat: int = 2) -> dict:
                             "validate_seconds",
                             "estimate_seconds",
                             "total_seconds",
+                            "round_kernel",
+                            "round_fallback_reason",
                             "kernel",
                             "fallback_reason",
                         )
@@ -400,9 +418,12 @@ def run_bench(distances: list[int], repeat: int = 2) -> dict:
     d_max = max(distances)
     columnar = [r for r in rows if r["path"] == "columnar"]
     fallback = next((r for r in columnar if r["kernel"] != "native"), columnar[0])
+    round_fallback = next((r for r in columnar if r["round_kernel"] != "native"), columnar[0])
     return {
         "distances": distances,
         "programs": list(PROGRAMS),
+        "round_kernel": round_fallback["round_kernel"],
+        "round_fallback_reason": round_fallback["round_fallback_reason"],
         "kernel": fallback["kernel"],
         "fallback_reason": fallback["fallback_reason"],
         "rows": rows,
@@ -415,7 +436,7 @@ def run_bench(distances: list[int], repeat: int = 2) -> dict:
 def report(res: dict) -> None:
     print_table(
         "compile + validate + estimate (columnar vs pre-refactor)",
-        ["program", "d", "path", "instr", "compile [s]", "validate [s]",
+        ["program", "d", "path", "instr", "compile [s]", "round kernel", "validate [s]",
          "kernel", "estimate [s]", "total [s]", "speedup"],
         [
             [
@@ -424,6 +445,7 @@ def report(res: dict) -> None:
                 r["path"],
                 str(r["n_instructions"]),
                 f"{r['compile_seconds']:.3f}",
+                r["round_kernel"],
                 f"{r['validate_seconds']:.3f}",
                 r["kernel"],
                 f"{r['estimate_seconds']:.3f}",
@@ -444,6 +466,7 @@ def test_compile_speedup():
     """Quick-scale pytest entry: the columnar path must win clearly."""
     res = run_bench(distances=[3, 5])
     report(res)
+    assert res["round_kernel"] == "native", res["round_fallback_reason"]
     assert res["kernel"] == "native", res["fallback_reason"]
     assert res["equivalent"]
     assert res["speedup"] >= 3.0
@@ -482,6 +505,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w") as fh:
             json.dump(res, fh, indent=2)
         print(f"wrote {args.json}")
+    if res["round_kernel"] != "native":
+        print(
+            f"FAIL: rounds ran on the {res['round_kernel']} round kernel: "
+            f"{res['round_fallback_reason']}"
+        )
+        return 1
     if res["kernel"] != "native":
         print(f"FAIL: validation ran its {res['kernel']} kernel: {res['fallback_reason']}")
         return 1
@@ -496,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"OK: >= {target:.1f}x at d={max(distances)}, outputs byte-identical, "
-        "native validity kernel"
+        "native round and validity kernels"
     )
     return 0
 

@@ -134,7 +134,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             else ""
         )
         print(
-            f"# phase timings: compile {compiled.compile_seconds:.3f} s"
+            f"# phase timings: compile {compiled.compile_seconds:.3f} s "
+            f"({compiled.round_kernel} round kernel)"
             + simd_part
             + f", validate {compiled.validate_seconds:.3f} s ({compiled.validity.kernel} kernel), "
             f"estimate {compiled.estimate_seconds:.3f} s"

@@ -21,12 +21,29 @@ Native interaction circuits (verified exactly in tests):
 * X face:  same with the data qubit conjugated by Hadamards, fused to
   Z_{pi/2}(d), Y_{pi/4}(d), ZZ, Z_{-pi/4}(m), Z_{pi/4}(d), Y_{pi/4}(d)
   — measures the X-parity.
+
+One specification and one fast path compile each round:
+
+* :meth:`SyndromeScheduler._schedule_round_python` is the round loop above,
+  one grid call per row.  It is the specification, the fallback when no C
+  compiler is available, the path that raises every scheduling error, and
+  the native kernel's oracle.
+* :meth:`SyndromeScheduler.schedule_round` runs the same loop in C
+  (``_round_kernel.c``, built on first use and cached by
+  :mod:`repro.util.native`): the move and gate scheduling, both calendars
+  and the face graphs' paths are ported line for line, so the round's rows,
+  labels, clocks, occupancy and calendars are bit for bit the loop's.  The
+  rows land as one column chunk (:meth:`HardwareCircuit.append_rows`).
+  Where the kernel reports an error it has committed nothing, and the loop
+  reruns to raise it.  :attr:`RoundRecord.kernel` says which one compiled
+  a round and :attr:`RoundRecord.fallback_reason` why the loop ran.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +52,11 @@ from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.grid import GridManager, SiteBlockedError
 from repro.hardware.model import HardwareModel
 
-__all__ = ["SyndromeScheduler", "RoundRecord"]
+__all__ = ["SyndromeScheduler", "RoundRecord", "round_kernel"]
+
+#: The native round scheduler, built and loaded by :mod:`repro.util.native`
+#: at the first :meth:`SyndromeScheduler.schedule_round` call, never at import.
+SOURCE = Path(__file__).with_name("_round_kernel.c")
 
 
 @dataclass
@@ -46,6 +67,13 @@ class RoundRecord:
     t_start: float = 0.0
     t_end: float = 0.0
     junction_conflicts: int = 0
+    #: The scheduler that compiled the round: ``"native"`` (the C kernel) or
+    #: ``"python"`` (the round loop).  A replayed round reports its
+    #: template's.  Not compared: both give equal records.
+    kernel: str = field(default="python", compare=False)
+    #: Why the Python round loop ran instead of the kernel (compiler stderr
+    #: included); ``None`` when it did not fall back.
+    fallback_reason: str | None = field(default=None, compare=False)
 
     @property
     def duration(self) -> float:
@@ -167,7 +195,48 @@ class SyndromeScheduler:
         ``measure_ions`` maps face coords to the measure ion (which must be
         parked at the face's home site); ``data_ion_at`` maps data qsites to
         data ions.  Returns the per-face measurement labels.
+
+        The round runs in the native kernel (``_round_kernel.c``), which
+        emits exactly the rows and grid updates of the Python round loop
+        (:meth:`_schedule_round_python`), its oracle.  Where the kernel
+        reports an error it has committed nothing, and the Python loop
+        reruns from the same state to raise that error with its message.
+        Without a native kernel the Python loop runs, and the record's
+        ``fallback_reason`` says why.
         """
+        # Imported here, not at module level: loading the native kernel (and
+        # building it, the first time on a host) is compile work, never
+        # import-time work.
+        from repro.code import _round_native
+
+        lib, reason = _load()
+        if lib is None:
+            record = self._schedule_round_python(
+                circuit, plaquettes, measure_ions, data_ion_at, t_min
+            )
+            record.fallback_reason = reason
+            return record
+        record = _round_native.schedule_round(
+            lib, self.grid, self.model, circuit, plaquettes, measure_ions, data_ion_at, t_min
+        )
+        if record is not None:
+            return record
+        # The kernel committed nothing; the Python loop raises its error.
+        self._schedule_round_python(circuit, plaquettes, measure_ions, data_ion_at, t_min)
+        raise RuntimeError(
+            f"the native round kernel rejected a round of {len(plaquettes)} plaquette(s) "
+            f"from t={t_min} that the Python round loop schedules"
+        )
+
+    def _schedule_round_python(
+        self,
+        circuit: HardwareCircuit,
+        plaquettes: list[Plaquette],
+        measure_ions: dict[tuple[int, int], int],
+        data_ion_at: dict[int, int],
+        t_min: float = 0.0,
+    ) -> RoundRecord:
+        """The round loop: the kernel's oracle, fallback and error path."""
         grid = self.grid
         record = RoundRecord(t_start=t_min)
         conflicts_before = grid.junction_conflicts
@@ -452,9 +521,30 @@ class SyndromeScheduler:
                     t_start=template.t_start + k * delta,
                     t_end=template.t_end + k * delta,
                     junction_conflicts=template.junction_conflicts,
+                    kernel=template.kernel,
+                    fallback_reason=template.fallback_reason,
                 )
             )
         self.grid.shift_ions(ions, copies * delta)
         self.grid.junction_conflicts += copies * template.junction_conflicts
         self.grid.site_delays += copies * site_delays
         return records
+
+
+def _load():
+    """The loaded round kernel and ``None``, or ``None`` and why it is unavailable."""
+    from repro.code import _round_native
+    from repro.util import native
+
+    return native.load(SOURCE, _round_native._declare)
+
+
+def round_kernel() -> tuple[str, str | None]:
+    """The scheduler :meth:`SyndromeScheduler.schedule_round` runs rounds on.
+
+    ``("native", None)`` when the C kernel is loaded, ``("python", reason)``
+    when the round loop runs instead.  Loads (or builds) the kernel if no
+    round has yet.
+    """
+    lib, reason = _load()
+    return ("native", None) if lib is not None else ("python", reason)

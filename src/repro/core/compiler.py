@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.code.stabilizer_circuits import round_kernel
 from repro.core.derived import DerivedInstructions
 from repro.core.instructions import InstructionResult
 from repro.core.tiles import TileGrid
@@ -55,6 +56,11 @@ class CompiledOperation:
     #: The pre-SIMD schedule — kept as the equivalence oracle when the
     #: rescheduling pass ran, None otherwise.
     unscheduled_circuit: HardwareCircuit | None = None
+    #: The scheduler the compile's QEC rounds ran on: ``"native"`` (the C
+    #: round kernel) or ``"python"`` (the round loop), and why the loop ran
+    #: instead (see :func:`repro.code.stabilizer_circuits.round_kernel`).
+    round_kernel: str = "python"
+    round_fallback_reason: str | None = None
 
     @property
     def logical_timesteps(self) -> int:
@@ -161,6 +167,7 @@ class TISCC:
             dz=self.tiles.dz,
         )
         compiled.compile_seconds = time.perf_counter() - t0
+        compiled.round_kernel, compiled.round_fallback_reason = round_kernel()
         if simd:
             prof = self.profile
             t0 = time.perf_counter()

@@ -159,13 +159,28 @@ class ResultCache:
             pass
 
     def put(self, key: str, payload: dict) -> None:
-        """Durably record ``payload`` under ``key`` (atomic write + append)."""
+        """Durably record ``payload`` under ``key`` (atomic write + append).
+
+        A result file that cannot be written or moved into place (say, a
+        directory squats on its name) raises a one-line
+        :class:`CheckpointError` naming the checkpoint and the cell, and
+        leaves no temp file behind.
+        """
         sha = content_hash(payload)
         record = canonical_json({"key": key, "sha256": sha, "payload": payload})
         path = self.result_path(key)
         tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
-        tmp.write_text(record)
-        os.replace(tmp, path)  # same directory => atomic on POSIX
+        try:
+            tmp.write_text(record)
+            os.replace(tmp, path)  # same directory => atomic on POSIX
+        except OSError as err:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise CheckpointError(
+                f"checkpoint {self.root} cannot record cell {key}: {err.strerror or err}"
+            ) from None
         if key not in self._manifest:
             self._append_manifest(key, sha)
         elif self._manifest[key] != sha:

@@ -12,9 +12,10 @@ small integer codes, sites/times/durations live in parallel columns, and
 measurement labels sit in a sparse side table (row -> label).  Single
 instructions append onto plain-list column builders; bulk operations —
 most importantly :meth:`replay_block`, which the syndrome scheduler uses to
-replay a compiled QEC-round template as vectorized time-shifted copies —
-land as prebuilt array chunks, so a circuit that is mostly replayed rounds
-materializes its columns with a handful of concatenations.  The legacy
+replay a compiled QEC-round template as vectorized time-shifted copies,
+and :meth:`append_rows`, which lands each round the native scheduler
+compiles — land as prebuilt array chunks, so a circuit that is mostly
+rounds materializes its columns with a handful of concatenations.  The legacy
 object API (:meth:`append`, iteration, :meth:`sorted_instructions`,
 :meth:`to_text`) is preserved as views that build :class:`Instruction`
 objects on demand, while the validity checker, resource estimator, and
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Instruction", "HardwareCircuit", "CircuitColumns", "ReplayBlock"]
+__all__ = ["Instruction", "HardwareCircuit", "CircuitColumns", "ReplayBlock", "gate_code"]
 
 # --------------------------------------------------------------------- names
 # Gate names are interned into one process-wide pool: circuits store int32
@@ -59,6 +60,16 @@ def name_code(name: str) -> int | None:
     string comparisons row by row.
     """
     return _CODE_OF.get(name)
+
+
+def gate_code(name: str) -> int:
+    """The interned code for a gate name, interning it on first use.
+
+    Producers that build a code column themselves (the native round
+    scheduler, for :meth:`HardwareCircuit.append_rows`) take their codes
+    from here.
+    """
+    return _intern(name)
 
 
 def _name_rank() -> np.ndarray:
@@ -293,6 +304,36 @@ class HardwareCircuit:
         self._dur.append(duration)
         if self._cols is not None:
             self._invalidate()
+
+    def append_rows(
+        self,
+        codes: np.ndarray,
+        site0: np.ndarray,
+        site1: np.ndarray,
+        nsites: np.ndarray,
+        t: np.ndarray,
+        duration: np.ndarray,
+        labels: dict[int, str],
+    ) -> None:
+        """Append a block of rows given as columns, as one frozen chunk.
+
+        The columns have :class:`CircuitColumns`' dtypes (int32 codes from
+        :func:`gate_code`, int64 sites with ``-1`` for absent, int8 arity,
+        float64 times) and are not copied, so callers must not write to
+        them afterwards.  ``labels`` maps block-relative rows to their
+        measurement labels.  The native round scheduler lands each round
+        through here.
+        """
+        n = len(codes)
+        if any(len(column) != n for column in (site0, site1, nsites, t, duration)):
+            raise ValueError("append_rows needs columns of equal length")
+        start = len(self)
+        self._freeze_builder()
+        self._frozen.append((codes, site0, site1, nsites, t, duration))
+        self._frozen_len += n
+        for row, label in labels.items():
+            self._label_of[start + row] = label
+        self._invalidate()
 
     def new_measure_label(self) -> str:
         label = f"m{self._measure_count}"

@@ -11,10 +11,10 @@ place with :func:`os.replace`, so concurrent processes never load a
 half-written file, and a cached object that fails to load is rebuilt.
 
 Nothing here runs at import.  A kernel's user (the union-find decoder, the
-frame sampler, the DEM walk, the SIMD scheduler, the validity check) calls
-:func:`load` when it is constructed or first runs, then either binds the
-returned library or records the returned reason and runs its Python
-fallback.
+frame sampler, the DEM walk, the SIMD scheduler, the validity check, the
+syndrome-round scheduler) calls :func:`load` when it is constructed or
+first runs, then either binds the returned library or records the returned
+reason and runs its Python fallback.
 """
 
 from __future__ import annotations

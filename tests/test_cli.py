@@ -168,6 +168,20 @@ class TestValidation:
         assert out.startswith(f"checkpoint {ck} is not a usable directory: ")
         assert out.count("\n") == 1
 
+    @pytest.mark.parametrize("cmd", ["lfr", "sweep"])
+    def test_result_entry_that_is_a_directory_is_one_line_error(self, capsys, tmp_path, cmd):
+        """Resuming recomputes the unreadable cell; recording it must not crash."""
+        ck = tmp_path / "ck"
+        assert run_cli(capsys, *self.SMALL[cmd], "--checkpoint", str(ck))[0] == 0
+        entry = sorted((ck / "results").iterdir())[0]
+        entry.unlink()
+        entry.mkdir()
+        code, out = run_cli(capsys, *self.SMALL[cmd], "--checkpoint", str(ck), "--resume")
+        assert code == 2
+        assert out.startswith(f"checkpoint {ck} cannot record cell {entry.stem}: ")
+        assert out.count("\n") == 1
+        assert not [p.name for p in (ck / "results").iterdir() if p.name.endswith(".tmp")]
+
     def test_checkpoint_meta_that_is_not_an_object_is_one_line_error(self, capsys, tmp_path):
         ck = tmp_path / "ck"
         ck.mkdir()

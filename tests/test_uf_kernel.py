@@ -7,12 +7,12 @@ rate depend on its tie-breaking.  The Python kernel is forced by making the
 loader report a failure, so each comparison runs the same decoder class over
 the same graph under both kernels.
 
-All five native kernels, the union-find decoder's, the frame sampler's
+All six native kernels, the union-find decoder's, the frame sampler's
 (``repro/sim/_frame_kernel.c``), the DEM walk's (``repro/sim/_dem_kernel.c``),
-the SIMD scheduler's (``repro/hardware/_simd_kernel.c``) and the validity
-replay's (``repro/hardware/_validity_kernel.c``), build through
-:mod:`repro.util.native`; the build-path tests at the end run once per
-kernel.
+the SIMD scheduler's (``repro/hardware/_simd_kernel.c``), the validity
+replay's (``repro/hardware/_validity_kernel.c``) and the round scheduler's
+(``repro/code/_round_kernel.c``), build through :mod:`repro.util.native`;
+the build-path tests at the end run once per kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.code import _round_native
 from repro.core.compiler import TISCC
 from repro.core.router import lattice_surgery_cnot_program
 from repro.decode import (
@@ -271,6 +272,19 @@ def _d3_validity() -> ValidityReport:
     return check_circuit(grid, circuit, occupancy)
 
 
+def _d3_rounds() -> SimpleNamespace:
+    """A fresh 3-round d=3 memory compile: its round kernel and its columns."""
+    compiled = TISCC(dx=3, dz=3, tile_rows=1, tile_cols=1, rounds=3).compile(
+        [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))], validate=False, estimate=False
+    )
+    cols = compiled.circuit.columns()
+    return SimpleNamespace(
+        kernel=compiled.round_kernel,
+        fallback_reason=compiled.round_fallback_reason,
+        columns=[c.tolist() for c in (cols.codes, cols.site0, cols.site1, cols.t, cols.duration)],
+    )
+
+
 def _sampled(sampler: FrameSampler) -> list:
     shots = sampler.sample(500, seed=2)
     return [shots.detectors.tolist(), shots.observables.tolist()]
@@ -294,6 +308,7 @@ KERNELS = {
         output=lambda schedule: [schedule.starts, schedule.passes],
     ),
     "validity": Kernel(_validity_native, make=_d3_validity, output=lambda report: [report]),
+    "round": Kernel(_round_native, make=_d3_rounds, output=lambda compiled: compiled.columns),
 }
 
 
