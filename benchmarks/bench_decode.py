@@ -10,7 +10,8 @@ paths) must decode at least **10x** faster than the pre-refactor decoder
 The weighted decoder's LER must also not exceed the unweighted one's on
 the same syndromes.  The report names the union-find kernel that ran
 (``native`` C or the ``python`` fallback, with the reason) and the JSON
-records it.
+records it, along with decoder set-up: the median seconds to build the
+DEM matching graph and to construct the union-find decoder over it.
 
 Run directly::
 
@@ -39,13 +40,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
 import numpy as np
 
-from repro.decode import MemoryExperiment
-from repro.decode.graph import BOUNDARY, MatchingGraph
+from repro.decode import MemoryExperiment, UnionFindDecoder
+from repro.decode.graph import BOUNDARY, MatchingGraph, build_dem_graph
 from repro.estimator.sweep import logical_error_sweep
 from repro.sim.noise import NoiseModel
 
@@ -166,6 +168,29 @@ class LegacyUnionFindDecoder:
         return flip
 
 
+#: Repeats of the decoder set-up timing; the report keeps the median.
+SETUP_REPEATS = 5
+
+
+def time_setup(experiment: MemoryExperiment, model: NoiseModel) -> dict:
+    """Median seconds to build the DEM graph, then the union-find decoder over it."""
+    dem = experiment.detector_error_model(model)
+    graph_s, decoder_s = [], []
+    for _ in range(SETUP_REPEATS):
+        t0 = time.perf_counter()
+        graph = build_dem_graph(dem)
+        t1 = time.perf_counter()
+        UnionFindDecoder(graph)
+        t2 = time.perf_counter()
+        graph_s.append(t1 - t0)
+        decoder_s.append(t2 - t1)
+    return {
+        "graph_seconds": statistics.median(graph_s),
+        "decoder_seconds": statistics.median(decoder_s),
+        "repeats": SETUP_REPEATS,
+    }
+
+
 def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
     """Time legacy vs rewritten decoders on one near-term syndrome batch."""
     model = NoiseModel.preset("near_term")
@@ -198,6 +223,7 @@ def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
     t_legacy = time_decoder("legacy (PR 2)", LegacyUnionFindDecoder(graph))
     weighted = experiment.decoder_for(model)
     t_weighted = time_decoder("union_find", weighted)
+    setup = time_setup(experiment, model)
     t_unweighted = time_decoder(
         "union_find_unweighted", experiment.decoder_for(model, "union_find_unweighted")
     )
@@ -221,6 +247,7 @@ def run_bench(d: int = 7, shots: int = 20000, seed: int = 0) -> dict:
         "dem_edges": graph.n_edges,
         "compile_seconds": t_compile,
         "sample_seconds": t_sample,
+        "setup": setup,
         "decoders": rows,
         "speedup": t_legacy / t_weighted,
         "speedup_unweighted": t_legacy / t_unweighted,
@@ -400,6 +427,15 @@ def report(res: dict) -> None:
                 f"{r['ler']:.5f}",
             ]
             for r in res["decoders"]
+        ],
+    )
+    setup = res["setup"]
+    print_table(
+        f"decoder set-up (median of {setup['repeats']})",
+        ["step", "seconds"],
+        [
+            ["DEM graph build", f"{setup['graph_seconds']:.4f}"],
+            ["union_find construction", f"{setup['decoder_seconds']:.4f}"],
         ],
     )
     print(

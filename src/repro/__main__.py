@@ -527,8 +527,8 @@ def _cmd_dem(args: argparse.Namespace) -> int:
             # e.g. the lookup decoder refusing a too-large graph.
             print(err)
             return 2
-        ws = [e.weight for e in graph.edges]
-        span = f"weights {min(ws):.3g}..{max(ws):.3g}" if ws else "no edges"
+        ws = graph.weight
+        span = f"weights {ws.min():.3g}..{ws.max():.3g}" if ws.size else "no edges"
         print(
             f"decoding graph ({args.decoder}): {graph.n_detectors} detectors, "
             f"{graph.n_edges} edges, {span}"

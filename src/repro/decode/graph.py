@@ -36,12 +36,20 @@ frame edge it uses.
 *mechanism* of the noisy circuit carrying a log-likelihood weight
 ``log((1 - p) / p)`` — the graph weighted union-find growth consumes.  The
 ideal model has no mechanism, so its graph is every detector and no edge.
+
+A :class:`MatchingGraph` keeps its edges as columns (endpoints, frame bits,
+weights), which is all the decoders read; the :class:`DetectorEdge` objects
+of :attr:`MatchingGraph.edges` are built only when something asks for them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "BOUNDARY",
@@ -78,33 +86,134 @@ class DetectorEdge:
 
 
 class MatchingGraph:
-    """A decoding graph over ``n_detectors`` nodes plus one open boundary."""
+    """A decoding graph over ``n_detectors`` nodes plus one open boundary.
+
+    Edge ``k`` is column entry ``k`` of :attr:`u`/:attr:`v` (int64 detector
+    ids, :data:`BOUNDARY` as -1), :attr:`frame` (uint8) and :attr:`weight`
+    (float64); the columns are read-only.  ``MatchingGraph(n, edges)``
+    takes :class:`DetectorEdge` objects and :meth:`from_columns` takes the
+    columns themselves; both validate the same way.  :attr:`edges` lists
+    the edges as :class:`DetectorEdge` objects, built on first access when
+    the graph came from columns.
+    """
 
     def __init__(self, n_detectors: int, edges: list[DetectorEdge]):
+        edges = list(edges)
+        count = len(edges)
+        self._setup(
+            n_detectors,
+            np.fromiter((e.u for e in edges), dtype=np.int64, count=count),
+            np.fromiter((e.v for e in edges), dtype=np.int64, count=count),
+            np.fromiter((e.frame for e in edges), dtype=np.uint8, count=count),
+            np.fromiter((e.weight for e in edges), dtype=np.float64, count=count),
+            [e.kind for e in edges],
+            edges,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        n_detectors: int,
+        u: np.ndarray,
+        v: np.ndarray,
+        frame: np.ndarray,
+        weight: np.ndarray,
+        kind: str | Sequence[str] = "dem",
+    ) -> MatchingGraph:
+        """The graph whose edge ``k`` is ``(u[k], v[k], frame[k], weight[k])``.
+
+        ``kind`` tags every edge, or gives one tag per edge.
+        """
+        graph = cls.__new__(cls)
+        graph._setup(
+            n_detectors,
+            np.array(u, dtype=np.int64),
+            np.array(v, dtype=np.int64),
+            np.array(frame, dtype=np.uint8),
+            np.array(weight, dtype=np.float64),
+            kind if isinstance(kind, str) else list(kind),
+            None,
+        )
+        return graph
+
+    def _setup(self, n_detectors, u, v, frame, weight, kind, edges) -> None:
         if n_detectors < 1:
             raise ValueError("need at least one detector")
-        for e in edges:
-            for node in (e.u, e.v):
-                if node != BOUNDARY and not 0 <= node < n_detectors:
-                    raise ValueError(f"edge {e} references unknown detector {node}")
-            if e.u == e.v:
-                raise ValueError(f"self-loop edge {e}")
-            if not e.weight > 0:
-                raise ValueError(f"edge {e} has non-positive weight")
+        if not u.shape == v.shape == frame.shape == weight.shape == (u.size,):
+            raise ValueError("edge columns must be one-dimensional and of one length")
+        if not isinstance(kind, str) and len(kind) != u.size:
+            raise ValueError(f"{len(kind)} edge kinds for {u.size} edges")
+        for column in (u, v, frame, weight):
+            column.setflags(write=False)
         self.n_detectors = n_detectors
-        self.edges = list(edges)
+        self.u, self.v, self.frame, self.weight = u, v, frame, weight
+        self._kind = kind
+        self._edges = edges
+        self._validate()
+
+    def _validate(self) -> None:
+        """Reject the first edge, in edge order, that fails any check."""
+        n, u, v = self.n_detectors, self.u, self.v
+
+        def unknown(nodes: np.ndarray) -> np.ndarray:
+            return (nodes != BOUNDARY) & ((nodes < 0) | (nodes >= n))
+
+        bad = unknown(u) | unknown(v) | (u == v) | ~(self.weight > 0)
+        if not bad.any():
+            return
+        e = self.edges[int(np.argmax(bad))]
+        for node in (e.u, e.v):
+            if node != BOUNDARY and not 0 <= node < n:
+                raise ValueError(f"edge {e} references unknown detector {node}")
+        if e.u == e.v:
+            raise ValueError(f"self-loop edge {e}")
+        raise ValueError(f"edge {e} has non-positive weight")
+
+    @property
+    def edges(self) -> list[DetectorEdge]:
+        """The edges as :class:`DetectorEdge` objects, in column order."""
+        if self._edges is None:
+            kinds = itertools.repeat(self._kind) if isinstance(self._kind, str) else self._kind
+            self._edges = [
+                DetectorEdge(u, v, frame, kind, weight)
+                for u, v, frame, kind, weight in zip(
+                    self.u.tolist(),
+                    self.v.tolist(),
+                    self.frame.tolist(),
+                    kinds,
+                    self.weight.tolist(),
+                )
+            ]
+        return self._edges
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.u.size
 
     @property
     def is_weighted(self) -> bool:
         """True when edge weights are not all identical."""
-        if not self.edges:
-            return False
-        w0 = self.edges[0].weight
-        return any(abs(e.weight - w0) > 1e-12 for e in self.edges)
+        w = self.weight
+        return bool(w.size) and bool((np.abs(w - w[0]) > 1e-12).any())
+
+    def subgraph(self, keep: np.ndarray, n_detectors: int, offset: int = 0) -> MatchingGraph:
+        """The edges ``keep`` (indices, in that order) over ``n_detectors`` nodes.
+
+        Every real endpoint moves down by ``offset``; boundary endpoints stay
+        :data:`BOUNDARY`, and each edge keeps its frame, weight and kind.
+        """
+        u, v = self.u[keep], self.v[keep]
+        kind = self._kind
+        if not isinstance(kind, str):
+            kind = [kind[k] for k in np.asarray(keep).tolist()]
+        return MatchingGraph.from_columns(
+            n_detectors,
+            np.where(u == BOUNDARY, BOUNDARY, u - offset),
+            np.where(v == BOUNDARY, BOUNDARY, v - offset),
+            self.frame[keep],
+            self.weight[keep],
+            kind,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = "weighted, " if self.is_weighted else ""
@@ -128,45 +237,63 @@ def build_dem_graph(dem, observable: int = 0) -> MatchingGraph:
     so no graph decoder can act on them (their observable flips are an
     irreducible error floor).  ``observable`` selects which observable's
     flips define the frame bits (memory experiments have exactly one).
+
+    Built in columns: the kept mechanisms (``p > 0``, non-empty footprint)
+    are grouped by a stable sort on their ``(u, v)`` pair, so each edge's
+    contributors stay in DEM order; the fold runs one NumPy step per rank
+    within a group, and the frame is the first strictly most probable
+    contributor's.  Edges come out in ``(u, v)`` order, with one
+    ``math.log`` per distinct clipped probability — bit-identical to the
+    per-mechanism dictionary loop it replaced (``build_dem_graph`` in
+    ``tests/oracles.py``).
     """
     if not 0 <= observable < dem.n_observables:
         raise ValueError(
             f"observable {observable} out of range for {dem.n_observables} observables"
         )
-    # pair -> [combined probability, frame of strongest source, strongest p]
-    merged: dict[tuple[int, int], list] = {}
-    for p, dets, mask in zip(dem.probs, dem.detectors, dem.observables):
-        p = float(p)
-        if p <= 0.0:
-            continue
-        frame = int(mask) >> observable & 1
-        if len(dets) == 0:
-            continue  # undetectable: invisible to every detector
-        if len(dets) == 1:
-            pair = (int(dets[0]), BOUNDARY)
-        elif len(dets) == 2:
-            pair = (int(dets[0]), int(dets[1]))
-        else:
-            raise ValueError(
-                f"mechanism fires {len(dets)} detectors {tuple(dets)}; a "
-                "matching graph needs at most two — decompose hyperedges first"
-            )
-        entry = merged.get(pair)
-        if entry is None:
-            merged[pair] = [p, frame, p]
-        else:
-            entry[0] = entry[0] * (1.0 - p) + p * (1.0 - entry[0])
-            if p > entry[2]:
-                entry[1], entry[2] = frame, p
+    detectors = dem.detectors
+    probs = np.asarray(dem.probs, dtype=np.float64)
+    lengths = np.fromiter(map(len, detectors), dtype=np.int64, count=len(detectors))
+    live = ~(probs <= 0.0) & (lengths > 0)
+    hyper = np.flatnonzero(live & (lengths > 2))
+    if hyper.size:
+        dets = detectors[hyper[0]]
+        raise ValueError(
+            f"mechanism fires {len(dets)} detectors {tuple(dets)}; a "
+            "matching graph needs at most two — decompose hyperedges first"
+        )
+    kept = np.flatnonzero(live)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(detectors), dtype=np.int64, count=int(lengths.sum())
+    )
+    first, count = (np.cumsum(lengths) - lengths)[kept], lengths[kept]
+    u = flat[first]
+    v = np.where(count == 2, flat[first + count - 1], BOUNDARY)
+    masks = np.asarray(dem.observables, dtype=np.uint64)[kept]
+    frames = ((masks >> np.uint64(observable)) & np.uint64(1)).astype(np.uint8)
+
+    # lexsort is stable: (u, v) order, DEM order within a pair.
+    order = np.lexsort((v, u))
+    u, v, site_p, site_frame = u[order], v[order], probs[kept][order], frames[order]
+    new_pair = np.ones(u.size, dtype=bool)
+    new_pair[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    head = np.flatnonzero(new_pair)
+    sizes = np.diff(head, append=u.size)
+    p = site_p[head]
+    frame = site_frame[head]
+    strongest = p.copy()
+    for rank in range(1, int(sizes.max(initial=0))):
+        group = np.flatnonzero(sizes > rank)
+        a, b = p[group], site_p[head[group] + rank]
+        p[group] = a * (1.0 - b) + b * (1.0 - a)
+        stronger = group[b > strongest[group]]
+        strongest[stronger] = site_p[head[stronger] + rank]
+        frame[stronger] = site_frame[head[stronger] + rank]
+    clipped = np.minimum(np.maximum(p, _MIN_PROBABILITY), _MAX_PROBABILITY)
     # Periodic DEMs repeat the same handful of probabilities across every
-    # bulk round, so memoize the (expensive-ish) log per distinct float —
-    # same scalar op, same bits, one call per unique value.
-    weight_of: dict[float, float] = {}
-    edges = []
-    for (u, v), (p, frame, _) in sorted(merged.items()):
-        p = min(max(p, _MIN_PROBABILITY), _MAX_PROBABILITY)
-        weight = weight_of.get(p)
-        if weight is None:
-            weight = weight_of[p] = math.log((1.0 - p) / p)
-        edges.append(DetectorEdge(u, v, frame, "dem", weight))
-    return MatchingGraph(dem.n_detectors, edges)
+    # bulk round: one scalar log per distinct value, the loop's exact op.
+    values, inverse = np.unique(clipped, return_inverse=True)
+    logs = np.array([math.log((1.0 - q) / q) for q in values.tolist()], dtype=np.float64)
+    return MatchingGraph.from_columns(
+        dem.n_detectors, u[head], v[head], frame, logs[inverse].reshape(-1), "dem"
+    )

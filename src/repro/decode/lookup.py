@@ -43,22 +43,16 @@ class LookupDecoder(Decoder):
                 "limit — use 'union_find' for larger graphs"
             )
         self.weighted = bool(weighted) and graph.is_weighted
+        # Each edge's detector footprint as a bitmask over the n detectors.
         toggles = np.zeros(graph.n_edges, dtype=np.int64)
-        frames = np.zeros(graph.n_edges, dtype=np.uint8)
-        for k, e in enumerate(graph.edges):
-            mask = 0
-            for node in (e.u, e.v):
-                if node != BOUNDARY:
-                    mask ^= 1 << node
-            toggles[k] = mask
-            frames[k] = e.frame
+        for nodes in (graph.u, graph.v):
+            real = nodes != BOUNDARY
+            toggles[real] ^= np.left_shift(1, nodes[real])
         if self.weighted:
-            weights = integer_weights(
-                np.array([e.weight for e in graph.edges], dtype=np.float64)
-            )
+            weights = integer_weights(graph.weight)
         else:
             weights = np.full(graph.n_edges, 2, dtype=np.int64)
-        self._build_table(toggles, frames, weights)
+        self._build_table(toggles, graph.frame, weights)
 
     def _build_table(
         self, toggles: np.ndarray, frames: np.ndarray, weights: np.ndarray

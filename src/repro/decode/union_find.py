@@ -17,10 +17,12 @@ logical-operator readout must be XORed with.
 
 The hot path is built for batches:
 
-* construction flattens the graph into CSR adjacency plus preallocated
-  flat ``parent``/``parity``/``growth`` arrays that are scrubbed (only the
-  touched entries) after every shot, so no per-shot allocation scales with
-  the graph;
+* construction reads the graph's columns into edge endpoint, frame and
+  capacity arrays and a CSR adjacency (one stable sort of the edge
+  incidences) with array ops; the Python kernel's preallocated flat
+  ``parent``/``parity``/``growth`` lists, scrubbed (only the touched
+  entries) after every shot so no per-shot allocation scales with the
+  graph, are built only when that kernel runs;
 * growth walks only the *frontier* edges of active clusters — never the
   whole edge list — so sparse sub-threshold syndromes cost time
   proportional to the error support, not the spacetime volume;
@@ -64,6 +66,12 @@ class UnionFindDecoder(Decoder):
 
     :attr:`kernel` names the grow-and-peel kernel that runs (``"native"``
     or ``"python"``) and :attr:`fallback_reason` why the Python one does.
+
+    Both kernels read the same tables: edge endpoints ``eu``/``ev`` over
+    ``n + 1`` nodes (the open boundary is node ``n``), ``frame`` bits,
+    integer growth capacities ``cap`` (quantized log-likelihood weights),
+    and the CSR adjacency, node ``i``'s edge ids being
+    ``adj_edge[indptr[i]:indptr[i + 1]]`` in edge order.
     """
 
     name = "union_find"
@@ -71,58 +79,21 @@ class UnionFindDecoder(Decoder):
     def __init__(self, graph: MatchingGraph, weighted: bool = True):
         super().__init__(graph)
         self.weighted = bool(weighted) and graph.is_weighted
-        n, n_edges = self.n, graph.n_edges
+        n = self.n
         # The open boundary is materialized as one extra node with index n.
-        eu = np.empty(n_edges, dtype=np.int64)
-        ev = np.empty(n_edges, dtype=np.int64)
-        frame = np.empty(n_edges, dtype=np.uint8)
-        for k, e in enumerate(graph.edges):
-            eu[k] = n if e.u == BOUNDARY else e.u
-            ev[k] = n if e.v == BOUNDARY else e.v
-            frame[k] = e.frame
-        if self.weighted:
-            weights = np.array([e.weight for e in graph.edges], dtype=np.float64)
-        else:
-            weights = np.ones(n_edges, dtype=np.float64)
-        #: Integer growth capacity per edge (quantized log-likelihood weight).
-        cap = integer_weights(weights)
-
-        # Flat CSR adjacency over the n + 1 nodes (boundary included).
-        degree = np.zeros(n + 2, dtype=np.int64)
-        for k in range(n_edges):
-            degree[eu[k] + 1] += 1
-            degree[ev[k] + 1] += 1
-        indptr = np.cumsum(degree)
-        adj_edge = np.empty(2 * n_edges, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for k in range(n_edges):
-            for node in (eu[k], ev[k]):
-                adj_edge[cursor[node]] = k
-                cursor[node] += 1
-
-        # Preallocated per-shot state, scrubbed (touched entries only) after
-        # every decode so batches never reallocate.  Kept as flat Python
-        # lists: the growth loop is scalar-indexed, where list access is
-        # several times faster than numpy item access.
-        self._parent: list[int] = list(range(n + 1))
-        self._parity: list[int] = [0] * (n + 1)
-        self._growth: list[int] = [0] * n_edges
-        self._rate: list[int] = [0] * n_edges
-        self._peel_adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-        self._peel_seen: list[bool] = [False] * (n + 1)
-        self._peel_defect: list[int] = [0] * (n + 1)
-
-        # Plain-int mirrors of the read-only arrays, for the same reason
-        # (the numpy intermediates above are not retained).
-        self._eu_list: list[int] = eu.tolist()
-        self._ev_list: list[int] = ev.tolist()
-        self._frame_list: list[int] = frame.tolist()
-        self._cap_list: list[int] = cap.tolist()
-        self._adj_lists: list[list[int]] = [
-            adj_edge[indptr[i] : indptr[i + 1]].tolist() for i in range(n + 1)
-        ]
-
+        self.eu = np.where(graph.u == BOUNDARY, n, graph.u)
+        self.ev = np.where(graph.v == BOUNDARY, n, graph.v)
+        self.frame = graph.frame
+        self.cap = integer_weights(graph.weight if self.weighted else np.ones(graph.n_edges))
+        # Flat CSR adjacency over the n + 1 nodes (boundary included): the
+        # incidences eu[0], ev[0], eu[1], ev[1], ... stably sorted by node,
+        # so each node lists its edges in edge order.
+        ends = np.stack([self.eu, self.ev], axis=1).reshape(-1)
+        self.indptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n + 1), out=self.indptr[1:])
+        self.adj_edge = np.argsort(ends, kind="stable") // 2
         self._build_single_defect_table()
+
         # Imported here, not at module level: loading the native kernel (and
         # building it, the first time on a host) is decoder set-up, never
         # import-time work.
@@ -131,19 +102,44 @@ class UnionFindDecoder(Decoder):
 
         lib, self._fallback_reason = native.load(_uf_native.SOURCE, _uf_native._declare)
         self._native = None
-        if lib is not None:
+        if lib is None:
+            self._build_python_state()
+        else:
             self._native = _uf_native.NativeKernel(
                 lib,
                 n,
-                eu,
-                ev,
-                frame,
-                cap,
-                indptr,
-                adj_edge,
+                self.eu,
+                self.ev,
+                self.frame,
+                self.cap,
+                self.indptr,
+                self.adj_edge,
                 self._single_verdict,
                 self._single_reachable,
             )
+
+    def _build_python_state(self) -> None:
+        """The Python kernel's scratch state and plain-int table mirrors.
+
+        Preallocated per-shot state, scrubbed (touched entries only) after
+        every decode so batches never reallocate.  Kept as flat Python
+        lists: the growth loop is scalar-indexed, where list access is
+        several times faster than numpy item access.
+        """
+        n, n_edges = self.n, self.graph.n_edges
+        self._parent: list[int] = list(range(n + 1))
+        self._parity: list[int] = [0] * (n + 1)
+        self._growth: list[int] = [0] * n_edges
+        self._rate: list[int] = [0] * n_edges
+        self._peel_adj: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        self._peel_seen: list[bool] = [False] * (n + 1)
+        self._peel_defect: list[int] = [0] * (n + 1)
+        self._eu_list: list[int] = self.eu.tolist()
+        self._ev_list: list[int] = self.ev.tolist()
+        self._frame_list: list[int] = self.frame.tolist()
+        self._cap_list: list[int] = self.cap.tolist()
+        adj, indptr = self.adj_edge.tolist(), self.indptr.tolist()
+        self._adj_lists: list[list[int]] = [adj[indptr[i] : indptr[i + 1]] for i in range(n + 1)]
 
     @property
     def kernel(self) -> str:
@@ -166,8 +162,13 @@ class UnionFindDecoder(Decoder):
         precomputes all of them.
         """
         n, b = self.n, self.n
-        adj, eu, ev = self._adj_lists, self._eu_list, self._ev_list
-        frame, cap = self._frame_list, self._cap_list
+        indptr = self.indptr.tolist()
+        # Per adjacency slot: the edge's other endpoint, capacity and frame.
+        slot_node = np.repeat(np.arange(n + 1), np.diff(self.indptr))
+        edge = self.adj_edge
+        other = (self.eu[edge] + self.ev[edge] - slot_node).tolist()
+        cost = self.cap[edge].tolist()
+        flip = self.frame[edge].tolist()
         dist = [math.inf] * (n + 1)
         par = [0] * (n + 1)
         dist[b] = 0.0
@@ -176,17 +177,15 @@ class UnionFindDecoder(Decoder):
             d, u = heapq.heappop(heap)
             if d > dist[u]:
                 continue
-            for k in adj[u]:
-                v = ev[k] if eu[k] == u else eu[k]
-                nd = d + cap[k]
+            for j in range(indptr[u], indptr[u + 1]):
+                v = other[j]
+                nd = d + cost[j]
                 if nd < dist[v]:
                     dist[v] = nd
-                    par[v] = par[u] ^ frame[k]
+                    par[v] = par[u] ^ flip[j]
                     heapq.heappush(heap, (nd, v))
         self._single_verdict = np.array(par[:n], dtype=np.uint8)
-        self._single_reachable = np.array(
-            [dist[i] < math.inf for i in range(n)], dtype=bool
-        )
+        self._single_reachable = np.array(dist[:n]) < math.inf
 
     # -------------------------------------------------------------- decoding
     def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.decode.base import Decoder, get_decoder, register_decoder
-from repro.decode.graph import BOUNDARY, DetectorEdge, MatchingGraph
+from repro.decode.graph import BOUNDARY, MatchingGraph
 from repro.decode.union_find import UnionFindDecoder
 
 __all__ = ["WindowedUnionFindDecoder", "window_spans"]
@@ -144,53 +144,36 @@ class WindowedUnionFindDecoder(Decoder):
         self.inner = inner
         self._spans = window_spans(self.n_slices, self.window, self.commit)
 
-        # Flatten the graph once into per-edge endpoint/slice arrays, then
-        # carve each span's subgraph out of them.  Edges are assigned to a
+        # Each edge's earliest and latest real-endpoint slice, then each
+        # span's subgraph carved out of the columns.  Edges are assigned to a
         # window when *all* real endpoints lie inside it; edges crossing a
         # window's trailing end always reappear whole in a later window
         # (their earliest endpoint sits in the buffer, never the commit
         # region, because commit < window).
-        e_u = [e.u for e in graph.edges]
-        e_v = [e.v for e in graph.edges]
-        lo = np.empty(graph.n_edges, dtype=np.int64)
-        hi = np.empty(graph.n_edges, dtype=np.int64)
-        for k, (u, v) in enumerate(zip(e_u, e_v)):
-            slices = [node // n_faces for node in (u, v) if node != BOUNDARY]
-            lo[k], hi[k] = min(slices), max(slices)
+        su, sv = graph.u // n_faces, graph.v // n_faces
+        su = np.where(graph.u == BOUNDARY, sv, su)
+        sv = np.where(graph.v == BOUNDARY, su, sv)
+        lo, hi = np.minimum(su, sv), np.maximum(su, sv)
 
         kinds: dict[tuple, _WindowKind] = {}
         self._span_kinds: list[_WindowKind] = []
         for s0, s1, _ in self._spans:
-            mask = np.nonzero((lo >= s0) & (hi < s1))[0]
-            offset = s0 * n_faces
-            signature = (
-                (s1 - s0),
-                tuple(
-                    (
-                        e_u[k] - offset if e_u[k] != BOUNDARY else BOUNDARY,
-                        e_v[k] - offset if e_v[k] != BOUNDARY else BOUNDARY,
-                        graph.edges[k].frame,
-                        graph.edges[k].weight,
-                    )
-                    for k in mask
-                ),
+            mask = np.flatnonzero((lo >= s0) & (hi < s1))
+            local = graph.subgraph(mask, (s1 - s0) * n_faces, s0 * n_faces)
+            signature = (s1 - s0,) + tuple(
+                column.tobytes() for column in (local.u, local.v, local.frame, local.weight)
             )
             kind = kinds.get(signature)
             if kind is None:
-                local_edges = [
-                    DetectorEdge(u, v, frame, graph.edges[k].kind, weight)
-                    for (u, v, frame, weight), k in zip(signature[1], mask)
-                ]
-                local = MatchingGraph((s1 - s0) * n_faces, local_edges)
                 kind = _WindowKind(
                     decoder=get_decoder(inner, local),
-                    min_slice=[int(lo[k] - s0) for k in mask],
-                    frame=[int(graph.edges[k].frame) for k in mask],
+                    min_slice=(lo[mask] - s0).tolist(),
+                    frame=local.frame.tolist(),
                     endpoints=[
-                        tuple(n for n in (u, v) if n != BOUNDARY)
-                        for u, v, _, _ in signature[1]
+                        tuple(node for node in (u, v) if node != BOUNDARY)
+                        for u, v in zip(local.u.tolist(), local.v.tolist())
                     ],
-                    )
+                )
                 if not hasattr(kind.decoder, "decode_edges"):
                     raise ValueError(
                         f"inner decoder {inner!r} does not expose decode_edges; "

@@ -1548,7 +1548,8 @@ def build_dem(
     order, so extraction is deterministic for a fixed circuit + noise pair.
 
     Reads only the table's kind, duration and mechanism-id columns: sites
-    are grouped by a stable sort on mechanism id, and the fold runs one
+    are grouped by a stable sort on mechanism id (in the narrowest unsigned
+    dtype that holds the id count), and the fold runs one
     NumPy step per rank within a group, every mechanism's ``r``-th site at
     once, in site order — bit-identical to the per-site dictionary loop it
     replaced (``build_dem`` in ``tests/oracles.py``).  Site objects are
@@ -1560,7 +1561,11 @@ def build_dem(
     lengths = np.fromiter(map(len, key_dets), dtype=np.int64, count=len(key_dets))
     visible = (lengths > 0) | (key_obs != 0)
     kept = np.flatnonzero(~(probs <= 0.0) & visible[mech])
-    order = kept[np.argsort(mech[kept], kind="stable")]
+    # The narrowest unsigned key that holds every mechanism id: NumPy
+    # radix-sorts 8- and 16-bit keys, and a stable sort's order is the same
+    # for any key width.
+    key = np.min_scalar_type(max(len(key_dets) - 1, 0))
+    order = kept[np.argsort(mech[kept].astype(key), kind="stable")]
     ids = mech[order]
     site_p = probs[order]
     first = np.flatnonzero(np.diff(ids, prepend=-1))

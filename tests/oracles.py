@@ -11,6 +11,13 @@ Each function is the plain loop a production routine replaced:
 * the DEM fold prices one fault site at a time and groups sites by
   ``(footprint, observable mask)`` in a dictionary — the columnar
   ``repro.sim.dem.build_dem`` must equal it exactly;
+* the DEM graph loop merges one mechanism at a time into a dictionary
+  keyed by detector pair — the columnar ``repro.decode.graph.build_dem_graph``
+  must equal it exactly (edge order, endpoints, frames, weight bits);
+* the union-find tables are built one edge at a time: endpoints, frame
+  bits, capacities, a cursor-filled CSR adjacency and the lone-defect
+  Dijkstra over per-node edge lists — ``UnionFindDecoder``'s array-built
+  tables must equal them exactly;
 * the schedule graph derives a memory experiment's decoding graph from its
   face supports and visit layers, with unit weights — every DEM-built
   graph must share its nodes and the frame bit of every shared edge, and
@@ -24,9 +31,13 @@ Each function is the plain loop a production routine replaced:
 
 from __future__ import annotations
 
+import heapq
+import math
+
 import numpy as np
 
 from repro.core.compiler import TISCC
+from repro.decode.base import integer_weights
 from repro.decode.graph import BOUNDARY, DetectorEdge, MatchingGraph
 from repro.decode.memory import MemoryExperiment
 from repro.estimator.sweep import OPERATION_PROGRAMS, _profiles, _resolve_noise
@@ -192,6 +203,112 @@ def build_dem(table, params, keep_sources=False) -> DetectorErrorModel:
         observables=np.array([k[1] for k in keys], dtype=np.uint64),
         sources=[tuple(sites[s] for s in groups[k][1]) for k in keys] if keep_sources else None,
     )
+
+
+def build_dem_graph(dem, observable: int = 0) -> MatchingGraph:
+    """A DEM's decoding graph, merging one mechanism at a time in a dictionary."""
+    if not 0 <= observable < dem.n_observables:
+        raise ValueError(
+            f"observable {observable} out of range for {dem.n_observables} observables"
+        )
+    # pair -> [combined probability, frame of strongest source, strongest p]
+    merged: dict[tuple[int, int], list] = {}
+    for p, dets, mask in zip(dem.probs, dem.detectors, dem.observables):
+        p = float(p)
+        if p <= 0.0:
+            continue
+        frame = int(mask) >> observable & 1
+        if len(dets) == 0:
+            continue  # undetectable: invisible to every detector
+        if len(dets) == 1:
+            pair = (int(dets[0]), BOUNDARY)
+        elif len(dets) == 2:
+            pair = (int(dets[0]), int(dets[1]))
+        else:
+            raise ValueError(
+                f"mechanism fires {len(dets)} detectors {tuple(dets)}; a "
+                "matching graph needs at most two — decompose hyperedges first"
+            )
+        entry = merged.get(pair)
+        if entry is None:
+            merged[pair] = [p, frame, p]
+        else:
+            entry[0] = entry[0] * (1.0 - p) + p * (1.0 - entry[0])
+            if p > entry[2]:
+                entry[1], entry[2] = frame, p
+    weight_of: dict[float, float] = {}
+    edges = []
+    for (u, v), (p, frame, _) in sorted(merged.items()):
+        p = min(max(p, 1e-12), 0.5 - 1e-12)
+        weight = weight_of.get(p)
+        if weight is None:
+            weight = weight_of[p] = math.log((1.0 - p) / p)
+        edges.append(DetectorEdge(u, v, frame, "dem", weight))
+    return MatchingGraph(dem.n_detectors, edges)
+
+
+def union_find_tables(graph: MatchingGraph, weighted: bool = True) -> dict[str, np.ndarray]:
+    """A union-find decoder's tables, one edge at a time.
+
+    Edge endpoints ``eu``/``ev`` (the boundary is node ``n``), ``frame``,
+    integer capacities ``cap``, the CSR adjacency ``indptr``/``adj_edge``
+    filled through per-node cursors in edge order, and the lone-defect
+    table: a Dijkstra sweep from the boundary over per-node edge lists
+    giving each detector's path parity (``single_verdict``) and whether a
+    path exists (``single_reachable``).
+    """
+    n, n_edges = graph.n_detectors, graph.n_edges
+    eu = np.empty(n_edges, dtype=np.int64)
+    ev = np.empty(n_edges, dtype=np.int64)
+    frame = np.empty(n_edges, dtype=np.uint8)
+    for k, e in enumerate(graph.edges):
+        eu[k] = n if e.u == BOUNDARY else e.u
+        ev[k] = n if e.v == BOUNDARY else e.v
+        frame[k] = e.frame
+    if weighted and graph.is_weighted:
+        weights = np.array([e.weight for e in graph.edges], dtype=np.float64)
+    else:
+        weights = np.ones(n_edges, dtype=np.float64)
+    cap = integer_weights(weights)
+    degree = np.zeros(n + 2, dtype=np.int64)
+    for k in range(n_edges):
+        degree[eu[k] + 1] += 1
+        degree[ev[k] + 1] += 1
+    indptr = np.cumsum(degree)
+    adj_edge = np.empty(2 * n_edges, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for k in range(n_edges):
+        for node in (eu[k], ev[k]):
+            adj_edge[cursor[node]] = k
+            cursor[node] += 1
+
+    adj = [adj_edge[indptr[i] : indptr[i + 1]].tolist() for i in range(n + 1)]
+    eu_l, ev_l, frame_l, cap_l = eu.tolist(), ev.tolist(), frame.tolist(), cap.tolist()
+    dist = [math.inf] * (n + 1)
+    par = [0] * (n + 1)
+    dist[n] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, n)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for k in adj[u]:
+            v = ev_l[k] if eu_l[k] == u else eu_l[k]
+            nd = d + cap_l[k]
+            if nd < dist[v]:
+                dist[v] = nd
+                par[v] = par[u] ^ frame_l[k]
+                heapq.heappush(heap, (nd, v))
+    return {
+        "eu": eu,
+        "ev": ev,
+        "frame": frame,
+        "cap": cap,
+        "indptr": indptr,
+        "adj_edge": adj_edge,
+        "single_verdict": np.array(par[:n], dtype=np.uint8),
+        "single_reachable": np.array([dist[i] < math.inf for i in range(n)], dtype=bool),
+    }
 
 
 def build_memory_graph(face_supports, logical_sites, rounds, visit_layers=None) -> MatchingGraph:

@@ -205,6 +205,28 @@ def test_error_paths_raise_the_same_messages(native_kernel):
                 decoder.decode_edges([graph.n_detectors])
 
 
+def test_python_state_is_built_only_on_fallback(native_kernel):
+    """A native decoder builds no Python-kernel state; a forced fallback
+    builds it from the same tables and decodes identically."""
+    noise = NoiseModel.preset("near_term")
+    exp = MemoryExperiment(distance=5)
+    graph = exp.matching_graph(noise)
+    fast, oracle = native_decoder(graph), python_decoder(graph)
+    state = ["_parent", "_parity", "_growth", "_rate", "_peel_adj", "_eu_list", "_adj_lists"]
+    assert [name for name in state if hasattr(fast, name)] == []
+    assert [name for name in state if not hasattr(oracle, name)] == []
+    tables = ["eu", "ev", "frame", "cap", "indptr", "adj_edge"]
+    for name in tables + ["_single_verdict", "_single_reachable"]:
+        assert np.array_equal(getattr(fast, name), getattr(oracle, name)), name
+    bounds = zip(oracle.indptr[:-1].tolist(), oracle.indptr[1:].tolist())
+    assert oracle._adj_lists == [oracle.adj_edge[a:b].tolist() for a, b in bounds]
+    syndromes = exp.sample_frame(2000, noise=noise, seed=3).detectors
+    assert np.array_equal(fast.decode_batch(syndromes), oracle.decode_batch(syndromes))
+    for row in syndromes[:300]:
+        defects = np.nonzero(row)[0]
+        assert fast.decode_edges(defects) == oracle.decode_edges(defects)
+
+
 # ------------------------------------------------------- build and fallback
 @functools.cache
 def _d3_inputs():
