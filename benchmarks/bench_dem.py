@@ -19,7 +19,10 @@ The bench times both extraction regimes:
 The bench also re-verifies on the spot that the tiled table is bit-identical
 to the full walk, and it fails unless the walk ran the native kernel
 (``repro/sim/_dem_kernel.c``): the full walk is the baseline of the
-speedup gate, and the Python fallback would inflate it.  Both round counts
+speedup gate, and the Python fallback would inflate it.  A ``build_dem`` row
+times the fold of the tiled table into a DEM (median of 5) on the kernel's
+native fold against the forced NumPy fallback, compares the two DEMs bit for
+bit, and fails unless the fold ran native.  Both round counts
 are timed *interleaved* in the same process so slow-container noise hits
 both sides equally.  It measures two rows under the same gates: the
 compiler's own schedule (``simd=False``) and the SIMD beam-pass schedule
@@ -38,15 +41,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.decode import MemoryExperiment
 from repro.decode.memory import _periodic_template
-from repro.sim.dem import dem_structure_key, extract_fault_table
+from repro.sim.dem import SOURCE, build_dem, dem_structure_key, extract_fault_table
 from repro.sim.noise import NoiseModel
+from repro.util import native
 
 try:
     from benchmarks.conftest import print_table
@@ -60,6 +66,9 @@ PRESET = "near_term"
 #: Interleaved timing repetitions per round count (cold / warm).
 COLD_REPS = 7
 WARM_REPS = 100
+
+#: Timed ``build_dem`` calls per fold (the row reports their median).
+FOLD_REPS = 5
 
 #: Required flatness: warm extraction time ratio under a 2x rounds doubling
 #: (full scale only; quick scale reports it without gating).
@@ -86,6 +95,39 @@ def _time_extraction(experiment: MemoryExperiment, model: NoiseModel, cold: bool
             f"got method={table.method!r}"
         )
     return dt
+
+
+def _time_folds(table, params) -> dict:
+    """``build_dem`` on the native fold and on the forced NumPy fallback.
+
+    Medians of :data:`FOLD_REPS` calls each, after one untimed call that
+    builds the table's lazy columns, plus whether both DEMs agree bit for
+    bit.
+    """
+    models, seconds = {}, {}
+    for fold in ("native", "numpy"):
+        # The NumPy fold runs while the kernel's loader reports a failure.
+        forced = {SOURCE: (None, "forced by bench_dem")} if fold == "numpy" else {}
+        with mock.patch.dict(native._loaded, forced):
+            models[fold] = build_dem(table, params)
+            times = []
+            for _ in range(FOLD_REPS):
+                t0 = time.perf_counter()
+                build_dem(table, params)
+                times.append(time.perf_counter() - t0)
+        seconds[fold] = statistics.median(times)
+    fast, slow = models["native"], models["numpy"]
+    return {
+        "fold_kernel": fast.kernel,
+        "fold_fallback_reason": fast.fallback_reason,
+        "build_dem_seconds": seconds["native"],
+        "build_dem_numpy_seconds": seconds["numpy"],
+        "fold_identical": bool(
+            fast.probs.tobytes() == slow.probs.tobytes()
+            and fast.detectors == slow.detectors
+            and np.array_equal(fast.observables, slow.observables)
+        ),
+    }
 
 
 def run_comparison(d: int = 7, rounds: int | None = None, verify: bool = True) -> list[dict]:
@@ -139,6 +181,7 @@ def compare_paths(d: int, rounds: int | None, simd: bool, verify: bool = True) -
     t_warm_2x = sum(warm[2 * rounds]) / WARM_REPS
 
     periodic = exp_r.fault_table(model)
+    folds = _time_folds(periodic, model.params)
     identical = None
     if verify:
         kp, dp = periodic.site_columns()
@@ -173,12 +216,14 @@ def compare_paths(d: int, rounds: int | None, simd: bool, verify: bool = True) -
         "flatness": t_warm_2x / t_warm,
         "flatness_cold": t_cold_2x / t_cold,
         "bit_identical": identical,
+        **folds,
     }
 
 
 def passes(res: dict, min_speedup: float, gate_flatness: bool) -> bool:
-    """The gates every row must meet: bit-identity, speedup, warm flatness."""
-    ok = bool(res["bit_identical"]) and res["speedup"] >= min_speedup
+    """The gates every row must meet: bit-identity of the tables and of the
+    two folds' DEMs, speedup, warm flatness."""
+    ok = bool(res["bit_identical"]) and res["fold_identical"] and res["speedup"] >= min_speedup
     return ok and (not gate_flatness or res["flatness"] <= FLATNESS_LIMIT)
 
 
@@ -194,6 +239,8 @@ def report(res: dict) -> None:
             ["periodic cold", str(res["rounds_2x"]), f"{res['cold_seconds_2x']:.4f}"],
             ["periodic warm", str(res["rounds"]), f"{res['warm_seconds']:.6f}"],
             ["periodic warm", str(res["rounds_2x"]), f"{res['warm_seconds_2x']:.6f}"],
+            ["build_dem, native fold", str(res["rounds"]), f"{res['build_dem_seconds']:.4f}"],
+            ["build_dem, NumPy fold", str(res["rounds"]), f"{res['build_dem_numpy_seconds']:.4f}"],
         ],
     )
     print(
@@ -206,6 +253,10 @@ def report(res: dict) -> None:
     )
     if res["bit_identical"] is not None:
         print(f"bit-identical to the full walk: {res['bit_identical']}")
+    print(
+        f"build_dem: {res['build_dem_numpy_seconds'] / res['build_dem_seconds']:.1f}x on the "
+        f"{res['fold_kernel']} fold over the NumPy fold, bit-identical: {res['fold_identical']}"
+    )
 
 
 def test_dem_extraction_speedup():
@@ -213,6 +264,7 @@ def test_dem_extraction_speedup():
     for res in run_comparison(d=5, rounds=25):
         report(res)
         assert res["kernel"] == "native", res["fallback_reason"]
+        assert res["fold_kernel"] == "native", res["fold_fallback_reason"]
         assert passes(res, 3.0, gate_flatness=False)
 
 
@@ -244,21 +296,24 @@ def main(argv: list[str] | None = None) -> int:
     if rows[0]["kernel"] != "native":
         print(f"FAIL: the walk ran its {rows[0]['kernel']} kernel: {rows[0]['fallback_reason']}")
         return 1
+    if rows[0]["fold_kernel"] != "native":
+        print(f"FAIL: build_dem ran its NumPy fold: {rows[0]['fold_fallback_reason']}")
+        return 1
     failed = [res for res in rows if not passes(res, target, gate_flatness=not args.quick)]
     for res in failed:
         print(
-            f"FAIL (simd {'on' if res['simd'] else 'off'}): need bit-identical tables, "
-            f">= {target:g}x speedup"
+            f"FAIL (simd {'on' if res['simd'] else 'off'}): need bit-identical tables "
+            f"and folds, >= {target:g}x speedup"
             + ("" if args.quick else f", and warm flatness <= {FLATNESS_LIMIT:g}x")
-            + f" (got identical = {res['bit_identical']}, {res['speedup']:.1f}x, "
-            f"flatness {res['flatness']:.2f}x)"
+            + f" (got identical = {res['bit_identical']}, folds identical = "
+            f"{res['fold_identical']}, {res['speedup']:.1f}x, flatness {res['flatness']:.2f}x)"
         )
     if failed:
         return 1
     print(
         f"OK: bit-identical, >= {target:g}x extraction speedup"
         + ("" if args.quick else ", flat under rounds doubling")
-        + ", with and without SIMD, on the native kernel"
+        + ", with and without SIMD, on the native kernel and fold"
     )
     return 0
 

@@ -488,6 +488,7 @@ def _cmd_dem(args: argparse.Namespace) -> int:
         "n_mechanisms": dem.n_mechanisms,
         "path": table.method,
         "kernel": table.kernel,
+        "fold_kernel": dem.kernel,
     }
     print(
         f"# detector error model: {args.basis}-basis memory, d={args.distance}, "
@@ -497,8 +498,8 @@ def _cmd_dem(args: argparse.Namespace) -> int:
     if args.stats:
         print(
             f"stats: extraction {stats['extraction_seconds']:.4f} s "
-            f"({stats['path']} path, {stats['kernel']} kernel), n_sites {stats['n_sites']}, "
-            f"n_mechanisms {stats['n_mechanisms']}"
+            f"({stats['path']} path, {stats['kernel']} kernel, {stats['fold_kernel']} fold), "
+            f"n_sites {stats['n_sites']}, n_mechanisms {stats['n_mechanisms']}"
         )
     print(
         f"detectors: {dem.n_detectors}  observables: {dem.n_observables}  "
@@ -789,7 +790,8 @@ def main(argv: list[str] | None = None) -> int:
         "--stats",
         action="store_true",
         help="print extraction stats (seconds, sites, mechanisms, periodic-vs-full "
-        "path); with --json the same fields are embedded in the artifact",
+        "path, walk and fold kernels); with --json the same fields are embedded in "
+        "the artifact",
     )
     _add_profile_argument(p_dem)
     p_dem.set_defaults(fn=_cmd_dem)

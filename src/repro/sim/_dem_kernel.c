@@ -32,8 +32,16 @@
  * from each row's end offset.  Footprints are deduplicated into mechanism
  * ids through a hash table over lane words, and the distinct keys are
  * sorted as Python sorts (footprint tuple, observable mask) pairs, so a
- * site's mechanism id is its key's rank.  Only integer and bit work is
- * done; durations are copied, never computed.
+ * site's mechanism id is its key's rank.  The walk does only integer and
+ * bit work; durations are copied, never computed.
+ *
+ * Two passes around the walk do float work, each op for op as the Python
+ * code it replaces.  dem_resolve resolves the stream the walk reads, as
+ * interpreter.replay_stream does; dem_fold folds a table's priced sites
+ * into mechanisms, as dem.py's NumPy fold does.  Both stay bit for bit only
+ * while every product and sum rounds on its own, so the kernels are built
+ * with -ffp-contract=off (repro.util.native), which keeps a compiler from
+ * fusing a multiply and an add into one FMA instruction.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -465,4 +473,159 @@ void dem_fetch(void *handle, int64_t *ptr, int32_t *ids, uint64_t *obs)
     if (obs)
         memcpy(obs, k->obs, k->n_keys * sizeof *obs);
     free_keys(k);
+}
+
+/* ------------------------------------------------------ stream resolution */
+/*
+ * interpreter.replay_stream's pass over the sorted stream, for its default
+ * tableau layout.  occ[site] is the tableau qubit of the ion at a qsite, -1
+ * when empty, and a Load gives its new ion the next qubit.  Per row it
+ * writes the tableau qubits (CSR qptr/qs: none for a Load, the moving ion's
+ * for a Move) and the idle gaps the row closes (CSR iptr/iq/igap/ipred):
+ * start - busy_end in double arithmetic, recorded when positive, with the
+ * row that last made the qubit busy, -1 before any.
+ *
+ * Returns -1 and the tableau size, or the first row it cannot resolve: a
+ * Load without a site or onto an occupied qsite, a gate on an empty qsite,
+ * a Move without two sites or into an occupied qsite, or a site outside
+ * occ; n_rows when out of memory.  The caller then uses none of the
+ * outputs and runs the Python walk, whose replay_stream raises its own
+ * error or resolves what is left to it (rows on negative qsites).
+ */
+int64_t dem_resolve(int64_t n_rows, const int32_t *code, const int64_t *site0,
+                    const int64_t *site1, const int8_t *nsites, const double *t,
+                    const double *duration, int64_t load_code, int64_t move_code,
+                    int64_t n_slots, int32_t *occ, int64_t n_ions, int64_t *qptr, int32_t *qs,
+                    int64_t *iptr, int32_t *iq, double *igap, int64_t *ipred,
+                    int64_t *n_qubits)
+{
+    int64_t n_loads = 0;
+    for (int64_t r = 0; r < n_rows; r++)
+        n_loads += code[r] == load_code;
+    int64_t cap = n_ions + n_loads > 1 ? n_ions + n_loads : 1;
+    double *busy_end = malloc(cap * sizeof *busy_end);
+    int64_t *busy_row = malloc(cap * sizeof *busy_row);
+    int64_t fail = -1, m = 0, g = 0;
+    if (!busy_end || !busy_row) {
+        fail = n_rows;
+        goto done;
+    }
+    for (int64_t q = 0; q < cap; q++) {
+        busy_end[q] = 0.0;
+        busy_row[q] = -1;
+    }
+    qptr[0] = iptr[0] = 0;
+    for (int64_t r = 0; r < n_rows; r++) {
+        int k = nsites[r];
+        int64_t s0 = site0[r], s1 = site1[r];
+        fail = r; /* until the row resolves */
+        if (k < 0 || k > 2)
+            goto done;
+        if (code[r] == load_code) {
+            if (k < 1 || s0 < 0 || s0 >= n_slots || occ[s0] >= 0)
+                goto done;
+            occ[s0] = (int32_t)n_ions++;
+        } else {
+            int move = code[r] == move_code;
+            int nq = move ? 1 : k;
+            int32_t q[2];
+            if (move && k != 2)
+                goto done;
+            for (int i = 0; i < nq; i++) {
+                int64_t s = i ? s1 : s0;
+                if (s < 0 || s >= n_slots || occ[s] < 0)
+                    goto done;
+                q[i] = occ[s];
+            }
+            if (move) {
+                if (s1 < 0 || s1 >= n_slots || occ[s1] >= 0)
+                    goto done;
+                occ[s1] = occ[s0];
+                occ[s0] = -1;
+            }
+            double start = t[r], end = t[r] + duration[r];
+            for (int i = 0; i < nq; i++) {
+                double gap = start - busy_end[q[i]];
+                if (gap > 0) {
+                    iq[g] = q[i];
+                    igap[g] = gap;
+                    ipred[g++] = busy_row[q[i]];
+                }
+            }
+            for (int i = 0; i < nq; i++) {
+                busy_end[q[i]] = end;
+                busy_row[q[i]] = r;
+                qs[m++] = q[i];
+            }
+        }
+        qptr[r + 1] = m;
+        iptr[r + 1] = g;
+    }
+    fail = -1;
+    *n_qubits = cap;
+done:
+    free(busy_end);
+    free(busy_row);
+    return fail;
+}
+
+/* ------------------------------------------------------------------ fold */
+/*
+ * Fold priced sites into mechanisms, in site order.  Site s of kind k fires
+ * with rate[k]; with `timed` given, the dephasing kinds instead read the
+ * next of its n_timed entries (NumPy prices those, so no libm call is made
+ * here).  A site is kept when !(p <= 0.0) and its key is visible; a key's
+ * first kept site sets p[key] and each later one XOR-combines into it as
+ * p <- a * (1 - b) + b * (1 - a), the NumPy fold's rank-by-rank operations.
+ * count[key] is the key's kept sites, and `order`, when given, receives the
+ * kept sites grouped by key, in site order within a key.
+ *
+ * Returns -1; the first site whose kind or key is out of range; -2 when
+ * out of memory; or -3 when `timed` does not hold one entry per dephasing
+ * site.  On any failure the caller uses none of the outputs.
+ */
+int64_t dem_fold(int64_t n_sites, const int8_t *kind, const int64_t *mech, const double *rate,
+                 const double *timed, int64_t n_timed, const uint8_t *visible, int64_t n_keys,
+                 double *p, int64_t *count, int64_t *order)
+{
+    memset(count, 0, n_keys * sizeof *count);
+    int64_t j = 0;
+    for (int64_t s = 0; s < n_sites; s++) {
+        int k = kind[s];
+        int64_t m = mech[s];
+        int is_timed = timed && k >= K_DEPHASE;
+        if (k < K_GATE1 || k > K_IDLE || m < 0 || m >= n_keys)
+            return s;
+        if (is_timed && j == n_timed)
+            return -3;
+        double b = is_timed ? timed[j++] : rate[k];
+        if (b <= 0.0 || !visible[m])
+            continue;
+        if (count[m]++) {
+            double a = p[m];
+            p[m] = a * (1.0 - b) + b * (1.0 - a);
+        } else {
+            p[m] = b;
+        }
+    }
+    if (timed && j != n_timed)
+        return -3;
+    if (!order)
+        return -1;
+    int64_t *next = malloc((n_keys ? n_keys : 1) * sizeof *next);
+    if (!next)
+        return -2;
+    for (int64_t m = 0, at = 0; m < n_keys; m++) {
+        next[m] = at;
+        at += count[m];
+    }
+    j = 0;
+    for (int64_t s = 0; s < n_sites; s++) {
+        int k = kind[s];
+        double b = timed && k >= K_DEPHASE ? timed[j++] : rate[k];
+        if (!(b <= 0.0) && visible[mech[s]])
+            order[next[mech[s]]++] = s;
+    }
+    free(next);
+    return -1;
 }

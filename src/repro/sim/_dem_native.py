@@ -1,20 +1,28 @@
-"""Bind the native DEM walk (``_dem_kernel.c``) through :mod:`ctypes`.
+"""Bind the native DEM kernel (``_dem_kernel.c``) through :mod:`ctypes`.
 
 :func:`repro.util.native.load` builds, caches and loads the kernel;
 :func:`_declare` is the signature table it applies.  :mod:`repro.sim.dem`
-imports this module at its first extraction, never at import, and hands
-:func:`walk` the loaded kernel, or runs its Python walk when there is none.
-:func:`walk` lays a circuit's resolved stream out as the kernel's columns
-(per row: opcode, tableau qubits, duration and idle gaps; per measurement
-label: the detector and observable lanes of its last measurement) and wraps
-the kernel's site columns and sorted mechanism keys as a
-:class:`~repro.sim.dem.FaultTable`.
+imports this module at its first extraction or fold, never at import, and
+hands these functions the loaded kernel, or runs its Python code when there
+is none:
+
+* :func:`resolve` resolves a circuit's sorted stream against its initial
+  occupancy in one pass, as :func:`~repro.sim.interpreter.replay_stream`
+  does, into :class:`Stream` columns (per row: tableau qubits and the idle
+  gaps it closes);
+* :func:`walk` reads those columns (plus per row an opcode and a duration,
+  and per measurement label the detector and observable lanes of its last
+  measurement) and wraps the kernel's site columns and sorted mechanism
+  keys as a :class:`~repro.sim.dem.FaultTable`;
+* :func:`fold` XOR-combines a table's priced sites into mechanisms, in site
+  order, for :func:`~repro.sim.dem.build_dem`.
 """
 
 from __future__ import annotations
 
 import ctypes
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +36,10 @@ from repro.sim.dem import (
     _FRAME_SWAP,
     SOURCE,
 )
-from repro.sim.interpreter import RELOCATIONS, ReplayStream
+from repro.sim.interpreter import RELOCATIONS
 from repro.sim.noise import NoiseParams
 
-__all__ = ["SOURCE", "walk"]
+__all__ = ["SOURCE", "Stream", "fold", "resolve", "walk"]
 
 #: Row opcodes of the native walk (``OP_*`` in ``_dem_kernel.c``).  The
 #: single-qubit gates neither walk folds (non-Clifford ones) and every other
@@ -62,14 +70,88 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.dem_walk.restype = ptr
     lib.dem_fetch.argtypes = [ptr, ptr, ptr, ptr]
     lib.dem_fetch.restype = None
+    lib.dem_resolve.argtypes = [i64, *[ptr] * 6, *[i64] * 3, ptr, i64, *[ptr] * 7]
+    lib.dem_resolve.restype = i64
+    lib.dem_fold.argtypes = [i64, *[ptr] * 4, i64, ptr, i64, *[ptr] * 3]
+    lib.dem_fold.restype = i64
     return lib
 
 
-def _offsets(lengths, n: int) -> np.ndarray:
-    """CSR row pointers over ``n`` row lengths."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(lengths, dtype=np.int64, count=n), out=ptr[1:])
-    return ptr
+class Stream(NamedTuple):
+    """A sorted stream's tableau qubits and idle gaps, as CSR columns.
+
+    Row ``r`` acts on tableau qubits ``qubits[qptr[r]:qptr[r + 1]]`` and
+    closes idle gaps ``iptr[r]:iptr[r + 1]``: qubit ``idle_q``, length
+    ``idle_gap`` (µs) and predecessor row ``idle_pred``, the fields of
+    :attr:`ReplayStream.idle <repro.sim.interpreter.ReplayStream.idle>`.
+    """
+
+    qptr: np.ndarray  # (n + 1,) int64
+    qubits: np.ndarray  # int32
+    iptr: np.ndarray  # (n + 1,) int64
+    idle_q: np.ndarray  # int32
+    idle_gap: np.ndarray  # float64
+    idle_pred: np.ndarray  # int64
+    n_qubits: int
+
+
+def resolve(lib: ctypes.CDLL, circuit: HardwareCircuit, occupancy: dict[int, int]) -> Stream | int:
+    """``replay_stream(circuit, occupancy)``'s qubits and gaps, resolved natively.
+
+    Returns the columns, or the first sorted row the kernel cannot resolve
+    (``-1`` for an occupancy that maps two sites to one ion or names a
+    negative qsite, the row count when out of memory); the caller then uses
+    nothing of the pass and runs the Python walk, whose ``replay_stream``
+    raises its own error or resolves what the kernel leaves to it.
+    """
+    cols = circuit.sorted_columns()
+    n = cols.n
+    sites = np.fromiter(occupancy.keys(), dtype=np.int64, count=len(occupancy))
+    ions = np.fromiter(occupancy.values(), dtype=np.int64, count=len(occupancy))
+    distinct = np.unique(ions)
+    if distinct.size != ions.size or sites.min(initial=0) < 0:
+        return -1
+    top = int(max(cols.site0.max(initial=-1), cols.site1.max(initial=-1), sites.max(initial=-1)))
+    occ = np.full(top + 1, -1, dtype=np.int32)
+    occ[sites] = np.searchsorted(distinct, ions)  # the k-th ion in id order is qubit k
+    total = int(cols.nsites.sum())
+    qptr, iptr = np.empty(n + 1, dtype=np.int64), np.empty(n + 1, dtype=np.int64)
+    qubits, idle_q = np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32)
+    idle_gap = np.empty(total, dtype=np.float64)
+    idle_pred = np.empty(total, dtype=np.int64)
+    move = name_code("Move")
+    n_qubits = ctypes.c_int64()
+    inputs = [
+        np.ascontiguousarray(column, dtype=dtype)
+        for column, dtype in (
+            (cols.codes, np.int32),
+            (cols.site0, np.int64),
+            (cols.site1, np.int64),
+            (cols.nsites, np.int8),
+            (cols.t, np.float64),
+            (cols.duration, np.float64),
+        )
+    ]
+    bad = lib.dem_resolve(
+        n,
+        *(column.ctypes.data for column in inputs),
+        name_code("Load"),
+        -1 if move is None else move,
+        occ.size,
+        occ.ctypes.data,
+        ions.size,
+        qptr.ctypes.data,
+        qubits.ctypes.data,
+        iptr.ctypes.data,
+        idle_q.ctypes.data,
+        idle_gap.ctypes.data,
+        idle_pred.ctypes.data,
+        ctypes.byref(n_qubits),
+    )
+    if bad != -1:
+        return bad
+    m, g = int(qptr[-1]), int(iptr[-1])
+    return Stream(qptr, qubits[:m], iptr, idle_q[:g], idle_gap[:g], idle_pred[:g], n_qubits.value)
 
 
 def _opcodes(codes: np.ndarray) -> np.ndarray:
@@ -119,15 +201,15 @@ def _label_lanes(
 def walk(
     lib: ctypes.CDLL,
     circuit: HardwareCircuit,
-    stream: ReplayStream,
+    stream: Stream,
     params: NoiseParams,
     detectors: list[list[str]],
     observables: list[list[str]],
     skip_empty: bool,
 ) -> dem.FaultTable | None:
-    """The full walk's table on the native kernel (see ``_dem_kernel.c``).
+    """The full walk's table over ``circuit``'s resolved ``stream``, natively.
 
-    With ``skip_empty`` a stream without fault sites returns ``None``
+    See ``_dem_kernel.c``.  With ``skip_empty`` a stream without fault sites returns ``None``
     before any row is checked; otherwise the first row the kernel cannot
     fold raises :class:`~repro.sim.dem.DemExtractionError`, then the first
     unknown label ``ValueError``, as the Python walk does.
@@ -135,18 +217,17 @@ def walk(
     cols = circuit.sorted_columns()
     n = cols.n
     ops = _opcodes(cols.codes)
-    qptr = _offsets(map(len, stream.qubits), n)
-    qubits = np.fromiter(chain.from_iterable(stream.qubits), dtype=np.int32, count=int(qptr[-1]))
-    tracks_idle = params.t2_us is not None
-    gaps = [gap for row in stream.idle for gap in row] if tracks_idle else []
-    iptr = _offsets(map(len, stream.idle), n) if tracks_idle else np.zeros(n + 1, np.int64)
-    idle_q = np.fromiter((q for q, _, _ in gaps), dtype=np.int32, count=len(gaps))
-    idle_gap = np.fromiter((g for _, g, _ in gaps), dtype=np.float64, count=len(gaps))
     durations = np.ascontiguousarray(cols.duration, dtype=np.float64)
+    # Without dephasing the kernel reads no idle gap.
     flags = sum(bit for bit, on in zip((1, 2, 4, 8, 16), dem.dem_structure_key(params)) if on)
 
     n_sites = lib.dem_count_sites(
-        n, ops.ctypes.data, qptr.ctypes.data, iptr.ctypes.data, durations.ctypes.data, flags
+        n,
+        ops.ctypes.data,
+        stream.qptr.ctypes.data,
+        stream.iptr.ctypes.data,
+        durations.ctypes.data,
+        flags,
     )
     dem._VISIT_COUNTS["enumerate"] += n
     if skip_empty and not n_sites:
@@ -169,12 +250,12 @@ def walk(
     handle = lib.dem_walk(
         n,
         ops.ctypes.data,
-        qptr.ctypes.data,
-        qubits.ctypes.data,
+        stream.qptr.ctypes.data,
+        stream.qubits.ctypes.data,
         durations.ctypes.data,
-        iptr.ctypes.data,
-        idle_q.ctypes.data,
-        idle_gap.ctypes.data,
+        stream.iptr.ctypes.data,
+        stream.idle_q.ctypes.data,
+        stream.idle_gap.ctypes.data,
         label_rows.ctypes.data,
         lanes.ctypes.data,
         stream.n_qubits,
@@ -214,3 +295,64 @@ def walk(
         channels=(kinds, site_durations),
         mechanisms=(mech, [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])], key_obs),
     )
+
+
+def fold(
+    lib: ctypes.CDLL,
+    kinds: np.ndarray,
+    mech: np.ndarray,
+    rates: np.ndarray,
+    timed: np.ndarray | None,
+    visible: np.ndarray,
+    keep_sources: bool,
+) -> tuple:
+    """:func:`~repro.sim.dem.build_dem`'s fold on the native kernel.
+
+    Site ``s`` fires with ``rates[kinds[s]]``, or for a dephasing kind with
+    the next entry of ``timed`` when given; it joins key ``mech[s]`` when it
+    fires and the key is ``visible``.  Returns the NumPy fold's
+    ``(mechanism ids, probabilities, kept sites grouped by mechanism, group
+    starts)``, the last two only with ``keep_sources``.  Raises the NumPy
+    fold's ``ValueError`` for the first site whose kind or key is out of
+    range, and ``ValueError`` when ``timed`` does not hold one entry per
+    dephasing site.
+    """
+    kinds = np.ascontiguousarray(kinds, dtype=np.int8)
+    mech = np.ascontiguousarray(mech, dtype=np.int64)
+    rates = np.ascontiguousarray(rates, dtype=np.float64)
+    visible = np.ascontiguousarray(visible, dtype=np.uint8)
+    if rates.shape != (len(dem.KINDS),):
+        raise ValueError(f"need one rate per site kind, got shape {rates.shape}")
+    if mech.shape != kinds.shape:
+        raise ValueError(f"need one mechanism id per site, got {mech.size} for {kinds.size}")
+    if timed is not None:
+        timed = np.ascontiguousarray(timed, dtype=np.float64)
+    p = np.empty(visible.size, dtype=np.float64)
+    count = np.empty(visible.size, dtype=np.int64)
+    order = np.empty(kinds.size, dtype=np.int64) if keep_sources else None
+    bad = lib.dem_fold(
+        kinds.size,
+        kinds.ctypes.data,
+        mech.ctypes.data,
+        rates.ctypes.data,
+        None if timed is None else timed.ctypes.data,
+        0 if timed is None else timed.size,
+        visible.ctypes.data,
+        visible.size,
+        p.ctypes.data,
+        count.ctypes.data,
+        None if order is None else order.ctypes.data,
+    )
+    if bad == -2:
+        raise MemoryError("the native DEM fold ran out of memory")
+    if bad == -3:
+        raise ValueError("need one timed probability per dephasing site")
+    if bad != -1:
+        raise dem._bad_site(kinds, mech, visible.size, bad)
+    mechs = np.flatnonzero(count)
+    if order is None:
+        return mechs, p[mechs], None, None
+    sizes = count[mechs]
+    first = np.zeros(mechs.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=first[1:])
+    return mechs, p[mechs], order[: int(sizes.sum())], first

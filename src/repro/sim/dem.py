@@ -18,14 +18,19 @@ propagates detector *sensitivity* backward through the Clifford schedule —
 one bit lane per detector or observable rather than one per fault site
 (Gidney 2021, arXiv:2103.02202) — reads each site's footprint off the
 sensitivity planes at its location, and deduplicates footprints into
-mechanism ids.  The Python one (:func:`enumerate_fault_sites`,
-:func:`_propagate_frames`, :func:`_project`), kept as its bit-identity
-oracle and as the fallback when no C compiler is available, conjugates one
-bit-packed Pauli frame lane per site forward.  :attr:`FaultTable.kernel`
-says which ran.  A table is columnar: per-site row, when, kind, duration
-and Pauli columns plus a mechanism id into one sorted list of distinct
-``(footprint, observable mask)`` keys; :func:`build_dem` folds those
-columns into a DEM without building a per-site object.
+mechanism ids.  It reads the stream as the same kernel resolves it, in one
+pass over the sorted columns that reproduces
+:func:`~repro.sim.interpreter.replay_stream` bit for bit.  The Python walk
+(:func:`enumerate_fault_sites`, :func:`_propagate_frames`, :func:`_project`
+over :func:`~repro.sim.interpreter.replay_stream`), kept as its
+bit-identity oracle and as the fallback when no C compiler is available,
+conjugates one bit-packed Pauli frame lane per site forward.
+:attr:`FaultTable.kernel` says which ran.  A table is columnar: per-site
+row, when, kind, duration and Pauli columns plus a mechanism id into one
+sorted list of distinct ``(footprint, observable mask)`` keys;
+:func:`build_dem` prices and folds those columns into a DEM without
+building a per-site object, on the kernel's fold where it builds and in
+NumPy otherwise (:attr:`DetectorErrorModel.kernel` says which).
 
 The DEM is the input to the tableau-free
 :class:`~repro.sim.frame.FrameSampler`, which samples detection events and
@@ -52,7 +57,7 @@ values, so callers sweeping a rate knob can extract the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -569,18 +574,20 @@ def _python_table(
 
 def _walk(
     circuit: HardwareCircuit,
-    stream: ReplayStream,
+    initial_occupancy: dict[int, int],
     params: NoiseParams,
     detectors: list[list[str]],
     observables: list[list[str]],
     skip_empty: bool = False,
-) -> FaultTable | None:
-    """The full walk's table, on the native kernel where it builds.
+) -> tuple[FaultTable | None, np.ndarray]:
+    """The full walk's table and each idle gap's predecessor row.
 
-    With ``skip_empty`` a stream without fault sites returns ``None``
-    before any row is checked.  Both kernels raise the same errors in the
-    same order: :class:`DemExtractionError` at the first row neither can
-    fold, then ``ValueError`` at the first unknown label.
+    Resolves the stream and walks it on the native kernel where it builds.
+    With ``skip_empty`` a stream without fault sites gives no table before
+    any row is checked.  Both kernels raise the same errors in the same
+    order: the stream's ``ValueError`` at the first row it cannot resolve,
+    :class:`DemExtractionError` at the first row neither can fold, then
+    ``ValueError`` at the first unknown label.
     """
     # Imported here, not at module level: loading the native kernel (and
     # building it, the first time on a host) is extraction work, never
@@ -590,13 +597,29 @@ def _walk(
 
     lib, reason = native.load(SOURCE, _dem_native._declare)
     if lib is not None:
-        return _dem_native.walk(lib, circuit, stream, params, detectors, observables, skip_empty)
+        resolved = _dem_native.resolve(lib, circuit, initial_occupancy)
+        if isinstance(resolved, _dem_native.Stream):
+            table = _dem_native.walk(
+                lib, circuit, resolved, params, detectors, observables, skip_empty
+            )
+            return table, resolved.idle_pred
+        # Nothing of a failed native pass is used: the Python walk runs
+        # instead, and its replay_stream raises its own error (or resolves
+        # a stream the kernel leaves to it, such as one on negative qsites).
+        reason = (
+            f"the native stream resolver stopped at sorted row {resolved}"
+            if resolved >= 0
+            else "the native stream resolver left the initial occupancy to replay_stream"
+        )
+    stream = replay_stream(circuit, initial_occupancy)
+    idle_pred = np.array([pred for gaps in stream.idle for _, _, pred in gaps], dtype=np.int64)
     sites = enumerate_fault_sites(circuit, stream, params)
     if skip_empty and not sites:
-        return None
+        return None, idle_pred
     label_flips = _propagate_frames(circuit, stream, sites)
     footprints, obs_mask = _project(sites, label_flips, detectors, observables)
-    return _python_table(sites, footprints, obs_mask, len(detectors), len(observables), reason)
+    table = _python_table(sites, footprints, obs_mask, len(detectors), len(observables), reason)
+    return table, idle_pred
 
 
 def _check_observables(observables: list[list[str]]) -> None:
@@ -649,8 +672,7 @@ def extract_fault_table(
         if table is not None:
             return table
 
-    stream = replay_stream(circuit, initial_occupancy)
-    return _walk(circuit, stream, params, detectors, observables)
+    return _walk(circuit, initial_occupancy, params, detectors, observables)[0]
 
 
 # --------------------------------------------------------- periodic tiling
@@ -803,7 +825,7 @@ class PeriodicTemplate:
         detectors: list[list[str]],
         observables: list[list[str]],
         table: FaultTable,
-        stream: ReplayStream,
+        idle_pred: np.ndarray,
         geom: dict,
     ):
         self.circuit = circuit
@@ -837,7 +859,7 @@ class PeriodicTemplate:
         self.pred_pos = np.full(table.n_sites, -2, dtype=np.int64)
         idle = kinds == _IDLE
         if idle.any():
-            self.pred_pos[idle] = [pred for gaps in stream.idle for _, _, pred in gaps]
+            self.pred_pos[idle] = idle_pred
         # Readout sites, whose labels table.readout_labels lists in order.
         self.read_pos = np.flatnonzero(kinds == _READOUT)
 
@@ -955,8 +977,9 @@ def make_periodic_template(
     geom = _replay_geometry(circuit)
     if geom is None or geom["C"] < 6:
         return None
-    stream = replay_stream(circuit, initial_occupancy)
-    table = _walk(circuit, stream, params, detectors, observables, skip_empty=True)
+    table, idle_pred = _walk(
+        circuit, initial_occupancy, params, detectors, observables, skip_empty=True
+    )
     if table is None:
         return None  # nothing to tile; the full walk is free anyway
     template = PeriodicTemplate(
@@ -966,7 +989,7 @@ def make_periodic_template(
         detectors,
         observables,
         table,
-        stream,
+        idle_pred,
         geom,
     )
     return template if template.usable else None
@@ -1439,7 +1462,10 @@ class DetectorErrorModel:
     observables set in bitmask ``observables[m]``.  ``sources`` (when
     extraction kept them) lists the concrete fault sites folded into each
     mechanism — the hook the cross-engine single-fault tests use to inject
-    the same physical fault into the packed-tableau engine.
+    the same physical fault into the packed-tableau engine.  ``kernel``
+    names the fold that built the model (``"native"`` or ``"python"``) and
+    ``fallback_reason`` why the Python one ran; neither takes part in
+    equality.
     """
 
     n_detectors: int
@@ -1448,6 +1474,8 @@ class DetectorErrorModel:
     detectors: list[tuple[int, ...]]
     observables: np.ndarray  # (M,) uint64 bitmask
     sources: list[tuple[FaultSite, ...]] | None = None
+    kernel: str = field(default="python", compare=False)
+    fallback_reason: str | None = field(default=None, compare=False)
 
     @property
     def n_mechanisms(self) -> int:
@@ -1511,60 +1539,41 @@ class DetectorErrorModel:
         )
 
 
-def _site_probabilities(table: FaultTable, params: NoiseParams) -> np.ndarray:
-    """Every site's firing probability under a parameter set.
+def _bad_site(kinds: np.ndarray, mech: np.ndarray, n_keys: int, s: int) -> ValueError:
+    """The error for fault site ``s``, whose kind or mechanism id is out of range."""
+    if not 0 <= kinds[s] < len(KINDS):
+        return ValueError(f"fault site {s} has kind code {kinds[s]}, outside 0..{len(KINDS) - 1}")
+    return ValueError(f"fault site {s} has mechanism id {mech[s]}, outside the {n_keys} keys")
 
-    Mirrors :class:`~repro.sim.noise.NoiseModel` exactly: each depolarizing
-    term carries ``p/3`` (``p/15`` for two-qubit), and the dephasing kinds
-    use the duration formula of :meth:`NoiseModel.dephasing_probability`.
-    One masked assignment per channel kind, with the dephasing formula
-    applied elementwise, so every element comes from the scalar operations
-    of the per-site loop (``site_probability`` in ``tests/oracles.py``).
+
+def _fold(
+    kinds: np.ndarray,
+    mech: np.ndarray,
+    rates: np.ndarray,
+    timed: np.ndarray | None,
+    visible: np.ndarray,
+) -> tuple:
+    """:func:`build_dem`'s fold in NumPy, where no native kernel builds.
+
+    Prices every site with one gather from the per-kind ``rates`` (the
+    dephasing kinds from ``timed`` when given), groups the kept sites by a
+    stable sort on mechanism id (in the narrowest unsigned dtype that holds
+    the id count), and folds one step per rank within a group, every
+    mechanism's ``r``-th site at once.  Returns ``(mechanism ids,
+    probabilities, kept sites grouped by mechanism, group starts)``, or
+    raises :func:`_bad_site`'s error for the first site whose kind or
+    mechanism id is out of range, as the native fold does.
     """
-    kinds, durations = table.site_columns()
-    probs = np.zeros(len(kinds), dtype=np.float64)
-    probs[kinds == _KIND_CODE["gate1"]] = params.p1 / 3.0
-    probs[kinds == _KIND_CODE["gate2"]] = params.p2 / 15.0
-    probs[kinds == _KIND_CODE["prep"]] = params.p_prep
-    probs[kinds == _KIND_CODE["readout"]] = params.p_meas
-    if params.t2_us is not None:
-        timed = kinds >= _KIND_CODE["dephase"]
-        if timed.any():
-            dur = durations[timed]
-            probs[timed] = np.where(dur > 0, -0.5 * np.expm1(-dur / params.t2_us), 0.0)
-    return probs
-
-
-def build_dem(
-    table: FaultTable, params: NoiseParams, keep_sources: bool = False
-) -> DetectorErrorModel:
-    """Fold a fault table and a parameter set into a deduplicated DEM.
-
-    Sites with zero probability or no effect (empty footprint, no
-    observable flip) are dropped; sites of one mechanism (identical
-    footprint and observable mask) are XOR-combined
-    (``p <- p_a (1 - p_b) + p_b (1 - p_a)``), which is exact for
-    independent mechanisms.  Mechanisms come back in the table's sorted key
-    order, so extraction is deterministic for a fixed circuit + noise pair.
-
-    Reads only the table's kind, duration and mechanism-id columns: sites
-    are grouped by a stable sort on mechanism id (in the narrowest unsigned
-    dtype that holds the id count), and the fold runs one
-    NumPy step per rank within a group, every mechanism's ``r``-th site at
-    once, in site order — bit-identical to the per-site dictionary loop it
-    replaced (``build_dem`` in ``tests/oracles.py``).  Site objects are
-    only built when ``keep_sources`` asks for them.
-    """
-    probs = _site_probabilities(table, params)
-    mech = table.mechanisms
-    key_dets, key_obs = table.key_detectors, table.key_observables
-    lengths = np.fromiter(map(len, key_dets), dtype=np.int64, count=len(key_dets))
-    visible = (lengths > 0) | (key_obs != 0)
+    bad = np.flatnonzero((kinds < 0) | (kinds >= len(KINDS)) | (mech < 0) | (mech >= len(visible)))
+    if bad.size:
+        raise _bad_site(kinds, mech, len(visible), int(bad[0]))
+    probs = rates[kinds]
+    if timed is not None:
+        probs[kinds >= _KIND_CODE["dephase"]] = timed
     kept = np.flatnonzero(~(probs <= 0.0) & visible[mech])
-    # The narrowest unsigned key that holds every mechanism id: NumPy
-    # radix-sorts 8- and 16-bit keys, and a stable sort's order is the same
-    # for any key width.
-    key = np.min_scalar_type(max(len(key_dets) - 1, 0))
+    # NumPy radix-sorts 8- and 16-bit keys, and a stable sort's order is
+    # the same for any key width.
+    key = np.min_scalar_type(max(len(visible) - 1, 0))
     order = kept[np.argsort(mech[kept].astype(key), kind="stable")]
     ids = mech[order]
     site_p = probs[order]
@@ -1575,19 +1584,67 @@ def build_dem(
         live = np.flatnonzero(sizes > rank)
         a, b = p[live], site_p[first[live] + rank]
         p[live] = a * (1.0 - b) + b * (1.0 - a)
-    mechs = ids[first]
+    return ids[first], p, order, first
+
+
+def build_dem(
+    table: FaultTable, params: NoiseParams, keep_sources: bool = False
+) -> DetectorErrorModel:
+    """Fold a fault table and a parameter set into a deduplicated DEM.
+
+    Sites with zero probability or no effect (empty footprint, no
+    observable flip) are dropped; sites of one mechanism (identical
+    footprint and observable mask) are XOR-combined
+    (``p <- p_a (1 - p_b) + p_b (1 - p_a)``) in site order, which is exact
+    for independent mechanisms.  Mechanisms come back in the table's sorted
+    key order, so extraction is deterministic for a fixed circuit + noise
+    pair.
+
+    Prices sites as :class:`~repro.sim.noise.NoiseModel` does: each
+    depolarizing term carries ``p/3`` (``p/15`` for two-qubit), and the
+    dephasing kinds use the duration formula of
+    :meth:`NoiseModel.dephasing_probability`, evaluated by NumPy over the
+    timed sites.  The fold runs on the native kernel where it builds and in
+    NumPy (:func:`_fold`) otherwise; both are bit-identical to the per-site
+    dictionary loop (``build_dem`` in ``tests/oracles.py``), and the
+    model's :attr:`~DetectorErrorModel.kernel` says which ran.  Either
+    raises ``ValueError`` for the first site whose kind or mechanism id is
+    out of range.  Reads only the table's kind, duration and mechanism-id
+    columns; site objects are only built when ``keep_sources`` asks for them.
+    """
+    from repro.sim import _dem_native
+    from repro.util import native
+
+    kinds, durations = table.site_columns()
+    rates = np.array([params.p1 / 3.0, params.p2 / 15.0, params.p_prep, params.p_meas, 0.0, 0.0])
+    timed = None
+    if params.t2_us is not None:
+        dur = durations[kinds >= _KIND_CODE["dephase"]]
+        timed = np.where(dur > 0, -0.5 * np.expm1(-dur / params.t2_us), 0.0)
+    mech = table.mechanisms
+    key_dets, key_obs = table.key_detectors, table.key_observables
+    lengths = np.fromiter(map(len, key_dets), dtype=np.int64, count=len(key_dets))
+    visible = (lengths > 0) | (key_obs != 0)
+    lib, reason = native.load(SOURCE, _dem_native._declare)
+    if lib is not None:
+        folded = _dem_native.fold(lib, kinds, mech, rates, timed, visible, keep_sources)
+    else:
+        folded = _fold(kinds, mech, rates, timed, visible)
+    mechs, probs, order, first = folded
     sources = None
     if keep_sources:
         sites = table.sites
-        groups = np.split(order, first[1:]) if ids.size else []
+        groups = np.split(order, first[1:]) if mechs.size else []
         sources = [tuple(sites[s] for s in group.tolist()) for group in groups]
     return DetectorErrorModel(
         n_detectors=table.n_detectors,
         n_observables=table.n_observables,
-        probs=p,
+        probs=probs,
         detectors=[key_dets[m] for m in mechs.tolist()],
         observables=key_obs[mechs],
         sources=sources,
+        kernel="python" if lib is None else "native",
+        fallback_reason=reason,
     )
 
 

@@ -7,9 +7,12 @@ resolve each gate's qsites to the ions — and hence tableau qubits — they
 hold.  :func:`replay_stream` is the one place that decides this, and the
 idle gaps between a qubit's operations, in a single pass over the sorted
 stream; the single-shot interpreter here, the batched sampler
-(:mod:`repro.sim.batch`) and both DEM-extraction walks
+(:mod:`repro.sim.batch`) and the Python DEM-extraction walk
 (:mod:`repro.sim.dem`) read its :class:`ReplayStream` and track no ions
-themselves: to them a Load or Move changes no quantum state.
+themselves: to them a Load or Move changes no quantum state.  The native
+DEM walk reads the same stream as its kernel resolves it
+(``dem_resolve`` in ``_dem_kernel.c``), bit for bit with this pass, which
+stays its oracle and raises its errors.
 
 Non-Clifford ``Z_pi/8`` gates are replaced per-shot by one Clifford sampled
 from the quasi-probability decomposition of the T-gate channel, with the

@@ -1,14 +1,15 @@
 """Build, cache and load the package's native kernels (the ``_*_kernel.c`` files).
 
-A kernel is compiled on first use with the system C compiler
-(``cc -O2 -shared -fPIC``, without ``-march=native`` because the cache may be
-shared between hosts) and loaded with :mod:`ctypes`.  Builds are cached in
+A kernel is compiled on first use with the system C compiler and
+:data:`CFLAGS` (without ``-march=native`` because the cache may be shared
+between hosts), then loaded with :mod:`ctypes`.  Builds are cached in
 ``$XDG_CACHE_HOME/tiscc`` (default ``~/.cache/tiscc``) as
-``<stem>-<sha16>-<machine>.so``, a name that encodes the source's hash and
-the machine type, so an edited kernel or another architecture never loads a
-stale object.  Each build is written under a temporary name and moved into
-place with :func:`os.replace`, so concurrent processes never load a
-half-written file, and a cached object that fails to load is rebuilt.
+``<stem>-<sha16>-<machine>.so``, a name that encodes the hash of the source
+and the flags, and the machine type, so an edited kernel, a flag change or
+another architecture never loads a stale object.  Each build is written
+under a temporary name and moved into place with :func:`os.replace`, so
+concurrent processes never load a half-written file, and a cached object
+that fails to load is rebuilt.
 
 Nothing here runs at import.  A kernel's user (the union-find decoder, the
 frame sampler, the DEM walk, the SIMD scheduler, the validity check, the
@@ -29,7 +30,13 @@ import tempfile
 from collections.abc import Callable
 from pathlib import Path
 
-__all__ = ["cache_path", "find_compiler", "load"]
+__all__ = ["CFLAGS", "cache_path", "find_compiler", "load"]
+
+#: Every kernel's compiler flags.  ``-ffp-contract=off`` keeps each float
+#: product and sum rounded on its own: kernels that repeat NumPy arithmetic
+#: bit for bit (the DEM fold's XOR-combine) would drift on a target where
+#: the compiler may fuse them into one FMA instruction, such as aarch64.
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: Per kernel source: ``(library, None)`` after a load, ``(None, reason)``
 #: after a failed one.  Process-wide, like the dynamic loader's own table of
@@ -38,9 +45,11 @@ _loaded: dict[Path, tuple[ctypes.CDLL | None, str | None]] = {}
 
 
 def cache_path(source: Path) -> Path:
-    """Where the build of ``source``, as it reads now, for this machine lives."""
+    """Where the build of ``source``, as it reads now, with :data:`CFLAGS`,
+    for this machine lives."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(Path.home(), ".cache")
-    digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    flags = " ".join(CFLAGS).encode()
+    digest = hashlib.sha256(flags + b"\0" + source.read_bytes()).hexdigest()[:16]
     return Path(base) / "tiscc" / f"{source.stem}-{digest}-{platform.machine()}.so"
 
 
@@ -88,7 +97,7 @@ def _load(source: Path, declare: Callable[[ctypes.CDLL], ctypes.CDLL]) -> ctypes
     os.close(fd)
     try:
         build = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp, str(source)],
+            [compiler, *CFLAGS, "-o", tmp, str(source)],
             capture_output=True,
             text=True,
             timeout=300,

@@ -243,7 +243,8 @@ class TestHappyPaths:
         stats = json.loads(path.read_text())["stats"]
         assert stats["path"] == "full"
         assert stats["kernel"] in ("native", "python")
-        assert f"(full path, {stats['kernel']} kernel)" in out
+        assert stats["fold_kernel"] in ("native", "python")
+        assert f"(full path, {stats['kernel']} kernel, {stats['fold_kernel']} fold)" in out
 
     def test_lfr_frame_engine_smoke(self, capsys):
         code, out = run_cli(

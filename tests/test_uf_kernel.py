@@ -398,3 +398,30 @@ def test_importing_the_package_loads_no_kernel(kernel):
     )
     out, err = worker.communicate(timeout=120)
     assert out.strip() == "False", err
+
+
+def test_the_cache_name_covers_the_compiler_flags(empty_cache, monkeypatch):
+    """A flag change never loads an object built with the old flags."""
+    before = native.cache_path(_dem_native.SOURCE)
+    monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-DFLAGS_CHANGED"))
+    after = native.cache_path(_dem_native.SOURCE)
+    assert after != before and after.parent == before.parent
+
+
+def test_builds_keep_float_products_and_sums_unfused(empty_cache, monkeypatch):
+    """The DEM fold repeats NumPy's arithmetic bit for bit only while the
+    compiler contracts no multiply-add into an FMA, which some targets'
+    default flags allow."""
+    commands = []
+
+    def no_build(command, **kwargs):
+        commands.append(command)
+        return subprocess.CompletedProcess(command, 1, "", "no build in this test")
+
+    monkeypatch.setattr(native, "find_compiler", lambda: "cc")
+    monkeypatch.setattr(native.subprocess, "run", no_build)
+    lib, reason = native.load(_dem_native.SOURCE, _dem_native._declare)
+    assert lib is None and "no build in this test" in reason
+    [command] = commands
+    assert "-ffp-contract=off" in command
+    assert command[1 : 1 + len(native.CFLAGS)] == list(native.CFLAGS)
