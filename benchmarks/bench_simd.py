@@ -87,9 +87,7 @@ def _compile(op: str, d: int, profile=None):
     else:
         compiler = TISCC(dx=d, dz=d, tile_rows=1, tile_cols=1, profile=profile)
         program = [("PrepareZ", (0, 0)), (f"Measure{op[0]}", (0, 0))]
-    return compiler, compiler.compile(
-        program, operation=op, validate=False, estimate=False
-    )
+    return compiler, compiler.compile(program, operation=op)
 
 
 def run_one(op: str, d: int, profile=None) -> dict:

@@ -45,24 +45,10 @@ from repro.estimator.report import (
     format_outcome_summary,
     format_resource_table,
 )
-from repro.estimator.sweep import OPERATION_PROGRAMS, sweep_operation
+from repro.estimator.spec import ExperimentSpec
+from repro.estimator.sweep import OPERATION_PROGRAMS, _profiles, sweep_operation
 
 __all__ = ["main"]
-
-
-def _resolve_profile_args(specs) -> list:
-    """Resolve CLI ``--profile`` values (names or paths) to profiles.
-
-    ``specs`` is the raw argparse value: ``None`` (flag absent), one spec,
-    or a list of specs.  Bad names/files raise ``ProfileError`` (a
-    ``ValueError``), which the command handlers surface as one-line
-    messages.
-    """
-    from repro.hardware.profile import get_profile
-
-    if specs is None or isinstance(specs, str):
-        return [get_profile(specs)]
-    return [get_profile(s) for s in specs]
 
 
 def _profile_note(profiles) -> str:
@@ -91,7 +77,7 @@ def _op_compiler(args: argparse.Namespace) -> tuple:
         raise ValueError(
             f"unknown operation {args.op!r}; choose from {sorted(OPERATION_PROGRAMS)}"
         ) from None
-    (prof,) = _resolve_profile_args(args.profile)
+    (prof,) = _profiles(args.profile)
     compiler = TISCC(
         dx=args.dx, dz=args.dz, tile_rows=shape[0], tile_cols=shape[1], rounds=args.rounds,
         profile=prof,
@@ -140,7 +126,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             + f", validate {compiled.validate_seconds:.3f} s ({compiled.validity.kernel} kernel), "
             f"estimate {compiled.estimate_seconds:.3f} s"
         )
-    if args.resources and compiled.resources:
+    if args.resources:
         print(format_resource_table([compiled.resources]))
     if args.print_circuit:
         print(compiled.to_text())
@@ -349,6 +335,14 @@ def _validate_window_args(args: argparse.Namespace) -> str | None:
                 f"--window/--commit only apply to windowed decoders, not "
                 f"{effective!r} (try --decoder union_find_windowed)"
             )
+    if args.window is not None and args.commit is None:
+        commit = max(ExperimentSpec(d, d).window_shape[1] for d in args.distances)
+        if commit >= args.window:
+            return (
+                f"--window ({args.window}) must be larger than the default --commit, the "
+                f"distance ({commit}); pass a larger --window or a --commit below "
+                f"{args.window}"
+            )
     if args.shot_shards < 1:
         return f"--shot-shards must be at least 1 (got {args.shot_shards})"
     if args.shot_shards > 1 and args.engine != "frame":
@@ -397,7 +391,7 @@ def _cmd_lfr(args: argparse.Namespace) -> int:
         return 2
     stats: dict = {}
     try:
-        profiles = _resolve_profile_args(args.profile)
+        profiles = _profiles(args.profile)
         if args.rates is not None:
             models = [NoiseModel.uniform(p) for p in args.rates]
         else:
@@ -461,7 +455,7 @@ def _cmd_dem(args: argparse.Namespace) -> int:
         print(complaint)
         return 2
     try:
-        (prof,) = _resolve_profile_args(args.profile)
+        (prof,) = _profiles(args.profile)
         model = (
             NoiseModel.uniform(args.rate)
             if args.rate is not None
@@ -556,7 +550,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        (prof,) = _resolve_profile_args(args.profile)
+        (prof,) = _profiles(args.profile)
         grid = grid_for_patch(prof, args.dx, args.dz)
         layout = PatchLayout(grid, args.dx, args.dz, arrangement=arrangement)
     except ValueError as err:
@@ -577,7 +571,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     stats: dict = {}
     try:
-        profiles = _resolve_profile_args(args.profile)
+        profiles = _profiles(args.profile)
         reports = sweep_operation(
             args.op,
             args.distances,

@@ -87,11 +87,6 @@ _EPS = 1e-9
 class SyndromeScheduler:
     """Schedules rounds of syndrome extraction for sets of plaquettes."""
 
-    #: Class-wide default for QEC-round template replay (see
-    #: :meth:`schedule_rounds`); tests and benchmarks flip it to compare
-    #: against the round-by-round legacy path.
-    template_replay: bool = True
-
     def __init__(self, grid: GridManager, model: HardwareModel):
         self.grid = grid
         self.model = model
@@ -315,9 +310,8 @@ class SyndromeScheduler:
         remaining ``rounds - 1`` are replayed by a vectorized time-offset +
         measurement-relabel (:meth:`HardwareCircuit.replay_block`), instead
         of re-walking the plaquette schedules.  The emitted instruction
-        stream is identical to the round-by-round path (locked down by
-        tests); set :attr:`template_replay` to ``False`` to force the
-        legacy loop.
+        stream is identical to compiling every round (locked down by
+        tests).
         """
         grid = self.grid
         records: list[RoundRecord] = []
@@ -325,9 +319,7 @@ class SyndromeScheduler:
         r = 0
         ions: set[int] | None = None
         while r < rounds:
-            eligible = (
-                self.template_replay and rounds - r >= 2 and t + _EPS >= grid.t_horizon
-            )
+            eligible = rounds - r >= 2 and t + _EPS >= grid.t_horizon
             if eligible:
                 if ions is None:
                     ions = set(measure_ions.values())

@@ -53,9 +53,6 @@ class CompiledOperation:
     simd_seconds: float = 0.0
     #: What the SIMD rescheduling pass did (None when it did not run).
     simd_report: SimdReport | None = None
-    #: The pre-SIMD schedule — kept as the equivalence oracle when the
-    #: rescheduling pass ran, None otherwise.
-    unscheduled_circuit: HardwareCircuit | None = None
     #: The scheduler the compile's QEC rounds ran on: ``"native"`` (the C
     #: round kernel) or ``"python"`` (the round loop), and why the loop ran
     #: instead (see :func:`repro.code.stabilizer_circuits.round_kernel`).
@@ -136,20 +133,16 @@ class TISCC:
         self,
         program: list[tuple],
         operation: str = "",
-        validate: bool = True,
-        estimate: bool = True,
         simd: bool = False,
     ) -> CompiledOperation:
         """Execute a program, returning the compiled operation bundle.
 
-        ``validate``/``estimate`` toggle the §3.3 validity replay and §3.4
-        resource estimation (both on by default); per-phase wall-clock
-        timings are recorded on the returned bundle.  ``simd`` runs the
-        beam-pass rescheduling backend phase (:mod:`repro.hardware.simd`)
-        with the profile's ``simd_*`` fields: the bundle's ``circuit``
-        becomes the compacted schedule, the original stays on
-        ``unscheduled_circuit`` as the equivalence oracle, and validation /
-        estimation apply to the rescheduled circuit.
+        Every compile ends with the §3.3 validity replay and the §3.4
+        resource estimate; per-phase wall-clock timings are recorded on the
+        returned bundle.  ``simd`` runs the beam-pass rescheduling backend
+        phase (:mod:`repro.hardware.simd`) with the profile's ``simd_*``
+        fields first: the bundle's ``circuit`` becomes the compacted
+        schedule, which validation and estimation then apply to.
         """
         occ0 = self.tiles.occupancy_snapshot()
         circuit = HardwareCircuit()
@@ -179,24 +172,21 @@ class TISCC:
                 overhead_us=prof.simd_pass_overhead_us,
             )
             compiled.simd_seconds = time.perf_counter() - t0
-            compiled.unscheduled_circuit = circuit
             compiled.circuit = scheduled
             compiled.simd_report = report
-        if validate:
-            t0 = time.perf_counter()
-            compiled.validity = check_circuit(self.grid, compiled.circuit, occ0)
-            compiled.validate_seconds = time.perf_counter() - t0
-        if estimate:
-            t0 = time.perf_counter()
-            compiled.resources = estimate_resources(
-                self.grid,
-                compiled.circuit,
-                compiled.operation,
-                self.tiles.dx,
-                self.tiles.dz,
-                simd_report=compiled.simd_report,
-            )
-            compiled.estimate_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        compiled.validity = check_circuit(self.grid, compiled.circuit, occ0)
+        compiled.validate_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        compiled.resources = estimate_resources(
+            self.grid,
+            compiled.circuit,
+            compiled.operation,
+            self.tiles.dx,
+            self.tiles.dz,
+            simd_report=compiled.simd_report,
+        )
+        compiled.estimate_seconds = time.perf_counter() - t0
         return compiled
 
     def _dispatch(self, circuit, mnemonic: str, args) -> InstructionResult:

@@ -216,8 +216,8 @@ class MemoryExperiment:
     syndromes are all zero.
 
     The other keywords are :class:`~repro.estimator.spec.ExperimentSpec`
-    axes, kept on :attr:`spec`; ``window``/``commit`` default to
-    ``2 * max(dx, dz)`` / ``max(dx, dz)``.
+    axes, kept on :attr:`spec`; ``window``/``commit`` default as
+    :attr:`~repro.estimator.spec.ExperimentSpec.window_shape` says.
     """
 
     def __init__(
@@ -375,9 +375,7 @@ class MemoryExperiment:
             self._fault_tables[key] = table
         return table
 
-    def detector_error_model(
-        self, noise: NoiseModel, keep_sources: bool = False
-    ) -> DetectorErrorModel:
+    def detector_error_model(self, noise: NoiseModel) -> DetectorErrorModel:
         """Stim-style DEM of this memory experiment under ``noise``.
 
         The underlying :meth:`fault_table` is rounds-independent to build
@@ -386,7 +384,7 @@ class MemoryExperiment:
         folds in the noise rates over the table's columns — both paths
         bit-identical to the original per-instruction walk.
         """
-        return build_dem(self.fault_table(noise), noise.params, keep_sources=keep_sources)
+        return build_dem(self.fault_table(noise), noise.params)
 
     # ------------------------------------------------------------- decoders
     @staticmethod
@@ -430,13 +428,9 @@ class MemoryExperiment:
         key: tuple = ("ideal" if graph is self.graph else self._params_key(noise), name)
         layout = {}
         if decoder_class(name).wants_layout:
-            d, spec = max(self.dx, self.dz), self.spec
-            key += (spec.window, spec.commit)
-            layout = dict(
-                n_faces=len(self.faces),
-                window=spec.window if spec.window is not None else 2 * d,
-                commit=spec.commit if spec.commit is not None else d,
-            )
+            key += (self.spec.window, self.spec.commit)
+            window, commit = self.spec.window_shape
+            layout = dict(n_faces=len(self.faces), window=window, commit=commit)
         built = self._decoders.get(key)
         if built is None:
             built = get_decoder(name, graph, **layout)

@@ -30,7 +30,8 @@ class ExperimentSpec:
     ``rounds=None`` means ``max(dx, dz)`` (:attr:`n_rounds`); the field keeps
     the value as given because resource-cell keys record it that way.
     ``profile`` is stored resolved.  ``window``/``commit`` shape a windowed
-    decoder and are rejected for whole-block decoders, which ignore them.
+    decoder and are rejected for whole-block decoders, which ignore them;
+    unset, they default to :attr:`window_shape`'s.
     """
 
     dx: int
@@ -56,7 +57,26 @@ class ExperimentSpec:
                 raise ValueError(
                     f"window/commit only apply to windowed decoders, not {self.decoder!r}"
                 )
+            window, commit = self.window_shape
+            if self.commit is None and commit >= window:
+                raise ValueError(
+                    f"window ({window}) must be larger than the default commit, the "
+                    f"distance max(dx, dz) = {commit}; give a larger window or a "
+                    f"commit below {window}"
+                )
         object.__setattr__(self, "profile", get_profile(self.profile))
+
+    @property
+    def window_shape(self) -> tuple[int, int]:
+        """A windowed decoder's ``(window, commit)`` in time slices.
+
+        Unset, they default to ``2 * d`` and ``d``, with ``d = max(dx, dz)``.
+        """
+        d = max(self.dx, self.dz)
+        return (
+            self.window if self.window is not None else 2 * d,
+            self.commit if self.commit is not None else d,
+        )
 
     @property
     def n_rounds(self) -> int:

@@ -44,7 +44,9 @@ def _profiles(
     """Resolve a profile spec (or list of specs) to concrete profiles.
 
     ``None`` means the default profile; a list sweeps each entry in order
-    (the profile-major axis of a multi-architecture comparison).
+    (the profile-major axis of a multi-architecture comparison).  Takes the
+    CLI's ``--profile`` values as argparse leaves them; a bad name or file
+    raises a one-line ``ProfileError`` (a ``ValueError``).
     """
     if profile is None or isinstance(profile, (HardwareProfile, str)):
         return [get_profile(profile)]

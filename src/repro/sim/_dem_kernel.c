@@ -577,16 +577,15 @@ done:
  * here).  A site is kept when !(p <= 0.0) and its key is visible; a key's
  * first kept site sets p[key] and each later one XOR-combines into it as
  * p <- a * (1 - b) + b * (1 - a), the NumPy fold's rank-by-rank operations.
- * count[key] is the key's kept sites, and `order`, when given, receives the
- * kept sites grouped by key, in site order within a key.
+ * count[key] is the key's kept sites.
  *
- * Returns -1; the first site whose kind or key is out of range; -2 when
- * out of memory; or -3 when `timed` does not hold one entry per dephasing
- * site.  On any failure the caller uses none of the outputs.
+ * Returns -1; the first site whose kind or key is out of range; or -2 when
+ * `timed` does not hold one entry per dephasing site.  On any failure the
+ * caller uses none of the outputs.
  */
 int64_t dem_fold(int64_t n_sites, const int8_t *kind, const int64_t *mech, const double *rate,
                  const double *timed, int64_t n_timed, const uint8_t *visible, int64_t n_keys,
-                 double *p, int64_t *count, int64_t *order)
+                 double *p, int64_t *count)
 {
     memset(count, 0, n_keys * sizeof *count);
     int64_t j = 0;
@@ -597,7 +596,7 @@ int64_t dem_fold(int64_t n_sites, const int8_t *kind, const int64_t *mech, const
         if (k < K_GATE1 || k > K_IDLE || m < 0 || m >= n_keys)
             return s;
         if (is_timed && j == n_timed)
-            return -3;
+            return -2;
         double b = is_timed ? timed[j++] : rate[k];
         if (b <= 0.0 || !visible[m])
             continue;
@@ -609,23 +608,6 @@ int64_t dem_fold(int64_t n_sites, const int8_t *kind, const int64_t *mech, const
         }
     }
     if (timed && j != n_timed)
-        return -3;
-    if (!order)
-        return -1;
-    int64_t *next = malloc((n_keys ? n_keys : 1) * sizeof *next);
-    if (!next)
         return -2;
-    for (int64_t m = 0, at = 0; m < n_keys; m++) {
-        next[m] = at;
-        at += count[m];
-    }
-    j = 0;
-    for (int64_t s = 0; s < n_sites; s++) {
-        int k = kind[s];
-        double b = timed && k >= K_DEPHASE ? timed[j++] : rate[k];
-        if (!(b <= 0.0) && visible[mech[s]])
-            order[next[mech[s]]++] = s;
-    }
-    free(next);
     return -1;
 }

@@ -72,7 +72,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.dem_fetch.restype = None
     lib.dem_resolve.argtypes = [i64, *[ptr] * 6, *[i64] * 3, ptr, i64, *[ptr] * 7]
     lib.dem_resolve.restype = i64
-    lib.dem_fold.argtypes = [i64, *[ptr] * 4, i64, ptr, i64, *[ptr] * 3]
+    lib.dem_fold.argtypes = [i64, *[ptr] * 4, i64, ptr, i64, *[ptr] * 2]
     lib.dem_fold.restype = i64
     return lib
 
@@ -229,10 +229,8 @@ def walk(
         durations.ctypes.data,
         flags,
     )
-    dem._VISIT_COUNTS["enumerate"] += n
     if skip_empty and not n_sites:
         return None
-    dem._VISIT_COUNTS["propagate"] += n
     bad = np.flatnonzero(ops >= _OP_OTHER_1Q)
     if bad.size:
         raise dem._unsupported(cols.names[int(bad[0])])
@@ -304,18 +302,16 @@ def fold(
     rates: np.ndarray,
     timed: np.ndarray | None,
     visible: np.ndarray,
-    keep_sources: bool,
 ) -> tuple:
     """:func:`~repro.sim.dem.build_dem`'s fold on the native kernel.
 
     Site ``s`` fires with ``rates[kinds[s]]``, or for a dephasing kind with
     the next entry of ``timed`` when given; it joins key ``mech[s]`` when it
     fires and the key is ``visible``.  Returns the NumPy fold's
-    ``(mechanism ids, probabilities, kept sites grouped by mechanism, group
-    starts)``, the last two only with ``keep_sources``.  Raises the NumPy
-    fold's ``ValueError`` for the first site whose kind or key is out of
-    range, and ``ValueError`` when ``timed`` does not hold one entry per
-    dephasing site.
+    ``(mechanism ids, probabilities)``.  Raises the NumPy fold's
+    ``ValueError`` for the first site whose kind or key is out of range, and
+    ``ValueError`` when ``timed`` does not hold one entry per dephasing
+    site.
     """
     kinds = np.ascontiguousarray(kinds, dtype=np.int8)
     mech = np.ascontiguousarray(mech, dtype=np.int64)
@@ -329,7 +325,6 @@ def fold(
         timed = np.ascontiguousarray(timed, dtype=np.float64)
     p = np.empty(visible.size, dtype=np.float64)
     count = np.empty(visible.size, dtype=np.int64)
-    order = np.empty(kinds.size, dtype=np.int64) if keep_sources else None
     bad = lib.dem_fold(
         kinds.size,
         kinds.ctypes.data,
@@ -341,18 +336,10 @@ def fold(
         visible.size,
         p.ctypes.data,
         count.ctypes.data,
-        None if order is None else order.ctypes.data,
     )
     if bad == -2:
-        raise MemoryError("the native DEM fold ran out of memory")
-    if bad == -3:
         raise ValueError("need one timed probability per dephasing site")
     if bad != -1:
         raise dem._bad_site(kinds, mech, visible.size, bad)
     mechs = np.flatnonzero(count)
-    if order is None:
-        return mechs, p[mechs], None, None
-    sizes = count[mechs]
-    first = np.zeros(mechs.size, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=first[1:])
-    return mechs, p[mechs], order[: int(sizes.sum())], first
+    return mechs, p[mechs]

@@ -81,30 +81,9 @@ __all__ = [
     "make_periodic_template",
     "build_dem",
     "extract_dem",
-    "visit_counts",
-    "reset_visit_counts",
 ]
 
 SOURCE = Path(__file__).with_name("_dem_kernel.c")
-
-# ------------------------------------------------------------ visit counting
-# Every instruction-stream walk bumps these counters by the number of rows it
-# visits.  The periodic-extraction regression tests use them to prove the
-# fast path touches O(prologue + template + epilogue) instructions however
-# many rounds the target circuit replays (the tiling stage is pure array
-# arithmetic and never walks the stream).
-_VISIT_COUNTS = {"enumerate": 0, "propagate": 0}
-
-
-def visit_counts() -> dict[str, int]:
-    """Instructions visited by the walk loops since the last reset."""
-    return dict(_VISIT_COUNTS)
-
-
-def reset_visit_counts() -> None:
-    """Zero the instruction-visit counters (test instrumentation)."""
-    for key in _VISIT_COUNTS:
-        _VISIT_COUNTS[key] = 0
 
 
 class DemExtractionError(RuntimeError):
@@ -207,7 +186,6 @@ def enumerate_fault_sites(
     sites: list[FaultSite] = []
 
     cols = circuit.sorted_columns()
-    _VISIT_COUNTS["enumerate"] += cols.n
     names, labels = cols.names, cols.labels
     durations = cols.duration.tolist()
     qubits_of, idle_of = stream.qubits, stream.idle
@@ -288,7 +266,6 @@ def _propagate_frames(
                 z[q, w] ^= bit
 
     cols = circuit.sorted_columns()
-    _VISIT_COUNTS["propagate"] += cols.n
     names, labels = cols.names, cols.labels
     qubits_of = stream.qubits
     for idx in range(cols.n):
@@ -352,10 +329,9 @@ class FaultTable:
     :func:`build_dem`.
 
     :attr:`sites`, :attr:`footprints` and :attr:`observables` are per-site
-    views built on first access, for the equivalence tests,
-    ``keep_sources`` and the CLI.  :attr:`kernel` names the walk that
-    extracted the table (``"native"`` or ``"python"``) and
-    :attr:`fallback_reason` why the Python one ran.
+    views built on first access, for the equivalence tests and the CLI.
+    :attr:`kernel` names the walk that extracted the table (``"native"``
+    or ``"python"``) and :attr:`fallback_reason` why the Python one ran.
 
     Tables built by the periodic extractor carry period metadata —
     ``method`` (``"periodic"`` vs ``"full"``), ``sites_per_round`` (fault
@@ -1459,11 +1435,8 @@ class DetectorErrorModel:
 
     Mechanism ``m`` fires independently with probability ``probs[m]``,
     flipping the detectors in ``detectors[m]`` (sorted ids) and the
-    observables set in bitmask ``observables[m]``.  ``sources`` (when
-    extraction kept them) lists the concrete fault sites folded into each
-    mechanism — the hook the cross-engine single-fault tests use to inject
-    the same physical fault into the packed-tableau engine.  ``kernel``
-    names the fold that built the model (``"native"`` or ``"python"``) and
+    observables set in bitmask ``observables[m]``.  ``kernel`` names the
+    fold that built the model (``"native"`` or ``"python"``) and
     ``fallback_reason`` why the Python one ran; neither takes part in
     equality.
     """
@@ -1473,7 +1446,6 @@ class DetectorErrorModel:
     probs: np.ndarray  # (M,) float64
     detectors: list[tuple[int, ...]]
     observables: np.ndarray  # (M,) uint64 bitmask
-    sources: list[tuple[FaultSite, ...]] | None = None
     kernel: str = field(default="python", compare=False)
     fallback_reason: str | None = field(default=None, compare=False)
 
@@ -1560,9 +1532,9 @@ def _fold(
     stable sort on mechanism id (in the narrowest unsigned dtype that holds
     the id count), and folds one step per rank within a group, every
     mechanism's ``r``-th site at once.  Returns ``(mechanism ids,
-    probabilities, kept sites grouped by mechanism, group starts)``, or
-    raises :func:`_bad_site`'s error for the first site whose kind or
-    mechanism id is out of range, as the native fold does.
+    probabilities)``, or raises :func:`_bad_site`'s error for the first
+    site whose kind or mechanism id is out of range, as the native fold
+    does.
     """
     bad = np.flatnonzero((kinds < 0) | (kinds >= len(KINDS)) | (mech < 0) | (mech >= len(visible)))
     if bad.size:
@@ -1584,12 +1556,10 @@ def _fold(
         live = np.flatnonzero(sizes > rank)
         a, b = p[live], site_p[first[live] + rank]
         p[live] = a * (1.0 - b) + b * (1.0 - a)
-    return ids[first], p, order, first
+    return ids[first], p
 
 
-def build_dem(
-    table: FaultTable, params: NoiseParams, keep_sources: bool = False
-) -> DetectorErrorModel:
+def build_dem(table: FaultTable, params: NoiseParams) -> DetectorErrorModel:
     """Fold a fault table and a parameter set into a deduplicated DEM.
 
     Sites with zero probability or no effect (empty footprint, no
@@ -1610,7 +1580,7 @@ def build_dem(
     model's :attr:`~DetectorErrorModel.kernel` says which ran.  Either
     raises ``ValueError`` for the first site whose kind or mechanism id is
     out of range.  Reads only the table's kind, duration and mechanism-id
-    columns; site objects are only built when ``keep_sources`` asks for them.
+    columns, never a site object.
     """
     from repro.sim import _dem_native
     from repro.util import native
@@ -1627,22 +1597,15 @@ def build_dem(
     visible = (lengths > 0) | (key_obs != 0)
     lib, reason = native.load(SOURCE, _dem_native._declare)
     if lib is not None:
-        folded = _dem_native.fold(lib, kinds, mech, rates, timed, visible, keep_sources)
+        mechs, probs = _dem_native.fold(lib, kinds, mech, rates, timed, visible)
     else:
-        folded = _fold(kinds, mech, rates, timed, visible)
-    mechs, probs, order, first = folded
-    sources = None
-    if keep_sources:
-        sites = table.sites
-        groups = np.split(order, first[1:]) if mechs.size else []
-        sources = [tuple(sites[s] for s in group.tolist()) for group in groups]
+        mechs, probs = _fold(kinds, mech, rates, timed, visible)
     return DetectorErrorModel(
         n_detectors=table.n_detectors,
         n_observables=table.n_observables,
         probs=probs,
         detectors=[key_dets[m] for m in mechs.tolist()],
         observables=key_obs[mechs],
-        sources=sources,
         kernel="python" if lib is None else "native",
         fallback_reason=reason,
     )
@@ -1654,7 +1617,6 @@ def extract_dem(
     noise: NoiseModel,
     detectors: list[list[str]],
     observables: list[list[str]],
-    keep_sources: bool = False,
 ) -> DetectorErrorModel:
     """One-shot convenience: fault table + DEM for a single noise model.
 
@@ -1667,4 +1629,4 @@ def extract_dem(
     table = extract_fault_table(
         circuit, initial_occupancy, noise.params, detectors, observables
     )
-    return build_dem(table, noise.params, keep_sources=keep_sources)
+    return build_dem(table, noise.params)

@@ -10,7 +10,12 @@ Each function is the plain loop a production routine replaced:
   must equal them exactly;
 * the DEM fold prices one fault site at a time and groups sites by
   ``(footprint, observable mask)`` in a dictionary — the columnar
-  ``repro.sim.dem.build_dem`` must equal it exactly;
+  ``repro.sim.dem.build_dem`` must equal it exactly — and on request lists
+  the sites each mechanism folds, which the cross-engine tests inject into
+  the production DEM's mechanisms (``dem_sources``);
+* the round loop compiles every QEC round with ``schedule_round``, one at
+  a time — ``SyndromeScheduler.schedule_rounds``' template replay must
+  emit the same stream, records and grid state (tests patch it in);
 * the DEM graph loop merges one mechanism at a time into a dictionary
   keyed by detector pair — the columnar ``repro.decode.graph.build_dem_graph``
   must equal it exactly (edge order, endpoints, frames, weight bits);
@@ -175,8 +180,23 @@ def site_probability(site, params) -> float:
     raise ValueError(f"unknown fault kind {site.kind!r}")
 
 
-def build_dem(table, params, keep_sources=False) -> DetectorErrorModel:
-    """A fault table's DEM, grouping one site at a time in a dictionary."""
+def schedule_rounds(self, circuit, plaquettes, measure_ions, data_ion_at, rounds, t_min=0.0):
+    """``SyndromeScheduler.schedule_rounds`` without template replay."""
+    records = []
+    t = t_min
+    for _ in range(rounds):
+        rec = self.schedule_round(circuit, plaquettes, measure_ions, data_ion_at, t)
+        records.append(rec)
+        t = rec.t_end
+    return records
+
+
+def build_dem(table, params, keep_sources=False):
+    """A fault table's DEM, grouping one site at a time in a dictionary.
+
+    With ``keep_sources`` returns ``(dem, sources)``, where ``sources[m]``
+    lists the fault sites folded into mechanism ``m`` in site order.
+    """
     sites = table.sites
     groups: dict[tuple[tuple[int, ...], int], list] = {}
     obs_list = table.observables.tolist()
@@ -195,14 +215,30 @@ def build_dem(table, params, keep_sources=False) -> DetectorErrorModel:
             entry[1].append(s)
 
     keys = sorted(groups)
-    return DetectorErrorModel(
+    dem = DetectorErrorModel(
         n_detectors=table.n_detectors,
         n_observables=table.n_observables,
         probs=np.array([groups[k][0] for k in keys], dtype=np.float64),
         detectors=[k[0] for k in keys],
         observables=np.array([k[1] for k in keys], dtype=np.uint64),
-        sources=[tuple(sites[s] for s in groups[k][1]) for k in keys] if keep_sources else None,
     )
+    if not keep_sources:
+        return dem
+    return dem, [tuple(sites[s] for s in groups[k][1]) for k in keys]
+
+
+def dem_sources(dem, table, params) -> list[tuple]:
+    """The fault sites folded into each mechanism of ``dem``, a fold of ``table``.
+
+    Asserts first that ``dem`` equals this module's fold of ``table``
+    (probabilities bitwise, footprints, observable masks), so ``sources[m]``
+    lists the sites of ``dem``'s own mechanism ``m``.
+    """
+    oracle, sources = build_dem(table, params, keep_sources=True)
+    assert np.array_equal(dem.probs, oracle.probs)  # float64, bitwise
+    assert dem.detectors == oracle.detectors
+    assert np.array_equal(dem.observables, oracle.observables)
+    return sources
 
 
 def build_dem_graph(dem, observable: int = 0) -> MatchingGraph:

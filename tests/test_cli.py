@@ -394,6 +394,19 @@ class TestWindowedDecoding:
         assert code == 2
         assert "smaller than --window" in out
 
+    def test_window_not_above_the_default_commit_rejected(self, capsys):
+        # Without --commit each distance commits d slices, so --window must
+        # exceed the largest distance; the message names both.
+        code, out = run_cli(
+            capsys, "lfr", "--distances", "3", "--window", "3",
+            "--decoder", "union_find_windowed", "--shots", "100",
+        )
+        assert code == 2
+        assert out.strip() == (
+            "--window (3) must be larger than the default --commit, the distance (3); "
+            "pass a larger --window or a --commit below 3"
+        )
+
     def test_shot_shards_require_frame_engine(self, capsys):
         code, out = run_cli(
             capsys, *self.LFR, "--shot-shards", "2", "--jobs", "2",

@@ -38,7 +38,7 @@ def exp3x():
     return MemoryExperiment(distance=3, basis="X")
 
 
-def fresh_dem(exp, noise, keep_sources=False):
+def fresh_dem(exp, noise):
     """Extract without MemoryExperiment's fault-table cache."""
     return extract_dem(
         exp.compiled.circuit,
@@ -46,8 +46,20 @@ def fresh_dem(exp, noise, keep_sources=False):
         noise,
         exp.detector_labels,
         [exp.observable_labels],
-        keep_sources=keep_sources,
     )
+
+
+def fresh_sources(exp, noise):
+    """A fresh extraction's DEM and the fault sites of each of its mechanisms."""
+    table = extract_fault_table(
+        exp.compiled.circuit,
+        exp.compiled.initial_occupancy,
+        noise.params,
+        exp.detector_labels,
+        [exp.observable_labels],
+    )
+    dem = build_dem(table, noise.params)
+    return dem, oracles.dem_sources(dem, table, noise.params)
 
 
 class TestStructure:
@@ -83,9 +95,7 @@ class TestStructure:
         space edges in the last slice (at most two faces, observable flip
         only on the logical support).
         """
-        dem = fresh_dem(
-            exp3, NoiseModel(NoiseParams(p_meas=1e-3)), keep_sources=True
-        )
+        dem, sources = fresh_sources(exp3, NoiseModel(NoiseParams(p_meas=1e-3)))
         n_faces = len(exp3.faces)
         time_pairs = {
             (t * n_faces + f, (t + 1) * n_faces + f)
@@ -93,8 +103,8 @@ class TestStructure:
             for f in range(n_faces)
         }
         seen_pairs = set()
-        for dets, obs, sources in zip(dem.detectors, dem.observables, dem.sources):
-            assert all(site.kind == "readout" for site in sources)
+        for dets, obs, sites in zip(dem.detectors, dem.observables, sources):
+            assert all(site.kind == "readout" for site in sites)
             assert 1 <= len(dets) <= 2
             if dets in time_pairs:
                 seen_pairs.add(dets)
@@ -115,11 +125,11 @@ class TestStructure:
         verified) syndrome-error mechanisms in both memory bases.
         """
         dephase_only = NoiseModel(NoiseParams(t2_us=1e4))
-        dem_z = fresh_dem(exp3, dephase_only, keep_sources=True)
+        dem_z, sources_z = fresh_sources(exp3, dephase_only)
         dem_x = fresh_dem(exp3x, dephase_only)
         assert dem_z.n_mechanisms > 0
         assert dem_x.n_mechanisms > 0
-        assert {s.kind for srcs in dem_z.sources for s in srcs} <= {"idle", "dephase"}
+        assert {s.kind for srcs in sources_z for s in srcs} <= {"idle", "dephase"}
         # Footprints never depend on the rate values, only the structure.
         assert fresh_dem(exp3, NoiseModel(NoiseParams(t2_us=37.0))).detectors == (
             dem_z.detectors
@@ -206,11 +216,9 @@ class TestBuildDemOracle:
         exp = MemoryExperiment(distance=3, rounds=rounds, basis=basis)
         table = exp.fault_table(noise)
         assert table.method == ("full" if rounds == 3 else "periodic")
-        for keep in (False, True):
-            fast = build_dem(table, noise.params, keep_sources=keep)
-            slow = oracles.build_dem(table, noise.params, keep_sources=keep)
-            assert fast.n_mechanisms > 0
-            assert np.array_equal(fast.probs, slow.probs)  # float64, bitwise
-            assert fast.detectors == slow.detectors
-            assert np.array_equal(fast.observables, slow.observables)
-            assert fast.sources == slow.sources
+        fast = build_dem(table, noise.params)
+        slow = oracles.build_dem(table, noise.params)
+        assert fast.n_mechanisms > 0
+        assert np.array_equal(fast.probs, slow.probs)  # float64, bitwise
+        assert fast.detectors == slow.detectors
+        assert np.array_equal(fast.observables, slow.observables)

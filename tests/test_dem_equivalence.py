@@ -19,9 +19,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from repro.decode.memory import MemoryExperiment
 from repro.sim.batch import PauliInjection
 from repro.sim.noise import NoiseModel, NoiseParams
+
+
+def mechanism_sites(exp, noise):
+    """The experiment's DEM and its ``[(mechanism id, site)]`` pairs."""
+    dem = exp.detector_error_model(noise)
+    sources = oracles.dem_sources(dem, exp.fault_table(noise), noise.params)
+    return dem, [(m, site) for m, sites in enumerate(sources) for site in sites]
 
 
 def run_injected(exp, dem, pairs):
@@ -51,9 +59,8 @@ def run_injected(exp, dem, pairs):
 
 
 def assert_all_sites_match(exp, noise):
-    dem = exp.detector_error_model(noise, keep_sources=True)
+    dem, pairs = mechanism_sites(exp, noise)
     assert dem.n_mechanisms > 0
-    pairs = [(m, site) for m, sources in enumerate(dem.sources) for site in sources]
     syndromes, flips, ordered = run_injected(exp, dem, pairs)
     assert not syndromes[-1].any() and not flips[-1], "control lane must be clean"
     for k, (m, site) in enumerate(ordered):
@@ -90,8 +97,7 @@ class TestExhaustiveSingleFault:
         channel kind.
         """
         exp = MemoryExperiment(distance=3, basis="X")
-        dem = exp.detector_error_model(NoiseModel.preset("near_term"), keep_sources=True)
-        pairs = [(m, site) for m, sources in enumerate(dem.sources) for site in sources]
+        dem, pairs = mechanism_sites(exp, NoiseModel.preset("near_term"))
         assert any(s.kind in ("idle", "dephase") for _, s in pairs)
         rng = np.random.default_rng(7)
         picks = rng.choice(len(pairs), size=min(300, len(pairs)), replace=False)

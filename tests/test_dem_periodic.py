@@ -6,9 +6,9 @@ the full instruction walk produces — same site objects, same footprints,
 same float64 probability bits — because decoder tie-breaks and checkpoint
 content-hashes are sensitive to the last ulp.  This suite locks that down
 across bases, distances, round counts, and noise structures (including a
-hypothesis sweep over random rate combinations), and uses the module's
-instruction-visit counters to prove the fast path walks O(prologue +
-template + epilogue) rows however many rounds the target replays.
+hypothesis sweep over random rate combinations), and counts the stream
+walks extraction makes to prove the fast path walks only the template
+compile, however many rounds the target replays.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from hypothesis import strategies as st
 
 import oracles
 from repro.decode.memory import _TEMPLATE_ROUNDS, MemoryExperiment
-from repro.sim.dem import (
-    build_dem,
-    extract_fault_table,
-    reset_visit_counts,
-    visit_counts,
-)
+from repro.sim import dem as dem_module
+from repro.sim.dem import build_dem, extract_fault_table
 from repro.sim.noise import NoiseModel, NoiseParams
 
 
@@ -56,7 +52,6 @@ def assert_dems_identical(dem_p, dem_f):
     assert np.array_equal(dem_p.probs, dem_f.probs)  # float64, bitwise
     assert dem_p.detectors == dem_f.detectors
     assert np.array_equal(dem_p.observables, dem_f.observables)
-    assert dem_p.sources == dem_f.sources
 
 
 #: (d, rounds, profile, simd, expected extraction method); an id names the
@@ -87,18 +82,16 @@ class TestBitIdentity:
         assert table.method == method
         assert_tables_identical(table, full_walk_table(exp, noise))
 
-    def test_dem_bit_identical_with_sources(self):
+    def test_dem_bit_identical(self):
         noise = NoiseModel.preset("near_term")
         exp = MemoryExperiment(distance=3, rounds=12)
         exp._fault_tables.clear()
         periodic = exp.fault_table(noise)
         assert periodic.method == "periodic"
         full = full_walk_table(exp, noise)
-        for keep in (False, True):
-            assert_dems_identical(
-                build_dem(periodic, noise.params, keep_sources=keep),
-                build_dem(full, noise.params, keep_sources=keep),
-            )
+        assert_dems_identical(
+            build_dem(periodic, noise.params), build_dem(full, noise.params)
+        )
 
     def test_larger_distance_once(self):
         noise = NoiseModel.preset("projected")
@@ -145,27 +138,34 @@ class TestBitIdentity:
 
 
 class TestVisitCounts:
-    def test_extraction_walks_are_rounds_independent(self):
+    def test_extraction_walks_are_rounds_independent(self, monkeypatch):
         # After the one-time template walk, changing the round count must
         # not walk a single additional instruction: tiling is pure index
         # arithmetic over the template's arrays.  SIMD memories included.
         noise = NoiseModel.preset("near_term")
         d = 3
+        walked: list[int] = []
+        walk = dem_module._walk
+
+        def counted(circuit, *args, **kwargs):
+            walked.append(len(circuit))
+            return walk(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(dem_module, "_walk", counted)
         for simd in (False, True):
             MemoryExperiment.clear_compile_cache()
-            reset_visit_counts()
+            walked.clear()
             try:
                 exp_small = MemoryExperiment(distance=d, rounds=3 * d, simd=simd)
                 exp_small.fault_table(noise)
-                after_template = visit_counts()
-                assert after_template["enumerate"] > 0  # the template's own walk
+                after_template = list(walked)
+                assert after_template  # the template's own walk
                 for rounds in (10 * d, 10 * d + 1):
                     exp = MemoryExperiment(distance=d, rounds=rounds, simd=simd)
                     table = exp.fault_table(noise)
                     assert table.method == "periodic"
-                assert visit_counts() == after_template
+                assert walked == after_template
             finally:
-                reset_visit_counts()
                 MemoryExperiment.clear_compile_cache()
 
     def test_short_memories_use_the_full_walk(self):

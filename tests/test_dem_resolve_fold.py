@@ -309,7 +309,6 @@ def assert_same_dem(a, b):
     assert a.detectors == b.detectors
     assert a.observables.dtype == b.observables.dtype
     assert np.array_equal(a.observables, b.observables)
-    assert a.sources == b.sources
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,17 +319,14 @@ def assert_same_dem(a, b):
     p_prep=rates,
     p_meas=rates,
     t2=st.sampled_from([None, 1.0, 50.0]),
-    keep=st.booleans(),
 )
-def test_the_fold_matches_the_oracle_and_the_numpy_fold(
-    lib, table, p1, p2, p_prep, p_meas, t2, keep
-):
+def test_the_fold_matches_the_oracle_and_the_numpy_fold(lib, table, p1, p2, p_prep, p_meas, t2):
     params = NoiseParams(p1=p1, p2=p2, p_prep=p_prep, p_meas=p_meas, t2_us=t2)
-    fast = build_dem(table, params, keep_sources=keep)
-    fallback = on_python(lambda: build_dem(table, params, keep_sources=keep))
+    fast = build_dem(table, params)
+    fallback = on_python(lambda: build_dem(table, params))
     assert (fast.kernel, fast.fallback_reason) == ("native", None)
     assert (fallback.kernel, fallback.fallback_reason) == ("python", "forced by the test")
-    oracle = oracles.build_dem(table, params, keep_sources=keep)
+    oracle = oracles.build_dem(table, params)
     assert_same_dem(fast, oracle)
     assert_same_dem(fallback, oracle)
 
@@ -376,11 +372,9 @@ def test_the_native_fold_reads_one_timed_entry_per_dephasing_site(lib):
     visible, rates = np.ones(1, dtype=bool), np.full(6, 0.1)
     for timed in (np.full(1, 0.1), np.full(3, 0.1)):
         with pytest.raises(ValueError, match="one timed probability per dephasing site"):
-            _dem_native.fold(lib, dephase, mech, rates, timed, visible, False)
-    mechs, probs, order, first = _dem_native.fold(
-        lib, dephase, mech, rates, np.array([0.5, 0.25]), visible, True
-    )
-    assert (mechs.tolist(), order.tolist(), first.tolist()) == ([0], [0, 1], [0])
+            _dem_native.fold(lib, dephase, mech, rates, timed, visible)
+    mechs, probs = _dem_native.fold(lib, dephase, mech, rates, np.array([0.5, 0.25]), visible)
+    assert mechs.tolist() == [0]
     assert probs.tolist() == [0.5 * 0.75 + 0.25 * 0.5]
 
 

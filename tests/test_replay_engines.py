@@ -152,7 +152,7 @@ def test_noisy_batch_outcomes_match_golden_digest():
     # near_term dephases every idle gap, so the noise stream's draws, and
     # with them every outcome, depend on the exact gaps.
     compiler = TISCC(dx=3, dz=3, tile_rows=1, tile_cols=1, rounds=2)
-    compiled = compiler.compile([("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))], estimate=False)
+    compiled = compiler.compile([("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))])
     batch = BatchRunner(compiler.grid).run_shots(
         compiled.circuit,
         compiled.initial_occupancy,

@@ -139,7 +139,7 @@ def compiled(op: str, d: int, profile: str, rounds: int):
         compiler = TISCC(
             dx=d, dz=d, tile_rows=shape[0], tile_cols=shape[1], rounds=rounds, profile=profile
         )
-        out = compiler.compile(build(), operation=op, validate=False, estimate=False)
+        out = compiler.compile(build(), operation=op)
         return compiler.grid, out.circuit
 
     return compile_
@@ -159,11 +159,11 @@ def test_operations_compile_identically(op, d, profile, rounds):
 
 def test_compile_reports_the_round_kernel():
     program = OPERATION_PROGRAMS["MeasureZ"][0]
-    out = TISCC(dx=3, dz=3, rounds=1).compile(program(), validate=False, estimate=False)
+    out = TISCC(dx=3, dz=3, rounds=1).compile(program())
     assert (out.round_kernel, out.round_fallback_reason) == ("native", None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(native._loaded, stabilizer_circuits.SOURCE, (None, "forced by the test"))
-        out = TISCC(dx=3, dz=3, rounds=1).compile(program(), validate=False, estimate=False)
+        out = TISCC(dx=3, dz=3, rounds=1).compile(program())
     assert (out.round_kernel, out.round_fallback_reason) == ("python", "forced by the test")
 
 

@@ -44,7 +44,7 @@ def compiled_memory(d: int = 3):
     """One unscheduled d×d MeasureZ compile, shared across examples."""
     compiler = TISCC(dx=d, dz=d, tile_rows=1, tile_cols=1)
     program = [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))]
-    compiled = compiler.compile(program, operation="MeasureZ", estimate=False)
+    compiled = compiler.compile(program, operation="MeasureZ")
     return compiler, compiled
 
 
@@ -235,12 +235,10 @@ class TestDemEquivalence:
 
 
 class TestCompilerIntegration:
-    def test_oracle_and_report_retained(self):
+    def test_report_retained(self):
         compiler = TISCC(dx=3, dz=3, tile_rows=1, tile_cols=1)
         program = [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))]
         compiled = compiler.compile(program, operation="MeasureZ", simd=True)
-        assert compiled.unscheduled_circuit is not None
-        assert len(compiled.unscheduled_circuit) == len(compiled.circuit)
         assert compiled.simd_report is not None
         assert compiled.simd_report.beam_passes < compiled.simd_report.baseline_passes
         assert compiled.simd_seconds > 0.0
@@ -249,7 +247,6 @@ class TestCompilerIntegration:
     def test_default_compile_untouched(self):
         _, compiled = compiled_memory(3)
         assert compiled.simd_report is None
-        assert compiled.unscheduled_circuit is None
         assert compiled.simd_seconds == 0.0
 
 

@@ -76,7 +76,7 @@ def compiled_op(op: str, distance: int, profile: str) -> tuple[GridManager, Hard
     """One unscheduled compile of a sweep operation, shared across examples."""
     build, (rows, cols) = OPERATION_PROGRAMS[op]
     compiler = TISCC(dx=distance, dz=distance, tile_rows=rows, tile_cols=cols, profile=profile)
-    compiled = compiler.compile(build(), operation=op, validate=False, estimate=False)
+    compiled = compiler.compile(build(), operation=op)
     return compiler.grid, compiled.circuit
 
 
@@ -99,10 +99,10 @@ def test_operations_schedule_identically(
 @pytest.mark.parametrize("basis", ["Z", "X"])
 def test_long_simd_memories_schedule_identically(native_kernel, basis):
     """The benchmark's long SIMD memory shape: d=7, 70 rounds."""
-    exp = MemoryExperiment(distance=7, rounds=70, basis=basis, simd=True)
-    compiled = exp.compiled
-    scheduled = assert_same_schedule(compiled.unscheduled_circuit, exp.compiler.grid)
-    assert scheduled.columns().t.tobytes() == compiled.circuit.columns().t.tobytes()
+    plain = MemoryExperiment(distance=7, rounds=70, basis=basis)
+    scheduled = assert_same_schedule(plain.compiled.circuit, plain.compiler.grid)
+    simd = MemoryExperiment(distance=7, rounds=70, basis=basis, simd=True).compiled.circuit
+    assert scheduled.columns().t.tobytes() == simd.columns().t.tobytes()
 
 
 def test_empty_circuit(native_kernel):

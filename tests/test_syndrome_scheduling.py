@@ -4,6 +4,7 @@ import pytest
 
 from repro.code.arrangements import Arrangement
 from repro.hardware.validity import check_circuit
+from repro.sim.interpreter import CircuitInterpreter
 from tests.conftest import fresh_patch, simulate
 
 
@@ -81,7 +82,24 @@ class TestStabilizerEstablishment:
         lq.transversal_prepare(c, basis="Z")
         lq.initialized = True
         lq.idle(c, rounds=1)
-        res = simulate(grid, c, occ0, seed=4)
+        # Layers are globally synchronized: a ZZ that starts once every
+        # earlier ZZ has ended opens the next one.  Snapshot at each layer's
+        # end, then at the end of the round.
+        cols = c.sorted_columns()
+        layer_ends: list[float] = []
+        for i in range(cols.n):
+            if cols.names[i] == "ZZ":
+                start, end = float(cols.t[i]), float(cols.t[i] + cols.duration[i])
+                if not layer_ends or start >= layer_ends[-1]:
+                    layer_ends.append(end)
+                else:
+                    layer_ends[-1] = max(layer_ends[-1], end)
+        assert len(layer_ends) == 4
+        times = layer_ends + [c.makespan]
+        res = CircuitInterpreter(grid, seed=4).run(c, occ0, snapshot_times=times)
+        assert [t for t, _ in res.generator_snapshots] == times
+        assert all(len(gens) == res.tableau.n for _, gens in res.generator_snapshots)
+        assert res.generator_snapshots[-1][1] == res.tableau.stabilizer_generators()
         # After the final layer the group contains all the face stabilizers.
         for plaq in lq.plaquettes:
             assert res.expectation(plaq.stabilizer()) != 0

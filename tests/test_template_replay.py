@@ -3,14 +3,20 @@
 The syndrome scheduler compiles one round per ``schedule_rounds`` call and
 replays the rest as vectorized time-shifted copies (re-anchoring the known
 first-round transient).  These tests lock in the contract that the replayed
-stream is **instruction-for-instruction identical** to the round-by-round
-legacy path — circuits, round records, grid clocks, conflict counters,
-validity reports, and resource figures all agree — and that the vectorized
-validity checker is exchangeable with the reference replay.
+stream is **instruction-for-instruction identical** to compiling every
+round (``oracles.schedule_rounds``, patched in) — circuits, round records,
+grid clocks, conflict counters, validity reports, and resource figures all
+agree — that the vectorized validity checker is exchangeable with the
+reference replay, and pin the d=7 and d=11 memory and CNOT compiles with
+literal digests.
 """
+
+import hashlib
+import json
 
 import pytest
 
+import oracles
 from repro.code.stabilizer_circuits import SyndromeScheduler
 from repro.core.compiler import TISCC
 from repro.core.router import lattice_surgery_cnot_program
@@ -40,16 +46,14 @@ PROGRAMS = [
 
 
 def _compile(program, shape, d, replay: bool):
-    old = SyndromeScheduler.template_replay
-    SyndromeScheduler.template_replay = replay
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        if not replay:
+            mp.setattr(SyndromeScheduler, "schedule_rounds", oracles.schedule_rounds)
         if d is None:
             compiler = TISCC(dx=3, dz=5, tile_rows=shape[0], tile_cols=shape[1])
         else:
             compiler = TISCC(dx=d, dz=d, tile_rows=shape[0], tile_cols=shape[1])
         return compiler, compiler.compile(program, operation="op")
-    finally:
-        SyndromeScheduler.template_replay = old
 
 
 class TestTemplateReplayEquivalence:
@@ -57,6 +61,7 @@ class TestTemplateReplayEquivalence:
     def test_replay_is_byte_identical_to_legacy(self, name, program, shape, d):
         ca, a = _compile(program, shape, d, replay=True)
         cb, b = _compile(program, shape, d, replay=False)
+        assert not b.circuit.replay_blocks
         # Instruction-for-instruction identity of the compiled streams.
         assert a.circuit.sorted_instructions() == b.circuit.sorted_instructions()
         assert a.circuit.to_text() == b.circuit.to_text()
@@ -93,6 +98,53 @@ class TestTemplateReplayEquivalence:
         res_a = ca.simulate(a, seed=7)
         res_b = cb.simulate(b, seed=7)
         assert res_a.outcomes == res_b.outcomes
+
+
+def compile_digest(compiled) -> str:
+    """SHA-256 of a compile's outputs: circuit text, validity and resources."""
+    v = compiled.validity
+    h = hashlib.sha256()
+    h.update(compiled.circuit.to_text().encode())
+    h.update(json.dumps(compiled.resources.to_dict(), sort_keys=True).encode())
+    h.update(
+        json.dumps(
+            [
+                v.n_instructions,
+                v.n_moves,
+                v.n_junction_crossings,
+                sorted(v.junctions_used),
+                sorted(v.sites_used),
+                sorted(v.final_occupancy.items()),
+                v.makespan,
+            ]
+        ).encode()
+    )
+    return h.hexdigest()
+
+
+GOLDEN_PROGRAMS = {"ZMemory": (MEM_Z, (1, 1)), "CNOT": (lattice_surgery_cnot_program(), (2, 2))}
+
+#: (operation, distance, instruction count, digest of the outputs).
+COMPILE_DIGESTS = [
+    ("ZMemory", 7, 10451, "4465a9e8f0b1dcc5bcd68cb83e839ce67937ab52f82786080f93a473198e6a04"),
+    ("ZMemory", 11, 42757, "fc75634ae021ac35572fe8aafc666b643450541b8b28a9b10d31a3b2be3bf5bd"),
+    ("CNOT", 7, 78079, "ad04a603c443878c1664ea56ce778a22d1ed8212d21d85e67476a62a98f16ab2"),
+    ("CNOT", 11, 311507, "f657a60cb46ec87ac85d7c055451292359ecea3826a2b03368102c36bc6545d2"),
+]
+
+
+@pytest.mark.parametrize(
+    "op, d, n_instructions, expected",
+    COMPILE_DIGESTS,
+    ids=[f"{op}-d{d}" for op, d, _, _ in COMPILE_DIGESTS],
+)
+def test_compiles_match_golden_digests(op, d, n_instructions, expected):
+    program, shape = GOLDEN_PROGRAMS[op]
+    compiled = TISCC(dx=d, dz=d, tile_rows=shape[0], tile_cols=shape[1]).compile(
+        program, operation=op
+    )
+    assert len(compiled.circuit) == n_instructions
+    assert compile_digest(compiled) == expected
 
 
 class TestVectorizedValidity:

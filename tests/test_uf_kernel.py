@@ -260,7 +260,7 @@ def _walked(table: FaultTable) -> list:
 def _d3_cnot():
     """A d=3 lattice-surgery CNOT's unscheduled circuit, its grid and initial occupancy."""
     compiler = TISCC(dx=3, dz=3, tile_rows=2, tile_cols=2)
-    compiled = compiler.compile(lattice_surgery_cnot_program(), validate=False, estimate=False)
+    compiled = compiler.compile(lattice_surgery_cnot_program())
     return compiled.circuit, compiler.grid, compiled.initial_occupancy
 
 
@@ -297,7 +297,7 @@ def _d3_validity() -> ValidityReport:
 def _d3_rounds() -> SimpleNamespace:
     """A fresh 3-round d=3 memory compile: its round kernel and its columns."""
     compiled = TISCC(dx=3, dz=3, tile_rows=1, tile_cols=1, rounds=3).compile(
-        [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))], validate=False, estimate=False
+        [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))]
     )
     cols = compiled.circuit.columns()
     return SimpleNamespace(

@@ -109,7 +109,7 @@ def assert_agree(lib, grid: GridManager, circuit: HardwareCircuit, occupancy: di
 def compiled_op(op: str, distance: int, profile: str, simd: bool):
     build, (rows, cols) = OPERATION_PROGRAMS[op]
     compiler = TISCC(dx=distance, dz=distance, tile_rows=rows, tile_cols=cols, profile=profile)
-    compiled = compiler.compile(build(), operation=op, simd=simd, validate=False, estimate=False)
+    compiled = compiler.compile(build(), operation=op, simd=simd)
     return compiler.grid, compiled.circuit, compiled.initial_occupancy
 
 

@@ -224,6 +224,11 @@ def test_default_window_shape_is_2d_d():
             id="window-with-lookup",
         ),
         pytest.param(
+            lambda: MemoryExperiment(distance=3, window=3, decoder="union_find_windowed"),
+            r"window \(3\) must be larger than the default commit",
+            id="window-not-above-default-commit",
+        ),
+        pytest.param(
             lambda: logical_error_sweep([3], rates=[1e-3], shots=10, rounds=2, window=4),
             "not 'union_find'",
             id="sweep-window-with-default-decoder",
