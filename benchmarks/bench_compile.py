@@ -1,26 +1,32 @@
 """Compile-path benchmark: the production compile against the reference path.
 
-Times compile + validate + estimate for the single-tile memory program and
-the multi-tile lattice-surgery CNOT, and checks that the production path
-serializes **byte-identically** to the repo's reference path, with equal
-validity reports and resource figures.
+Times compile + validate + estimate for every operation of the resource
+sweep (``repro.estimator.sweep.OPERATION_PROGRAMS``: the 13 Table 1/3
+programs, the single-tile memory program and the lattice-surgery CNOT
+among them), and checks that the production path serializes
+**byte-identically** to the repo's reference path, with equal validity
+reports and resource figures.
 
 The reference leg compiles every QEC round on its own (no template
 replay: the tests' round loop, ``schedule_rounds`` in ``tests/oracles.py``),
 in the Python round scheduler, and validates with the instruction-by-
 instruction reference replay (``check_circuit_reference``): both kernels
 are forced off through the kernel loader's memo, ``repro.util.native._loaded``.
-The production leg replays rounds from a template compiled on the native
-round kernel (``repro/code/_round_kernel.c``) and validates on the native
-validity kernel (``repro/hardware/_validity_kernel.c``).  The table's
-``round kernel`` and ``kernel`` columns and ``--json`` say which scheduler
-and which replay each leg ran, and both the script and its pytest entry
-fail unless the production leg's were native, so a broken kernel build
-cannot pass on a Python fallback.  The timings are reported, not gated.
+Each reference compile starts cold, after ``MemoryExperiment.clear_compile_cache()``
+has dropped the process-wide geometry and plaquette memos.  The production
+leg replays rounds from a template compiled on the native round kernel
+(``repro/code/_round_kernel.c``), validates on the native validity kernel
+(``repro/hardware/_validity_kernel.c``) and compiles every cell back to
+back on warm memos, so the check also covers geometry shared across
+operations and distances.  The table's ``round kernel`` and ``kernel``
+columns and ``--json`` say which scheduler and which replay each leg ran,
+and both the script and its pytest entry fail unless the production leg's
+were native, so a broken kernel build cannot pass on a Python fallback.
+The timings are reported, not gated.
 
 Run directly::
 
-    python benchmarks/bench_compile.py            # full: d=7/11
+    python benchmarks/bench_compile.py            # full: d=3/5/7, MeasureZ and CNOT also d=11
     python benchmarks/bench_compile.py --quick    # CI smoke: d=3/5
     python benchmarks/bench_compile.py --json BENCH_compile.json
 
@@ -30,6 +36,7 @@ or via pytest (quick scale): ``pytest benchmarks/bench_compile.py -s``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -38,7 +45,8 @@ from pathlib import Path
 from repro.code import stabilizer_circuits
 from repro.code.stabilizer_circuits import SyndromeScheduler
 from repro.core.compiler import TISCC
-from repro.core.router import lattice_surgery_cnot_program
+from repro.decode.memory import MemoryExperiment
+from repro.estimator.sweep import OPERATION_PROGRAMS
 from repro.hardware import validity
 from repro.util import native
 
@@ -51,11 +59,13 @@ except ImportError:  # pragma: no cover - direct script execution
 sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 import oracles  # noqa: E402
 
-#: (program builder, tile grid shape) — the two workloads.
-PROGRAMS = {
-    "ZMemory": (lambda: [("PrepareZ", (0, 0)), ("MeasureZ", (0, 0))], (1, 1)),
-    "CNOT": (lattice_surgery_cnot_program, (2, 2)),
-}
+#: (program builder, tile grid shape) per operation: the resource sweep's.
+PROGRAMS = OPERATION_PROGRAMS
+
+#: Distances per scale; full mode also runs these operations at d=11.
+QUICK_DISTANCES = [3, 5]
+FULL_DISTANCES = [3, 5, 7]
+FULL_EXTRA = {"MeasureZ": [11], "CNOT": [11]}
 
 #: The kernels the reference leg forces off: the round scheduler's and the
 #: validity replay's.
@@ -82,8 +92,14 @@ def reference_path():
 
 
 def _run_leg(op: str, d: int, reference: bool) -> dict:
-    """Compile (which validates and estimates) one program on one leg."""
+    """Compile (which validates and estimates) one program on one leg.
+
+    A reference compile starts from cold memos; a production compile reads
+    whatever the compiles before it left.
+    """
     build, shape = PROGRAMS[op]
+    if reference:
+        MemoryExperiment.clear_compile_cache()
     compiler = TISCC(dx=d, dz=d, tile_rows=shape[0], tile_cols=shape[1])
     if reference:
         with reference_path():
@@ -102,7 +118,8 @@ def _run_leg(op: str, d: int, reference: bool) -> dict:
         "total_seconds": (
             compiled.compile_seconds + compiled.validate_seconds + compiled.estimate_seconds
         ),
-        "text": compiled.circuit.to_text(),
+        "text_sha256": hashlib.sha256(compiled.circuit.to_text().encode()).hexdigest(),
+        "labels": compiled.circuit.columns().labels,
         "validity": compiled.validity,
         "kernel": compiled.validity.kernel,
         "fallback_reason": compiled.validity.fallback_reason,
@@ -111,6 +128,10 @@ def _run_leg(op: str, d: int, reference: bool) -> dict:
         "resources": compiled.resources,
     }
 
+
+#: What must agree between the legs: the circuit text (as a digest), the
+#: measurement labels, and the validity and resource reports.
+COMPARED = ("text_sha256", "labels", "validity", "resources")
 
 ROW_FIELDS = (
     "op",
@@ -128,32 +149,39 @@ ROW_FIELDS = (
 )
 
 
-def run_bench(distances: list[int]) -> dict:
-    """Run both legs on both programs, asserting exact equivalence."""
-    # Warm up imports and kernel loads outside the timed region.
+def run_bench(distances: list[int], extra: dict[str, list[int]] | None = None) -> dict:
+    """Run both legs on every program, asserting exact equivalence.
+
+    ``extra`` adds distances for named operations.  The production leg
+    compiles every cell back to back on warm memos; then each reference
+    compile runs cold.
+    """
+    cells = [
+        (op, d) for op in PROGRAMS for d in [*distances, *(extra or {}).get(op, [])]
+    ]
+    # Warm up imports and kernel loads outside the timed region, then start
+    # the production leg from cold memos.
     TISCC(dx=2, dz=2, rounds=1).compile([("PrepareZ", (0, 0))])
+    MemoryExperiment.clear_compile_cache()
+    production = {cell: _run_leg(*cell, reference=False) for cell in cells}
 
     rows = []
     equivalent = True
-    for op in PROGRAMS:
-        for d in distances:
-            reference = _run_leg(op, d, reference=True)
-            production = _run_leg(op, d, reference=False)
-            same = (
-                production["text"] == reference["text"]
-                and production["validity"] == reference["validity"]
-                and production["resources"] == reference["resources"]
-            )
-            equivalent &= same
-            rows.append({k: reference[k] for k in ROW_FIELDS})
-            rows.append({k: production[k] for k in ROW_FIELDS})
-            rows[-1]["equivalent"] = same
+    for cell in cells:
+        reference = _run_leg(*cell, reference=True)
+        fast = production[cell]
+        same = all(fast[k] == reference[k] for k in COMPARED)
+        equivalent &= same
+        rows.append({k: reference[k] for k in ROW_FIELDS})
+        rows.append({k: fast[k] for k in ROW_FIELDS})
+        rows[-1]["equivalent"] = same
 
     production = [r for r in rows if r["path"] == "production"]
     fallback = next((r for r in production if r["kernel"] != "native"), production[0])
     round_fallback = next((r for r in production if r["round_kernel"] != "native"), production[0])
     return {
         "distances": distances,
+        "extra_distances": extra or {},
         "programs": list(PROGRAMS),
         "round_kernel": round_fallback["round_kernel"],
         "round_fallback_reason": round_fallback["round_fallback_reason"],
@@ -186,13 +214,13 @@ def report(res: dict) -> None:
         ],
     )
     print(
-        f"byte-identical circuits, equal validity/resource reports: {res['equivalent']}"
+        f"byte-identical circuits, equal labels and validity/resource reports: {res['equivalent']}"
     )
 
 
 def test_compile_matches_reference():
     """Quick-scale pytest entry: byte-identical, on the native kernels."""
-    res = run_bench(distances=[3, 5])
+    res = run_bench(distances=QUICK_DISTANCES)
     report(res)
     assert res["round_kernel"] == "native", res["round_fallback_reason"]
     assert res["kernel"] == "native", res["fallback_reason"]
@@ -207,8 +235,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--json", default=None, help="write results to a JSON file")
     args = parser.parse_args(argv)
-    distances = args.distances or ([3, 5] if args.quick else [7, 11])
-    res = run_bench(distances=distances)
+    if args.distances:
+        distances, extra = args.distances, None
+    elif args.quick:
+        distances, extra = QUICK_DISTANCES, None
+    else:
+        distances, extra = FULL_DISTANCES, FULL_EXTRA
+    res = run_bench(distances=distances, extra=extra)
     report(res)
     if args.json:
         with open(args.json, "w") as fh:

@@ -39,7 +39,7 @@ enum { NO_SITE = 0, JUNCTION = 1, ZONE = 2 };
 enum { PREP_Z, Y_PI4, ZZ, Z_MPI4, Z_PI2, Z_PI4, Y_MPI4, MEAS_Z, MOVE };
 
 /* Calendar events, in commit order. */
-enum { EV_SITE = 0, EV_JUNCTION = 1, EV_RESERVE = 2 };
+enum { EV_SITE = 0, EV_JUNCTION = 1 };
 
 /* Return codes; BLOCKED never leaves the kernel. */
 #define ROUND_OK 0
@@ -184,15 +184,10 @@ static double earliest_slot(const round_t *s, int64_t head, double t, double dur
     return start;
 }
 
-/* GridManager._reserve_site; the slow path's setdefault is an event. */
-static int reserve_site(round_t *s, int64_t site, double t, double dur, double *out)
+/* GridManager._reserve_site. */
+static double reserve_site(const round_t *s, int64_t site, double t, double dur)
 {
-    if (t >= s->site_horizon[site]) {
-        *out = t;
-        return ROUND_OK;
-    }
-    *out = earliest_slot(s, s->site_head[site], t, dur);
-    return event(s, EV_RESERVE, site, 0.0, 0.0);
+    return t >= s->site_horizon[site] ? t : earliest_slot(s, s->site_head[site], t, dur);
 }
 
 /* GridManager.schedule_move: one hop of local ion `ion` to zone `dst`. */
@@ -218,8 +213,7 @@ static int schedule_move(round_t *s, int64_t ion, int64_t dst, double t_min)
         return BLOCKED;
 
     t = pymax(t_min, s->ready[ion]);
-    if ((rc = reserve_site(s, dst, t, dur, &t_site)))
-        return rc;
+    t_site = reserve_site(s, dst, t, dur);
     if (t_site > t)
         s->delays++;
     t = t_site;
@@ -229,8 +223,7 @@ static int schedule_move(round_t *s, int64_t ion, int64_t dst, double t_min)
                                 : earliest_slot(s, s->junction_head[junction], t, dur);
         if (t_junction > t) {
             s->conflicts++;
-            if ((rc = reserve_site(s, dst, t_junction, dur, &t_junction)))
-                return rc;
+            t_junction = reserve_site(s, dst, t_junction, dur);
         }
         t = t_junction;
         if ((rc = event(s, EV_JUNCTION, junction, t, t + dur)))

@@ -10,6 +10,7 @@ imports this module at its first call, never at import, and hands
 from __future__ import annotations
 
 import ctypes
+from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -29,9 +30,8 @@ _CODES = np.array([gate_code(name) for name in (*GATES, "Move")], dtype=np.int32
 
 #: The kernel's return codes; any other is an error the Python loop raises.
 _OK, _FULL, _NOMEM = 0, -1, -2
-#: Calendar event kinds: a site interval, a junction interval, and a site
-#: calendar created by a reservation that had to scan it.
-_SITE, _JUNCTION, _RESERVE = 0, 1, 2
+#: Calendar event kinds: a site interval and a junction interval.
+_SITE, _JUNCTION = 0, 1
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -60,7 +60,7 @@ def schedule_round(
     grid: GridManager,
     model: HardwareModel,
     circuit: HardwareCircuit,
-    plaquettes: list[Plaquette],
+    plaquettes: Sequence[Plaquette],
     measure_ions: dict[tuple[int, int], int],
     data_ion_at: dict[int, int],
     t_min: float,
@@ -114,34 +114,19 @@ class _Inputs:
         occupant[self.site] = np.arange(len(ions), dtype=np.int64)
         self.occupant = occupant
 
-        # Calendar history matters only where it ends after t_min: every
-        # move of the round starts at or after t_min.  At or after the
-        # grid's horizon there is none, and every horizon is at most t_min.
-        n = grid.n_positions
-        self.horizons = (np.zeros(n), np.zeros(n))
-        pos, lo, hi, junction = [], [], [], []
+        # The kernel copies the grid's horizon arrays.  Calendar history
+        # matters only where it ends after t_min: every move of the round
+        # starts at or after t_min.  At or after the grid's horizon there is
+        # none, and every horizon is at most t_min.  The kernel's slot
+        # search does not depend on the intervals' order.
+        self.horizons = (grid._sites.horizon, grid._junctions.horizon)
+        columns = [np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)]
+        flags = np.zeros(0, dtype=np.int8)
         if not t_min >= grid.t_horizon:
-            calendars = (
-                (grid._site_busy, grid._site_busy_horizon),
-                (grid._junction_busy, grid._junction_busy_horizon),
-            )
-            for flag, (calendar, horizon) in enumerate(calendars):
-                live = calendar if t_min < 0 else [p for p, h in horizon.items() if h > t_min]
-                for p, h in horizon.items():
-                    self.horizons[flag][p] = h
-                for p in live:
-                    for a, b in calendar[p]:
-                        if b > t_min:
-                            pos.append(p)
-                            lo.append(a)
-                            hi.append(b)
-                            junction.append(flag)
-        self.intervals = (
-            np.array(pos, dtype=np.int64),
-            np.array(lo, dtype=np.float64),
-            np.array(hi, dtype=np.float64),
-            np.array(junction, dtype=np.int8),
-        )
+            live = (grid._sites.live(t_min), grid._junctions.live(t_min))
+            columns = [np.concatenate([part[k] for part in live]) for k in range(3)]
+            flags = np.repeat(np.array([0, 1], dtype=np.int8), [len(part[0]) for part in live])
+        self.intervals = (*columns, flags)
 
         n_plaq = len(plaquettes)
         pocket, data = [-1] * (4 * n_plaq), [-1] * (4 * n_plaq)
@@ -233,7 +218,7 @@ class _Outputs:
         self,
         grid: GridManager,
         circuit: HardwareCircuit,
-        plaquettes: list[Plaquette],
+        plaquettes: Sequence[Plaquette],
         args: _Inputs,
     ) -> RoundRecord:
         """Apply the round to ``circuit`` and ``grid`` as the Python loop would have."""
@@ -242,12 +227,9 @@ class _Outputs:
 
         # Each plaquette ends on its Y_-pi/4 and labelled Measure_Z rows.
         first = n_rows - 2 * len(plaquettes)
-        labels: dict[int, str] = {}
-        outcome: dict[tuple[int, int], str] = {}
-        for k, p in enumerate(plaquettes):
-            label = circuit.new_measure_label()
-            labels[first + 2 * k + 1] = label
-            outcome[p.face] = label
+        fresh = circuit.new_measure_labels(len(plaquettes))
+        labels = {first + 2 * k + 1: label for k, label in enumerate(fresh)}
+        outcome = {p.face: label for p, label in zip(plaquettes, fresh)}
         circuit.append_rows(*[column[:n_rows].copy() for column in self.rows], labels)
 
         ions = args.ions
@@ -269,22 +251,11 @@ class _Outputs:
                 parked[s] = new_since[k]
                 site_of[ion] = s
 
-        # One pass in commit order, so each calendar dict gains its keys in
-        # the loop's order too; a reservation that scanned a site's
-        # calendar created it if it was missing.
-        kinds, positions, starts, ends = (e[:n_events].tolist() for e in self.events)
-        calendars = {
-            _SITE: (grid._site_busy, grid._site_busy_horizon),
-            _JUNCTION: (grid._junction_busy, grid._junction_busy_horizon),
-        }
-        for kind, p, a, b in zip(kinds, positions, starts, ends):
-            if kind == _RESERVE:
-                grid._site_busy.setdefault(p, [])
-                continue
-            busy, horizon = calendars[kind]
-            busy.setdefault(p, []).append((a, b))
-            if b > horizon.get(p, 0.0):
-                horizon[p] = b
+        # Each calendar keeps its intervals as one chunk per round.
+        kinds, positions, starts, ends = (e[:n_events] for e in self.events)
+        for kind, calendar in ((_SITE, grid._sites), (_JUNCTION, grid._junctions)):
+            mine = kinds == kind
+            calendar.add_chunk(positions[mine], starts[mine], ends[mine])
 
         grid.junction_conflicts += conflicts
         grid.site_delays += delays

@@ -101,7 +101,7 @@ class LogicalQubit:
         self.name = name
         self.scheduler = SyndromeScheduler(grid, model)
         self.layout = PatchLayout(grid, dx, dz, origin, arrangement)
-        self.plaquettes: list[Plaquette] = self.layout.plaquettes()
+        self.plaquettes: tuple[Plaquette, ...] = self.layout.plaquettes()
         self.stabilizers: list[PauliString] = [p.stabilizer() for p in self.plaquettes]
 
         self.logical_x = TrackedOperator(self.layout.logical_x())

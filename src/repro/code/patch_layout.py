@@ -29,8 +29,15 @@ from repro.code.arrangements import Arrangement
 from repro.code.pauli import PauliString
 from repro.code.plaquette import Plaquette
 from repro.hardware.grid import GridManager
+from repro.util.memo import BoundedMemo
 
-__all__ = ["PatchLayout", "tile_unit_rows", "tile_unit_cols"]
+__all__ = ["PatchLayout", "PLAQUETTE_SETS", "tile_unit_rows", "tile_unit_cols"]
+
+#: Plaquette sets per ``(grid height, width, dx, dz, origin, arrangement)``,
+#: shared by every layout with that key in the process.  One resource
+#: sweep (13 operations at d=3..11) asks for 210 sets of 70 layouts.
+#: ``MemoryExperiment.clear_compile_cache()`` empties it.
+PLAQUETTE_SETS: BoundedMemo[tuple[Plaquette, ...]] = BoundedMemo(256)
 
 
 def tile_unit_rows(dz: int) -> int:
@@ -214,11 +221,18 @@ class PatchLayout:
             data_sites=data_sites,
             pockets=pockets,
             home=home,
-            graph=graph,
+            graph={site: tuple(adj) for site, adj in graph.items()},
         )
 
-    def plaquettes(self) -> list[Plaquette]:
-        return [self.build_plaquette(fi, fj) for fi, fj in self.face_coords()]
+    def plaquettes(self) -> tuple[Plaquette, ...]:
+        """Every face of the patch, resolved; one shared set per layout key."""
+        key = (
+            self.grid.height, self.grid.width, self.dx, self.dz, tuple(self.origin),
+            self.arrangement,
+        )
+        return PLAQUETTE_SETS.get(
+            key, lambda: tuple(self.build_plaquette(fi, fj) for fi, fj in self.face_coords())
+        )
 
     # ------------------------------------------------------------- logicals
     def logical_vertical(self, col: int = 0) -> PauliString:

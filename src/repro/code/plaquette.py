@@ -27,7 +27,7 @@ Z_PATTERN = ("a", "b", "c", "d")
 N_PATTERN = ("a", "c", "b", "d")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plaquette:
     """One stabilizer face, fully resolved onto grid qsites.
 
@@ -37,6 +37,9 @@ class Plaquette:
     labels to the data qsite and the measure-ion gate position; ``home`` is
     the measure ion's parking site; ``graph`` is the local adjacency of its
     infrastructure sites used to route between pockets.
+
+    Frozen, because one plaquette set serves every patch of the same
+    layout in a process (:meth:`PatchLayout.plaquettes`).
     """
 
     face: tuple[int, int]
@@ -45,7 +48,7 @@ class Plaquette:
     data_sites: dict[str, int]
     pockets: dict[str, int]
     home: int
-    graph: dict[int, list[int]] = field(default_factory=dict)
+    graph: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.pauli not in ("X", "Z"):
@@ -78,15 +81,16 @@ class Plaquette:
         ]
 
     # -------------------------------------------------------------- routing
-    def path(self, src: int, dst: int) -> list[int]:
+    def path(self, src: int, dst: int) -> tuple[int, ...]:
         """Shortest path from src to dst through this face's private sites.
 
         The face graph is immutable, so results are memoized — syndrome
         rounds re-request the same pocket-to-pocket hops every round.
         """
-        cache = getattr(self, "_path_cache", None)
+        cache = self.__dict__.get("_path_cache")
         if cache is None:
-            cache = self._path_cache = {}
+            cache = {}
+            object.__setattr__(self, "_path_cache", cache)
         hit = cache.get((src, dst))
         if hit is not None:
             return hit
@@ -94,9 +98,9 @@ class Plaquette:
         cache[(src, dst)] = out
         return out
 
-    def _path_uncached(self, src: int, dst: int) -> list[int]:
+    def _path_uncached(self, src: int, dst: int) -> tuple[int, ...]:
         if src == dst:
-            return [src]
+            return (src,)
         prev: dict[int, int] = {src: src}
         queue = deque([src])
         while queue:
@@ -109,7 +113,7 @@ class Plaquette:
                     out = [dst]
                     while out[-1] != src:
                         out.append(prev[out[-1]])
-                    return out[::-1]
+                    return tuple(out[::-1])
                 queue.append(nxt)
         raise ValueError(f"no route {src} -> {dst} within plaquette {self.face}")
 

@@ -42,6 +42,7 @@ One specification and one fast path compile each round:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,7 +181,7 @@ class SyndromeScheduler:
     def schedule_round(
         self,
         circuit: HardwareCircuit,
-        plaquettes: list[Plaquette],
+        plaquettes: Sequence[Plaquette],
         measure_ions: dict[tuple[int, int], int],
         data_ion_at: dict[int, int],
         t_min: float = 0.0,
@@ -226,7 +227,7 @@ class SyndromeScheduler:
     def _schedule_round_python(
         self,
         circuit: HardwareCircuit,
-        plaquettes: list[Plaquette],
+        plaquettes: Sequence[Plaquette],
         measure_ions: dict[tuple[int, int], int],
         data_ion_at: dict[int, int],
         t_min: float = 0.0,
@@ -292,7 +293,7 @@ class SyndromeScheduler:
     def schedule_rounds(
         self,
         circuit: HardwareCircuit,
-        plaquettes: list[Plaquette],
+        plaquettes: Sequence[Plaquette],
         measure_ions: dict[tuple[int, int], int],
         data_ion_at: dict[int, int],
         rounds: int,
@@ -404,79 +405,76 @@ class SyndromeScheduler:
           side), and before every measure ion's phase-0 preparation ends
           (so no layer barrier can resolve to a re-anchored clock).
         """
-        start, stop = block
-        cols = circuit.columns()
-        site0 = cols.site0[start:stop].tolist()
-        site1 = cols.site1[start:stop].tolist()
-        ts = cols.t[start:stop].tolist()
-        durs = cols.duration[start:stop].tolist()
-        two_site = (cols.nsites[start:stop] == 2).tolist()
-        grid = self.grid
-        t_start = t_end - delta
+        # Each (row, site) incidence, grouped by site in row order: a site's
+        # chain is the leading run of single-site rows that each start at
+        # the clock the previous one left (the entry clock for data sites,
+        # the round start for every other site), and the first row that
+        # breaks it absorbs the chain.
+        _, site0, site1, nsites, ts, durs = circuit.block(*block)
+        two = nsites == 2
+        rows = np.concatenate([np.arange(len(ts)), np.flatnonzero(two)])
+        sites = np.concatenate([site0, site1[two]])
+        order = np.lexsort((rows, sites))
+        rows, sites = rows[order], sites[order]
+        m = len(rows)
+        if not m:
+            return None
+        group = np.ones(m, dtype=bool)
+        group[1:] = sites[1:] != sites[:-1]
+        heads = np.flatnonzero(group)
+        ends = np.append(heads[1:], m)
 
-        entry_of = {}
-        for site, ion in data_ion_at.items():
-            ready = ready_before.get(ion)
-            if ready is not None:
-                entry_of[site] = (ion, ready)
-        # One walk over the block: grow each data site's entry-anchored
-        # prefix chain until a mismatching or two-site row absorbs it, and
-        # in parallel measure every *non-data* site's round-start-anchored
-        # opening chain (the measure ions' phase-0 preparations).
-        chain: dict[int, list[int]] = {}  # data site -> chain positions
-        clock: dict[int, float] = {}  # data site -> continued entry clock
-        absorbed: dict[int, float] = {}  # data site -> absorbing row start
-        phase0: dict[int, float] = {}  # non-data site -> t_min-anchored end
-        phase0_done: set[int] = set()
-        for p in range(len(ts)):
-            sites = (site0[p], site1[p]) if two_site[p] else (site0[p],)
-            for s in sites:
-                info = entry_of.get(s)
-                if info is None:
-                    if s in phase0_done:
-                        continue
-                    expected = phase0.get(s, t_start)
-                    if not two_site[p] and ts[p] == expected:
-                        phase0[s] = ts[p] + durs[p]
-                    else:
-                        phase0_done.add(s)
-                    continue
-                if s in absorbed:
-                    continue
-                expected = clock.get(s, info[1])
-                if not two_site[p] and ts[p] == expected:
-                    chain.setdefault(s, []).append(p)
-                    clock[s] = ts[p] + durs[p]
-                else:
-                    absorbed[s] = ts[p]  # first non-chain row touching s
-        if not chain or not phase0:
+        # The round's data sites, ascending, with their ions' entry clocks.
+        entries = sorted((s, ion) for s, ion in data_ion_at.items() if ion in ready_before)
+        if not entries:
+            return None  # no data ion to re-anchor
+        data_sites = np.array([s for s, _ in entries], dtype=np.int64)
+        entry_ready = np.array([ready_before[ion] for _, ion in entries])
+        at = np.minimum(np.searchsorted(data_sites, sites), len(entries) - 1)
+        is_data = data_sites[at] == sites
+
+        t_row = ts[rows]
+        end_row = t_row + durs[rows]
+        expected = np.where(is_data, entry_ready[at], t_end - delta)
+        expected[1:] = np.where(group[1:], expected[1:], end_row[:-1])
+        ok = ~two[rows] & (t_row == expected)
+        broken = np.minimum(np.minimum.reduceat(np.where(ok, m, np.arange(m)), heads), ends)
+        length = broken - heads
+        chained = length > 0
+        data_head = is_data[heads]
+        phase0 = chained & ~data_head
+        chains = np.flatnonzero(chained & data_head)
+        if not len(chains) or not phase0.any():
             return None  # no recognizable transient to re-anchor
         # No re-anchored chain may outlast the earliest measure-ion
         # preparation, or a layer barrier (max over ion clocks) could
         # resolve to a re-anchored clock and shift the whole layer.
-        phase0_floor = min(phase0.values())
-        positions: list[int] = []
-        times: list[float] = []
-        for s, rows in chain.items():
-            absorb = absorbed.get(s)
-            if absorb is None:
-                return None  # chain never interacts: re-anchoring diverges
-            ion = entry_of[s][0]
-            new_clock = grid.ion_ready(ion)  # end-of-template clock
-            if clock[s] > phase0_floor + _EPS:
-                return None
-            for p in rows:
-                positions.append(p)
-                times.append(new_clock)
-                new_clock += durs[p]
-            if new_clock > absorb + delta + _EPS:
-                return None  # the absorbing max() would flip sides
-            if new_clock > phase0_floor + delta + _EPS:
-                return None
-        return (
-            np.array(positions, dtype=np.int64),
-            np.array(times, dtype=np.float64),
-        )
+        phase0_floor = end_row[broken[phase0] - 1].min()
+        if (broken[chains] == ends[chains]).any():
+            return None  # a chain never interacts: re-anchoring diverges
+        if (end_row[broken[chains] - 1] > phase0_floor + _EPS).any():
+            return None
+
+        # Re-anchor each chain at its ion's end-of-template clock, chains in
+        # the order their first rows appear, one chain step at a time.
+        chains = chains[np.argsort(rows[heads[chains]])]
+        first, length = heads[chains], length[chains]
+        ions = [entries[k][1] for k in at[first].tolist()]
+        grid = self.grid
+        clock = np.array([grid.ion_ready(ion) for ion in ions])
+        offset = np.concatenate([[0], np.cumsum(length)[:-1]])
+        picks = np.repeat(first - offset, length) + np.arange(length.sum())
+        times = np.empty(len(picks))
+        for step in range(int(length.max())):
+            live = length > step
+            times[offset[live] + step] = clock[live]
+            clock[live] += durs[rows[first[live] + step]]
+        absorb = t_row[broken[chains]]
+        if (clock > absorb + delta + _EPS).any():
+            return None  # the absorbing max() would flip sides
+        if (clock > phase0_floor + delta + _EPS).any():
+            return None
+        return rows[picks].astype(np.int64), times
 
     def _replay_rounds(
         self,

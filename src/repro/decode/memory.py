@@ -37,8 +37,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from repro.code.patch_layout import PLAQUETTE_SETS
 from repro.core.compiler import TISCC
 from repro.decode.base import Decoder, decoder_class, get_decoder
+from repro.hardware.grid import GEOMETRY
 from repro.hardware.profile import HardwareProfile
 from repro.decode.graph import MatchingGraph, build_dem_graph
 from repro.estimator.report import LogicalErrorReport
@@ -290,9 +292,13 @@ class MemoryExperiment:
         """Drop every cached compiled memory experiment (mainly for tests).
 
         The periodic-extraction templates live on their compiles' cores, so
-        they go too.
+        they go too, and so do the process-wide compile memos: the grid
+        geometry tables per grid shape and the plaquette sets per patch
+        layout.  The next compile pays every first build again.
         """
         _CORE_CACHE.clear()
+        GEOMETRY.clear()
+        PLAQUETTE_SETS.clear()
 
     # ------------------------------------------------------------- plumbing
     @property

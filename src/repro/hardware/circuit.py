@@ -340,6 +340,12 @@ class HardwareCircuit:
         self._measure_count += 1
         return label
 
+    def new_measure_labels(self, n: int) -> list[str]:
+        """The next ``n`` fresh measurement labels, in order."""
+        first = self._measure_count
+        self._measure_count += n
+        return [f"m{k}" for k in range(first, self._measure_count)]
+
     def extend(self, other: "HardwareCircuit") -> None:
         """Absorb another circuit's instructions (labels are not re-numbered)."""
         offset = len(self)
@@ -387,7 +393,7 @@ class HardwareCircuit:
         """Append ``copies`` time-shifted replicas of rows ``[start, stop)``.
 
         Copy ``k`` (1-based) is shifted by ``k * dt`` microseconds; labeled
-        rows receive fresh measurement labels from :meth:`new_measure_label`.
+        rows receive fresh measurement labels from :meth:`new_measure_labels`.
         ``override`` — ``(block_positions, base_times)`` — re-anchors the
         given block-relative rows instead: in copy ``k`` they start at
         ``base_times + (k - 1) * dt`` (the syndrome scheduler uses this for
@@ -400,11 +406,11 @@ class HardwareCircuit:
             raise ValueError(f"replay block [{start}, {stop}) out of range")
         if copies < 1 or start == stop:
             return [{} for _ in range(max(copies, 0))]
-        cols = self.columns()
+        codes, site0, site1, nsites, t, duration = self.block(start, stop)
         block = stop - start
         chunk_start = len(self)
         offsets = np.repeat(np.arange(1, copies + 1, dtype=np.float64) * dt, block)
-        tiled_t = np.tile(cols.t[start:stop], copies) + offsets
+        tiled_t = np.tile(t, copies) + offsets
         if override is not None:
             positions, times = override
             for c in range(copies):
@@ -412,24 +418,24 @@ class HardwareCircuit:
         self._freeze_builder()
         self._frozen.append(
             (
-                np.tile(cols.codes[start:stop], copies),
-                np.tile(cols.site0[start:stop], copies),
-                np.tile(cols.site1[start:stop], copies),
-                np.tile(cols.nsites[start:stop], copies),
+                np.tile(codes, copies),
+                np.tile(site0, copies),
+                np.tile(site1, copies),
+                np.tile(nsites, copies),
                 tiled_t,
-                np.tile(cols.duration[start:stop], copies),
+                np.tile(duration, copies),
             )
         )
         self._frozen_len += block * copies
         labeled = sorted(row for row in self._label_of if start <= row < stop)
+        template = [self._label_of[row] for row in labeled]
+        fresh = self.new_measure_labels(copies * len(labeled))
         maps: list[dict[str, str]] = []
         for k in range(copies):
-            relabel: dict[str, str] = {}
-            for row in labeled:
-                new = self.new_measure_label()
-                relabel[self._label_of[row]] = new
-                self._label_of[chunk_start + k * block + (row - start)] = new
-            maps.append(relabel)
+            labels = fresh[k * len(labeled) : (k + 1) * len(labeled)]
+            maps.append(dict(zip(template, labels)))
+            offset = chunk_start + k * block - start
+            self._label_of.update(zip([offset + row for row in labeled], labels))
         self._replays.append(ReplayBlock(start, stop, chunk_start, copies, tuple(maps)))
         self._invalidate()
         return maps
@@ -474,16 +480,50 @@ class HardwareCircuit:
                 )
                 self._frozen = [parts]  # keep future snapshots cheap
             else:
-                parts = (
-                    np.empty(0, dtype=np.int32),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int8),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.float64),
-                )
-            self._cols = CircuitColumns(*parts, labels=self._label_of)
+                parts = self._empty()
+            # The snapshot owns its labels: later appends must not reach it.
+            self._cols = CircuitColumns(*parts, labels=dict(self._label_of))
         return self._cols
+
+    def block(self, start: int, stop: int) -> _Chunk:
+        """Rows ``[start, stop)`` as six columns, read from the chunks holding them.
+
+        Unlike :meth:`columns`, this concatenates nothing when the rows lie
+        in one chunk (a round the native scheduler appended lands as one),
+        so the template-round analysis and :meth:`replay_block` cost the
+        block, not the whole circuit.  The columns may be views: read only.
+        """
+        if not (0 <= start <= stop <= len(self)):
+            raise ValueError(f"rows [{start}, {stop}) out of range")
+        if stop > self._frozen_len:
+            self._freeze_builder()
+        parts = []
+        end = self._frozen_len
+        for chunk in reversed(self._frozen):
+            begin = end - len(chunk[0])
+            if begin < stop and start < end:
+                lo, hi = max(start, begin) - begin, min(stop, end) - begin
+                parts.append(tuple(column[lo:hi] for column in chunk))
+            if begin <= start:
+                break
+            end = begin
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:  # an empty circuit
+            return self._empty()
+        parts.reverse()
+        return tuple(np.concatenate([part[k] for part in parts]) for k in range(6))
+
+    @staticmethod
+    def _empty() -> _Chunk:
+        return (
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int8),
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.float64),
+        )
 
     def _order(self) -> np.ndarray:
         """Execution order: by ``(t, Load-first, sites, name)``, stable.

@@ -29,8 +29,10 @@ import numpy as np
 from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.profile import DEFAULT_PROFILE, HardwareProfile, get_profile
 from repro.util.geometry import SiteType, site_exists, site_type_at
+from repro.util.memo import BoundedMemo
 
 __all__ = [
+    "GEOMETRY",
     "GridManager",
     "SiteBlockedError",
     "grid_for_patch",
@@ -57,6 +59,133 @@ class SiteBlockedError(RuntimeError):
         super().__init__(f"site {site} is parked-on by ion {occupant}")
         self.site = site
         self.occupant = occupant
+
+
+class _Geometry:
+    """Read-only tables of one grid shape.
+
+    Every :class:`GridManager` of the same ``(height, width)`` in a process
+    reads one instance (see :data:`GEOMETRY`): per position its site kind
+    (``kinds``), whether it is a trapping zone (``zone`` as an array,
+    ``is_zone`` as a tuple) and its lattice neighbours (up, down, left,
+    right), the zone sites in index order, and the junction flanked by any
+    two zones one crossing apart.  The arrays are not writeable and the
+    rows are tuples, so a mutation fails instead of reaching another grid.
+    """
+
+    def __init__(self, height: int, width: int):
+        # The §3.1 tiling (repro.util.geometry): a site wherever the row or
+        # the column is 0 mod 4, a junction where both are.
+        r = np.arange(height)[:, None] % 4 == 0
+        c = np.arange(width)[None, :] % 4 == 0
+        kinds = np.where(r & c, JUNCTION_SITE, np.where(r | c, ZONE_SITE, NO_SITE))
+        self.kinds = kinds.astype(np.int8).ravel()
+        self.kinds.setflags(write=False)
+        self.zone = self.kinds == ZONE_SITE
+        self.zone.setflags(write=False)
+        self.is_zone: tuple[bool, ...] = tuple(self.zone.tolist())
+        self.zone_sites: tuple[int, ...] = tuple(np.flatnonzero(self.zone).tolist())
+
+        exists = (self.kinds != NO_SITE).tolist()
+        rows: list[tuple[int, ...]] = [()] * (height * width)
+        for p in np.flatnonzero(self.kinds).tolist():
+            row, col = divmod(p, width)
+            rows[p] = tuple(
+                q
+                for q, inside in (
+                    (p - width, row > 0),
+                    (p + width, row < height - 1),
+                    (p - 1, col > 0),
+                    (p + 1, col < width - 1),
+                )
+                if inside and exists[q]
+            )
+        self.neighbors: tuple[tuple[int, ...], ...] = tuple(rows)
+
+        # (zone, zone) -> junction; ties keep the first in neighbour order.
+        zone = self.is_zone
+        junctions: dict[tuple[int, int], int] = {}
+        for za in self.zone_sites:
+            for j in rows[za]:
+                if zone[j]:
+                    continue
+                for zb in rows[j]:
+                    if zb != za and zone[zb]:
+                        junctions.setdefault((za, zb), j)
+        self.junctions = junctions
+
+
+#: Geometry tables per grid shape ``(height, width)``, shared by every grid
+#: of that shape in the process.  One resource sweep (13 operations at
+#: d=3..11) builds 65 grids of 18 shapes.  ``MemoryExperiment.
+#: clear_compile_cache()`` empties it.
+GEOMETRY: BoundedMemo[_Geometry] = BoundedMemo(64)
+
+
+class _Calendar:
+    """Every busy interval committed at grid positions, in commit order.
+
+    The round kernel's intervals stay the arrays it returned, one chunk per
+    round; the Python scheduler's land one at a time, tagged with the
+    number of chunks committed before them.  ``horizon[p]`` is the latest
+    interval end at position ``p`` (0.0 for none), so a reservation from at
+    or after it reads no interval at all.  A position's interval list is
+    built only when the Python scheduler has to scan it.
+    """
+
+    def __init__(self, n_positions: int):
+        self.horizon = np.zeros(n_positions)
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._single: dict[int, list[tuple[int, float, float]]] = {}
+
+    def add(self, p: int, lo: float, hi: float) -> None:
+        """Commit one interval at position ``p``."""
+        self._single.setdefault(p, []).append((len(self._chunks), lo, hi))
+        if hi > self.horizon[p]:
+            self.horizon[p] = hi
+
+    def add_chunk(self, pos: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Commit a block of intervals given as columns (kept, not copied)."""
+        if len(pos):
+            self._chunks.append((pos, lo, hi))
+            np.maximum.at(self.horizon, pos, hi)
+
+    def intervals(self, p: int) -> list[tuple[float, float]]:
+        """Position ``p``'s intervals in commit order."""
+        single = self._single.get(p, ())
+        out: list[tuple[float, float]] = []
+        k = 0
+        for c, (pos, lo, hi) in enumerate(self._chunks):
+            while k < len(single) and single[k][0] <= c:
+                out.append(single[k][1:])
+                k += 1
+            hit = np.flatnonzero(pos == p)
+            if len(hit):
+                out += zip(lo[hit].tolist(), hi[hit].tolist())
+        out += [event[1:] for event in single[k:]]
+        return out
+
+    def live(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every interval ending after ``t`` as ``(pos, lo, hi)`` columns, in no
+        particular order."""
+        parts = []
+        for pos, lo, hi in self._chunks:
+            keep = hi > t
+            parts.append((pos[keep], lo[keep], hi[keep]))
+        single = [(p, a, b) for p, events in self._single.items() for _, a, b in events if b > t]
+        if single:
+            pos, lo, hi = zip(*single)
+            parts.append((np.array(pos, dtype=np.int64), np.array(lo), np.array(hi)))
+        if not parts:
+            return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+        return tuple(np.concatenate([part[k] for part in parts]) for k in range(3))
+
+    def by_position(self) -> dict[int, list[tuple[float, float]]]:
+        """Every position's intervals in commit order, positions ascending."""
+        positions = set(self._single)
+        for pos, _, _ in self._chunks:
+            positions.update(pos.tolist())
+        return {p: self.intervals(p) for p in sorted(positions)}
 
 
 def _earliest_slot(intervals: list[tuple[float, float]], t: float, dur: float) -> float:
@@ -111,8 +240,8 @@ class GridManager:
         self._ion_tag: dict[int, str] = {}
 
         # --- calendars ----------------------------------------------------
-        self._site_busy: dict[int, list[tuple[float, float]]] = {}
-        self._junction_busy: dict[int, list[tuple[float, float]]] = {}
+        self._sites = _Calendar(self.n_positions)
+        self._junctions = _Calendar(self.n_positions)
 
         #: Count of junction conflicts resolved by serialization (§3.3).
         self.junction_conflicts = 0
@@ -124,16 +253,10 @@ class GridManager:
         #: eligibility condition for QEC-round template replay.
         self.t_horizon = 0.0
 
-        # --- geometry caches (built lazily; the grid is immutable) --------
-        self._site_kinds: "np.ndarray | None" = None
-        self._zone_mask_arr: "np.ndarray | None" = None
-        self._zone_list: list[bool] | None = None
-        self._neighbor_table: list[list[int]] | None = None
-        self._junction_map: dict[tuple[int, int], int] | None = None
-        # Highest interval end per site/junction calendar: lets the common
-        # "no history can overlap" case skip the interval scan entirely.
-        self._site_busy_horizon: dict[int, float] = {}
-        self._junction_busy_horizon: dict[int, float] = {}
+        # --- geometry: shared with every grid of this shape ----------------
+        self._geometry = GEOMETRY.get(
+            (self.height, self.width), lambda: _Geometry(self.height, self.width)
+        )
 
     # ------------------------------------------------------------- geometry
     def index(self, r: int, c: int) -> int:
@@ -156,57 +279,30 @@ class GridManager:
         """``(n_positions,)`` int8 array, per position: :data:`NO_SITE` (a
         cell interior), :data:`JUNCTION_SITE` or :data:`ZONE_SITE`.
 
-        Built once per grid (the geometry is immutable).  With ``width`` and
-        ``height`` it is the whole geometry the native validity replay
-        reads: adjacency and junction crossings follow from it.
+        Built once per grid shape and shared, so it is not writeable.  With
+        ``width`` and ``height`` it is the whole geometry the native
+        kernels read: adjacency and junction crossings follow from it.
         """
-        if self._site_kinds is None:
-            kinds = np.full(self.n_positions, NO_SITE, dtype=np.int8)
-            for r in range(self.height):
-                for c in range(self.width):
-                    if site_exists(r, c):
-                        junction = site_type_at(r, c) is SiteType.JUNCTION
-                        kinds[r * self.width + c] = JUNCTION_SITE if junction else ZONE_SITE
-            self._site_kinds = kinds
-        return self._site_kinds
+        return self._geometry.kinds
 
     def zone_mask(self) -> np.ndarray:
         """``(n_positions,)`` bool array: True where a site is a trapping zone.
 
-        Built once per grid; shared by the resource estimator and the
-        geometry lookups below.
+        Built once per grid shape and shared (not writeable); used by the
+        resource estimator.
         """
-        if self._zone_mask_arr is None:
-            self._zone_mask_arr = self.site_kinds() == ZONE_SITE
-        return self._zone_mask_arr
-
-    def _neighbors_of(self) -> list[list[int]]:
-        if self._neighbor_table is None:
-            width, height = self.width, self.height
-            table: list[list[int]] = [[] for _ in range(self.n_positions)]
-            for r in range(height):
-                for c in range(width):
-                    if not site_exists(r, c):
-                        continue
-                    out = table[r * width + c]
-                    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                        if 0 <= rr < height and 0 <= cc < width and site_exists(rr, cc):
-                            out.append(rr * width + cc)
-            self._neighbor_table = table
-        return self._neighbor_table
+        return self._geometry.zone
 
     def is_zone(self, site: int) -> bool:
-        if self._zone_list is None:
-            self._zone_list = self.zone_mask().tolist()
         if not (0 <= site < self.n_positions):
             raise ValueError(f"qsite {site} out of range")
-        return self._zone_list[site]
+        return self._geometry.is_zone[site]
 
-    def neighbors(self, site: int) -> list[int]:
+    def neighbors(self, site: int) -> tuple[int, ...]:
         """Lattice-adjacent existing sites (including junctions)."""
         if not (0 <= site < self.n_positions):
             raise ValueError(f"qsite {site} out of range")
-        return self._neighbors_of()[site]
+        return self._geometry.neighbors[site]
 
     def adjacent_zones(self, site: int) -> list[int]:
         mask = self.zone_mask()
@@ -215,28 +311,12 @@ class GridManager:
     def junction_between(self, a: int, b: int) -> int | None:
         """The junction adjacent to both zones ``a`` and ``b``, if any.
 
-        Resolved from a lazily-built lookup of every (zone, zone) pair
-        flanking a junction; ties (diagonal pairs reachable through two
-        junctions) keep the first junction in neighbor order, matching the
-        original scan.
+        Ties (diagonal pairs reachable through two junctions) keep the
+        first junction in ``a``'s neighbor order.
         """
-        if self._junction_map is None:
-            mask = self.zone_mask()
-            table = self._neighbors_of()
-            jmap: dict[tuple[int, int], int] = {}
-            for za in range(self.n_positions):
-                if not mask[za]:
-                    continue
-                for j in table[za]:  # neighbor order = the original scan order
-                    if mask[j]:
-                        continue
-                    for zb in table[j]:
-                        if zb != za and mask[zb]:
-                            jmap.setdefault((za, zb), j)
-            self._junction_map = jmap
         if not (self.is_zone(a) and self.is_zone(b)):
             return None
-        return self._junction_map.get((a, b))
+        return self._geometry.junctions.get((a, b))
 
     def gate_adjacent(self, a: int, b: int) -> bool:
         """Two-qubit gates act between lattice-adjacent trapping zones."""
@@ -249,7 +329,8 @@ class GridManager:
                     yield r * self.width + c
 
     def zone_sites(self) -> list[int]:
-        return [s for s in self.all_sites() if self.is_zone(s)]
+        """Every trapping zone, in index order."""
+        return list(self._geometry.zone_sites)
 
     def zones_in_bbox(self, r0: int, c0: int, r1: int, c1: int) -> int:
         """Number of trapping zones with r0<=r<=r1, c0<=c<=c1."""
@@ -305,7 +386,7 @@ class GridManager:
         del self._occupant[site]
         since = self._occupied_since.pop(site)
         end = self._ion_ready[ion] if t is None else max(t, since)
-        self._commit_site(site, since, end)
+        self._sites.add(site, since, end)
         self.t_horizon = max(self.t_horizon, end)
         del self._ion_ready[ion]
         del self._ion_tag[ion]
@@ -372,14 +453,9 @@ class GridManager:
 
     # ---------------------------------------------------------- scheduling
     def _reserve_site(self, site: int, t: float, dur: float) -> float:
-        if t >= self._site_busy_horizon.get(site, 0.0):
+        if t >= self._sites.horizon[site]:
             return t  # every recorded interval ends at or before t
-        return _earliest_slot(self._site_busy.setdefault(site, []), t, dur)
-
-    def _commit_site(self, site: int, t0: float, t1: float) -> None:
-        self._site_busy.setdefault(site, []).append((t0, t1))
-        if t1 > self._site_busy_horizon.get(site, 0.0):
-            self._site_busy_horizon[site] = t1
+        return _earliest_slot(self._sites.intervals(site), t, dur)
 
     def schedule_move(
         self,
@@ -418,24 +494,21 @@ class GridManager:
             self.site_delays += 1
         t = t_site
         if junction is not None:
-            intervals = self._junction_busy.setdefault(junction, [])
-            if t >= self._junction_busy_horizon.get(junction, 0.0):
+            if t >= self._junctions.horizon[junction]:
                 t_junction = t  # no recorded crossing extends past t
             else:
-                t_junction = _earliest_slot(intervals, t, dur)
+                t_junction = _earliest_slot(self._junctions.intervals(junction), t, dur)
             if t_junction > t:
                 self.junction_conflicts += 1
                 # Re-check the destination slot at the pushed-back time.
                 t_junction = self._reserve_site(dst, t_junction, dur)
             t = t_junction
-            intervals.append((t, t + dur))
-            if t + dur > self._junction_busy_horizon.get(junction, 0.0):
-                self._junction_busy_horizon[junction] = t + dur
+            self._junctions.add(junction, t, t + dur)
 
         # Close out the origin occupancy (held through the transit) and park
         # the ion on the destination from the start of the transit.
         since = self._occupied_since.pop(src)
-        self._commit_site(src, since, t + dur)
+        self._sites.add(src, since, t + dur)
         del self._occupant[src]
         self._occupant[dst] = ion
         self._occupied_since[dst] = t

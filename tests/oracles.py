@@ -16,6 +16,10 @@ Each function is the plain loop a production routine replaced:
 * the round loop compiles every QEC round with ``schedule_round``, one at
   a time — ``SyndromeScheduler.schedule_rounds``' template replay must
   emit the same stream, records and grid state (tests patch it in);
+* the transient walk finds a template round's entry-anchored prefix chains
+  one row at a time — ``SyndromeScheduler._transform_override``'s array
+  analysis must return the same positions and times, bit for bit, or
+  ``None`` where it does;
 * the DEM graph loop merges one mechanism at a time into a dictionary
   keyed by detector pair — the columnar ``repro.decode.graph.build_dem_graph``
   must equal it exactly (edge order, endpoints, frames, weight bits);
@@ -189,6 +193,98 @@ def schedule_rounds(self, circuit, plaquettes, measure_ions, data_ion_at, rounds
         records.append(rec)
         t = rec.t_end
     return records
+
+
+#: Timing slack of the template-replay checks (``stabilizer_circuits._EPS``).
+_EPS = 1e-9
+
+
+def transform_override(self, circuit, block, data_ion_at, ready_before, delta, t_end, why=None):
+    """``SyndromeScheduler._transform_override`` as one walk over the block.
+
+    ``why``, when given, is a list that receives the reason for a ``None``:
+    ``"no chain"``, ``"no phase-0 chain"``, ``"never absorbed"``, ``"past
+    the phase-0 floor"``, ``"flips the absorbing max"`` or ``"past the
+    shifted phase-0 floor"``.
+    """
+
+    def none(reason):
+        if why is not None:
+            why.append(reason)
+        return None
+
+    start, stop = block
+    cols = circuit.columns()
+    site0 = cols.site0[start:stop].tolist()
+    site1 = cols.site1[start:stop].tolist()
+    ts = cols.t[start:stop].tolist()
+    durs = cols.duration[start:stop].tolist()
+    two_site = (cols.nsites[start:stop] == 2).tolist()
+    grid = self.grid
+    t_start = t_end - delta
+
+    entry_of = {}
+    for site, ion in data_ion_at.items():
+        ready = ready_before.get(ion)
+        if ready is not None:
+            entry_of[site] = (ion, ready)
+    # One walk over the block: grow each data site's entry-anchored
+    # prefix chain until a mismatching or two-site row absorbs it, and
+    # in parallel measure every *non-data* site's round-start-anchored
+    # opening chain (the measure ions' phase-0 preparations).
+    chain: dict[int, list[int]] = {}  # data site -> chain positions
+    clock: dict[int, float] = {}  # data site -> continued entry clock
+    absorbed: dict[int, float] = {}  # data site -> absorbing row start
+    phase0: dict[int, float] = {}  # non-data site -> t_min-anchored end
+    phase0_done: set[int] = set()
+    for p in range(len(ts)):
+        sites = (site0[p], site1[p]) if two_site[p] else (site0[p],)
+        for s in sites:
+            info = entry_of.get(s)
+            if info is None:
+                if s in phase0_done:
+                    continue
+                expected = phase0.get(s, t_start)
+                if not two_site[p] and ts[p] == expected:
+                    phase0[s] = ts[p] + durs[p]
+                else:
+                    phase0_done.add(s)
+                continue
+            if s in absorbed:
+                continue
+            expected = clock.get(s, info[1])
+            if not two_site[p] and ts[p] == expected:
+                chain.setdefault(s, []).append(p)
+                clock[s] = ts[p] + durs[p]
+            else:
+                absorbed[s] = ts[p]  # first non-chain row touching s
+    if not chain:
+        return none("no chain")
+    if not phase0:
+        return none("no phase-0 chain")
+    phase0_floor = min(phase0.values())
+    positions: list[int] = []
+    times: list[float] = []
+    for s, rows in chain.items():
+        absorb = absorbed.get(s)
+        if absorb is None:
+            return none("never absorbed")
+        ion = entry_of[s][0]
+        new_clock = grid.ion_ready(ion)  # end-of-template clock
+        if clock[s] > phase0_floor + _EPS:
+            return none("past the phase-0 floor")
+        for p in rows:
+            positions.append(p)
+            times.append(new_clock)
+            new_clock += durs[p]
+        if new_clock > absorb + delta + _EPS:
+            return none("flips the absorbing max")
+        if new_clock > phase0_floor + delta + _EPS:
+            return none("past the shifted phase-0 floor")
+    return (
+        np.array(positions, dtype=np.int64),
+        np.array(times, dtype=np.float64),
+    )
 
 
 def build_dem(table, params, keep_sources=False):

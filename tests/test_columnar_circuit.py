@@ -127,6 +127,44 @@ class TestColumnsView:
         assert cols.labels == {1: "m0"}
         assert cols.instruction(0) == Instruction("ZZ", (4, 5), 10.0, 2000.0)
 
+    def test_a_snapshot_keeps_its_labels_after_later_appends(self):
+        c = HardwareCircuit()
+        c.append("Prepare_Z", (0,), 0.0, 1.0)
+        cols = c.columns()
+        c.append("Measure_Z", (0,), 1.0, 1.0, label="m0")
+        assert cols.labels == {}
+        assert cols.n == 1
+        with pytest.raises(IndexError):
+            cols.instruction(1)
+        assert c.columns().labels == {1: "m0"}
+        assert c.columns() is c.columns()  # cached until the next mutation
+
+    def test_block_reads_rows_across_chunks_and_the_builder(self):
+        import numpy as np
+
+        c = HardwareCircuit()
+        c.append("Prepare_Z", (1,), 0.0, 10.0)
+        c.append("Y_pi/4", (1,), 10.0, 10.0)
+        c.append_rows(
+            np.array([c.columns().codes[0]] * 2, dtype=np.int32),
+            np.array([2, 3]), np.array([-1, -1]), np.array([1, 1], dtype=np.int8),
+            np.array([5.0, 6.0]), np.array([1.0, 1.0]), {},
+        )
+        c.append("ZZ", (3, 4), 20.0, 2000.0)
+        cols = c.columns()
+        whole = (cols.codes, cols.site0, cols.site1, cols.nsites, cols.t, cols.duration)
+        c.append("Move", (4, 5), 3000.0, 5.25)  # a live builder row again
+        for start, stop in [(0, 6), (1, 3), (2, 4), (3, 3), (4, 6), (5, 6), (0, 1)]:
+            block = c.block(start, stop)
+            full = c.columns()
+            for got, column in zip(block, (full.codes, full.site0, full.site1, full.nsites,
+                                           full.t, full.duration)):
+                assert got.dtype == column.dtype
+                assert got.tolist() == column[start:stop].tolist()
+        assert [column.tolist() for column in c.block(0, 5)] == [w.tolist() for w in whole]
+        with pytest.raises(ValueError):
+            c.block(2, 9)
+
     def test_sorted_columns_relabel_positions(self):
         c = HardwareCircuit()
         c.append("Measure_Z", (1,), 100.0, 120.0, label="late")

@@ -7,10 +7,12 @@ sidesteps, the homeward drain and the X measurements.  Every case here
 compiles twice, natively and with the Python loop forced (the loader is
 made to report a failure), and compares the circuit's six columns as bytes,
 its label table, every ``RoundRecord`` and the whole grid state the rounds
-leave, dict order included.  Where the Python loop raises, the kernel
-commits nothing and the loop reruns, so both paths raise the same error
-with the same message.  The build, rebuild, fallback and import-time checks
-shared with the other kernels live in ``tests/test_uf_kernel.py``.
+leave: the ion registry with its dict order, and both calendars as each
+position's intervals in commit order plus the horizon arrays' bytes.
+Where the Python loop raises, the kernel commits nothing and the loop
+reruns, so both paths raise the same error with the same message.  The
+build, rebuild, fallback and import-time checks shared with the other
+kernels live in ``tests/test_uf_kernel.py``.
 """
 
 from __future__ import annotations
@@ -40,18 +42,26 @@ from tests.conftest import fresh_patch
 #: The profiles shipped with the package, one file each.
 SHIPPED_PROFILES = sorted(p.stem for ext in ("toml", "json") for p in PROFILE_DIR.glob(f"*.{ext}"))
 
-#: Everything a round reads or writes on the grid.
-GRID_STATE = (
-    "_site_of",
-    "_occupant",
-    "_occupied_since",
-    "_ion_ready",
-    "_site_busy",
-    "_junction_busy",
-    "_site_busy_horizon",
-    "_junction_busy_horizon",
-)
+#: Everything a round reads or writes on the grid: the ion registry ...
+IONS = ("_site_of", "_occupant", "_occupied_since", "_ion_ready")
+#: ... the site and junction calendars ...
+CALENDARS = ("_sites", "_junctions")
+#: ... and the counters.
 COUNTERS = ("junction_conflicts", "site_delays", "t_horizon")
+GRID_STATE = (
+    *IONS,
+    *[f"{name}.{part}" for name in CALENDARS for part in ("intervals", "horizon")],
+    *COUNTERS,
+)
+
+
+def grid_state(grid: GridManager) -> list:
+    """The grid state in :data:`GRID_STATE` order, comparable with ``==``."""
+    state = [list(getattr(grid, name).items()) for name in IONS]
+    for name in CALENDARS:
+        calendar = getattr(grid, name)
+        state += [calendar.by_position(), calendar.horizon.tobytes()]
+    return state + [getattr(grid, name) for name in COUNTERS]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -111,8 +121,7 @@ def run(build: Callable[[], tuple[GridManager, HardwareCircuit]], python: bool) 
         [column.tobytes() for column in columns],
         dict(cols.labels),
         records,
-        [list(getattr(grid, name).items()) for name in GRID_STATE]
-        + [getattr(grid, name) for name in COUNTERS],
+        grid_state(grid),
         sidesteps[0],
     )
 
@@ -123,7 +132,7 @@ def assert_identical(build: Callable[[], tuple[GridManager, HardwareCircuit]]) -
     assert fast.columns == oracle.columns
     assert fast.labels == oracle.labels
     assert fast.records == oracle.records
-    for name, a, b in zip(GRID_STATE + COUNTERS, fast.grid, oracle.grid):
+    for name, a, b in zip(GRID_STATE, fast.grid, oracle.grid, strict=True):
         assert a == b, name
     assert fast.records, "no round was scheduled"
     assert {r.kernel for r in fast.records} == {"native"}
@@ -215,10 +224,9 @@ def test_a_round_entered_with_live_calendar_history():
     assert_identical(history)
 
 
-def test_a_round_before_time_zero_creates_calendars_in_the_loops_order():
-    """Below 0.0 a move's reservation scans a never-used site's calendar,
-    creating it before any interval lands there: the calendar dict's key
-    order shows when."""
+def test_a_round_before_time_zero_scans_never_used_calendars():
+    """Below 0.0 a move's reservation scans a never-used site's calendar
+    (its horizon 0.0 lies past the move's start), which holds no interval."""
 
     def early():
         grid = GridManager(5, 5)
