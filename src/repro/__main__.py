@@ -46,7 +46,7 @@ from repro.estimator.report import (
     format_resource_table,
 )
 from repro.estimator.spec import ExperimentSpec
-from repro.estimator.sweep import OPERATION_PROGRAMS, _profiles, sweep_operation
+from repro.estimator.sweep import _profiles, operation_compiler, sweep_operation
 
 __all__ = ["main"]
 
@@ -63,38 +63,10 @@ def _profile_note(profiles) -> str:
     return f", profile {names[0]}" if len(names) == 1 else f", profiles {names}"
 
 
-def _op_compiler(args: argparse.Namespace) -> tuple:
-    """``(compiler, program)`` for ``--op`` at ``--dx``/``--dz``/``--rounds``.
-
-    Unknown operations and profiles, distances below 2 and rounds below 1
-    raise one-line ``ValueError``s for the command handlers to print.
-    """
-    from repro.core.compiler import TISCC
-
-    try:
-        build, shape = OPERATION_PROGRAMS[args.op]
-    except KeyError:
-        raise ValueError(
-            f"unknown operation {args.op!r}; choose from {sorted(OPERATION_PROGRAMS)}"
-        ) from None
-    (prof,) = _profiles(args.profile)
-    compiler = TISCC(
-        dx=args.dx, dz=args.dz, tile_rows=shape[0], tile_cols=shape[1], rounds=args.rounds,
-        profile=prof,
-    )
-    return compiler, build()
-
-
 def _cmd_compile(args: argparse.Namespace) -> int:
-    complaint = _validate_seed(args.seed)
-    if complaint:
-        print(complaint)
-        return 2
-    try:
-        compiler, program = _op_compiler(args)
-    except ValueError as err:
-        print(err)
-        return 2
+    _check_seed(args.seed)
+    spec = ExperimentSpec(args.dx, args.dz, args.rounds, profile=args.profile)
+    compiler, program = operation_compiler(args.op, spec)
     compiled = compiler.compile(program, operation=args.op, simd=args.simd)
     print(
         f"# compiled {args.op} (dx={args.dx}, dz={args.dz}{_profile_note([compiler.profile])}): "
@@ -141,17 +113,12 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.shots < 1:
-        print("--shots must be at least 1")
-        return 2
-    complaint = _validate_seed(args.seed)
-    if complaint:
-        print(complaint)
-        return 2
-    try:
-        compiler, program = _op_compiler(args)
-    except ValueError as err:
-        print(err)
-        return 2
+        raise ValueError("--shots must be at least 1")
+    _check_seed(args.seed)
+    if args.max_labels < 0:
+        raise ValueError(f"--max-labels must be at least 0 (got {args.max_labels})")
+    spec = ExperimentSpec(args.dx, args.dz, args.rounds, profile=args.profile)
+    compiler, program = operation_compiler(args.op, spec)
     compiled = compiler.compile(program, operation=args.op)
     t0 = time.perf_counter()
     batch = compiler.simulate_shots(
@@ -169,8 +136,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_distances(distances: list[int]) -> str | None:
-    """One-line complaint for invalid code distances, or None when fine.
+def _check_distances(distances: list[int]) -> None:
+    """Raise a one-line ``ValueError`` for invalid code distances.
 
     Surface-code distances on this layout are odd and at least 3 — an even
     ``d`` silently builds a different (and weaker) code, so it is rejected
@@ -178,17 +145,16 @@ def _validate_distances(distances: list[int]) -> str | None:
     """
     for d in distances:
         if d < 3:
-            return f"code distances must be at least 3 (got {d})"
+            raise ValueError(f"code distances must be at least 3 (got {d})")
         if d % 2 == 0:
-            return (
+            raise ValueError(
                 f"code distances must be odd (got {d}); even distances are "
                 "not surface codes on this layout"
             )
-    return None
 
 
-def _validate_sweep_distances(distances: list[int]) -> str | None:
-    """One-line complaint for invalid resource-sweep distances, or None.
+def _check_sweep_distances(distances: list[int]) -> None:
+    """Raise a one-line ``ValueError`` for invalid resource-sweep distances.
 
     Resource sweeps intentionally accept even distances (the estimator can
     price a d=2 patch even though it is not a code the lfr path would
@@ -196,46 +162,41 @@ def _validate_sweep_distances(distances: list[int]) -> str | None:
     """
     for d in distances:
         if d < 2:
-            return f"--distances must be at least 2 for resource sweeps (got {d})"
-    return None
+            raise ValueError(f"--distances must be at least 2 for resource sweeps (got {d})")
 
 
-def _validate_seed(seed: int) -> str | None:
-    """One-line complaint for a negative ``--seed``, or None.
+def _check_seed(seed: int) -> None:
+    """Raise a one-line ``ValueError`` for a negative ``--seed``.
 
     Seeds feed numpy's ``SeedSequence``, which takes non-negative integers.
     """
     if seed < 0:
-        return f"--seed must be a non-negative integer (got {seed})"
-    return None
+        raise ValueError(f"--seed must be a non-negative integer (got {seed})")
 
 
-def _validate_json_path(path: str | None) -> str | None:
-    """One-line complaint for a ``--json`` path that cannot be written, or None.
+def _check_json_path(path: str | None) -> None:
+    """Raise a one-line ``ValueError`` for a ``--json`` path that cannot be written.
 
     Checked before the run, so a long sweep never ends in a traceback over
     where to put its results.
     """
     if path is None:
-        return None
+        return
     if os.path.isdir(path):
-        return f"--json {path} is a directory, not a file"
+        raise ValueError(f"--json {path} is a directory, not a file")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
-        return f"--json {path}: no such directory {parent}"
-    return None
+        raise ValueError(f"--json {path}: no such directory {parent}")
 
 
-def _write_json(path: str, payload) -> int:
-    """Write ``payload`` to ``--json`` ``path``; exit code 2 with one line on failure."""
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` to ``--json`` ``path``; a failed write raises one line."""
     try:
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
     except OSError as err:
-        print(f"--json {path}: {err.strerror or err}")
-        return 2
+        raise ValueError(f"--json {path}: {err.strerror or err}") from None
     print(f"# wrote {path}")
-    return 0
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser, repeatable: bool = False) -> None:
@@ -293,13 +254,12 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _validate_job_args(args: argparse.Namespace) -> str | None:
-    """One-line complaint for inconsistent sharding options, or None."""
+def _check_job_args(args: argparse.Namespace) -> None:
+    """Raise a one-line ``ValueError`` for inconsistent sharding options."""
     if args.jobs < 1:
-        return f"--jobs must be at least 1 (got {args.jobs})"
+        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     if args.resume and args.checkpoint is None:
-        return "--resume requires --checkpoint DIR (there is nothing to resume from)"
-    return None
+        raise ValueError("--resume requires --checkpoint DIR (there is nothing to resume from)")
 
 
 def _print_job_summary(args: argparse.Namespace, stats: dict) -> None:
@@ -313,16 +273,16 @@ def _print_job_summary(args: argparse.Namespace, stats: dict) -> None:
     )
 
 
-def _validate_window_args(args: argparse.Namespace) -> str | None:
-    """One-line complaint for inconsistent sliding-window options, or None."""
+def _check_window_args(args: argparse.Namespace) -> None:
+    """Raise a one-line ``ValueError`` for inconsistent sliding-window options."""
     if args.commit is not None and args.window is None:
-        return "--commit requires --window W (there is no window to commit into)"
+        raise ValueError("--commit requires --window W (there is no window to commit into)")
     if args.window is not None and args.window < 2:
-        return f"--window must span at least 2 time slices (got {args.window})"
+        raise ValueError(f"--window must span at least 2 time slices (got {args.window})")
     if args.commit is not None and args.commit < 1:
-        return f"--commit must be at least 1 slice (got {args.commit})"
+        raise ValueError(f"--commit must be at least 1 slice (got {args.commit})")
     if args.window is not None and args.commit is not None and args.commit >= args.window:
-        return (
+        raise ValueError(
             f"--commit ({args.commit}) must be smaller than --window "
             f"({args.window}); the trailing buffer absorbs boundary artifacts"
         )
@@ -331,44 +291,42 @@ def _validate_window_args(args: argparse.Namespace) -> str | None:
 
         effective = args.decoder or "union_find"
         if not decoder_class(effective).wants_layout:
-            return (
+            raise ValueError(
                 f"--window/--commit only apply to windowed decoders, not "
                 f"{effective!r} (try --decoder union_find_windowed)"
             )
     if args.window is not None and args.commit is None:
         commit = max(ExperimentSpec(d, d).window_shape[1] for d in args.distances)
         if commit >= args.window:
-            return (
+            raise ValueError(
                 f"--window ({args.window}) must be larger than the default --commit, the "
                 f"distance ({commit}); pass a larger --window or a --commit below "
                 f"{args.window}"
             )
     if args.shot_shards < 1:
-        return f"--shot-shards must be at least 1 (got {args.shot_shards})"
+        raise ValueError(f"--shot-shards must be at least 1 (got {args.shot_shards})")
     if args.shot_shards > 1 and args.engine != "frame":
-        return "--shot-shards requires --engine frame (per-shot seed streams)"
-    return None
+        raise ValueError("--shot-shards requires --engine frame (per-shot seed streams)")
 
 
-def _validate_rates(
+def _check_rates(
     rates: list[float] | None,
     scales: list[float] | None = None,
     flag: str = "--rates",
-) -> str | None:
-    """One-line complaint for invalid physical rates/scales, or None.
+) -> None:
+    """Raise a one-line ``ValueError`` for invalid physical rates/scales.
 
     ``flag`` names the offending option in the message (``--rates`` for
     ``lfr``, ``--rate`` for ``dem``).
     """
     for p in rates or ():
         if p < 0:
-            return f"{flag} must be non-negative probabilities (got {p:g})"
+            raise ValueError(f"{flag} must be non-negative probabilities (got {p:g})")
         if not p <= 1:  # NaN included
-            return f"{flag} must be probabilities in [0, 1] (got {p:g})"
+            raise ValueError(f"{flag} must be probabilities in [0, 1] (got {p:g})")
     for s in scales or ():
         if not 0 <= s < float("inf"):  # NaN included
-            return f"--scales must be finite and non-negative (got {s:g})"
-    return None
+            raise ValueError(f"--scales must be finite and non-negative (got {s:g})")
 
 
 def _cmd_lfr(args: argparse.Namespace) -> int:
@@ -376,55 +334,42 @@ def _cmd_lfr(args: argparse.Namespace) -> int:
     from repro.sim.noise import NoiseModel
 
     if args.shots < 2:
-        print("--shots must be at least 2")
-        return 2
-    complaint = (
-        _validate_distances(args.distances)
-        or _validate_rates(args.rates, args.scales)
-        or _validate_seed(args.seed)
-        or _validate_job_args(args)
-        or _validate_window_args(args)
-        or _validate_json_path(args.json)
-    )
-    if complaint:
-        print(complaint)
-        return 2
+        raise ValueError("--shots must be at least 2")
+    _check_distances(args.distances)
+    _check_rates(args.rates, args.scales)
+    _check_seed(args.seed)
+    _check_job_args(args)
+    _check_window_args(args)
+    _check_json_path(args.json)
     stats: dict = {}
-    try:
-        profiles = _profiles(args.profile)
-        if args.rates is not None:
-            models = [NoiseModel.uniform(p) for p in args.rates]
-        else:
-            # Preset specs resolve against each profile inside the sweep,
-            # so "near_term" means each architecture's own calibration.
-            models = [(args.noise, s) for s in args.scales]
-        t0 = time.perf_counter()
-        reports = logical_error_sweep(
-            args.distances,
-            noise_models=models,
-            shots=args.shots,
-            basis=args.basis,
-            rounds=args.rounds,
-            seed=args.seed,
-            engine=args.engine,
-            decoder=args.decoder,
-            profile=profiles,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            use_cache=not args.no_cache,
-            resume=args.resume,
-            stats=stats,
-            window=args.window,
-            commit=args.commit,
-            shot_shards=args.shot_shards,
-            simd=args.simd,
-        )
-    except ValueError as err:
-        # Bad rates/scales/distances/decoders/profiles — and unusable
-        # checkpoint directories — surface as one-line messages, not
-        # tracebacks (the lookup decoder rejects large graphs here too).
-        print(err)
-        return 2
+    profiles = _profiles(args.profile)
+    if args.rates is not None:
+        models = [NoiseModel.uniform(p) for p in args.rates]
+    else:
+        # Preset specs resolve against each profile inside the sweep,
+        # so "near_term" means each architecture's own calibration.
+        models = [(args.noise, s) for s in args.scales]
+    t0 = time.perf_counter()
+    reports = logical_error_sweep(
+        args.distances,
+        noise_models=models,
+        shots=args.shots,
+        basis=args.basis,
+        rounds=args.rounds,
+        seed=args.seed,
+        engine=args.engine,
+        decoder=args.decoder,
+        profile=profiles,
+        jobs=args.jobs,
+        checkpoint=args.checkpoint,
+        use_cache=not args.no_cache,
+        resume=args.resume,
+        stats=stats,
+        window=args.window,
+        commit=args.commit,
+        shot_shards=args.shot_shards,
+        simd=args.simd,
+    )
     elapsed = time.perf_counter() - t0
     print(
         f"# logical error rates: {args.basis}-basis memory, distances "
@@ -436,7 +381,7 @@ def _cmd_lfr(args: argparse.Namespace) -> int:
     _print_job_summary(args, stats)
     print(format_logical_error_table(reports, title="decoded logical error rates"))
     if args.json:
-        return _write_json(args.json, [r.to_dict() for r in reports])
+        _write_json(args.json, [r.to_dict() for r in reports])
     return 0
 
 
@@ -446,29 +391,18 @@ def _cmd_dem(args: argparse.Namespace) -> int:
     from repro.decode.memory import MemoryExperiment
     from repro.sim.noise import NoiseModel
 
-    complaint = (
-        _validate_distances([args.distance])
-        or _validate_rates(None if args.rate is None else [args.rate], flag="--rate")
-        or _validate_json_path(args.json)
+    _check_distances([args.distance])
+    _check_rates(None if args.rate is None else [args.rate], flag="--rate")
+    _check_json_path(args.json)
+    (prof,) = _profiles(args.profile)
+    model = (
+        NoiseModel.uniform(args.rate)
+        if args.rate is not None
+        else NoiseModel.preset(args.noise, profile=prof)
     )
-    if complaint:
-        print(complaint)
-        return 2
-    try:
-        (prof,) = _profiles(args.profile)
-        model = (
-            NoiseModel.uniform(args.rate)
-            if args.rate is not None
-            else NoiseModel.preset(args.noise, profile=prof)
-        )
-        experiment = MemoryExperiment(
-            distance=args.distance, rounds=args.rounds, basis=args.basis, profile=prof
-        )
-    except ValueError as err:
-        # Unknown presets/profiles and bad --rounds surface as one-line
-        # messages, not tracebacks.
-        print(err)
-        return 2
+    experiment = MemoryExperiment(
+        distance=args.distance, rounds=args.rounds, basis=args.basis, profile=prof
+    )
     t0 = time.perf_counter()
     table = experiment.fault_table(model)
     extract_seconds = time.perf_counter() - t0
@@ -515,13 +449,8 @@ def _cmd_dem(args: argparse.Namespace) -> int:
             f"{float(dem.observable_rates()[0]):.4g}"
         )
     if args.decoder is not None:
-        try:
-            graph = experiment.matching_graph(model)
-            experiment.decoder_for(model, args.decoder)  # validates buildability
-        except ValueError as err:
-            # e.g. the lookup decoder refusing a too-large graph.
-            print(err)
-            return 2
+        graph = experiment.matching_graph(model)
+        experiment.decoder_for(model, args.decoder)  # validates buildability
         ws = graph.weight
         span = f"weights {ws.min():.3g}..{ws.max():.3g}" if ws.size else "no edges"
         print(
@@ -534,7 +463,7 @@ def _cmd_dem(args: argparse.Namespace) -> int:
             # --stats + --json is not an error: the same fields ride along
             # inside the artifact.
             payload["stats"] = stats
-        return _write_json(args.json, payload)
+        _write_json(args.json, payload)
     return 0
 
 
@@ -544,18 +473,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
     arrangement = Arrangement.__members__.get(args.arrangement.upper())
     if arrangement is None:
-        print(
+        raise ValueError(
             f"unknown arrangement {args.arrangement!r}; "
             f"choose from {[a.name.lower() for a in Arrangement]}"
         )
-        return 2
-    try:
-        (prof,) = _profiles(args.profile)
-        grid = grid_for_patch(prof, args.dx, args.dz)
-        layout = PatchLayout(grid, args.dx, args.dz, arrangement=arrangement)
-    except ValueError as err:
-        print(err)
-        return 2
+    (prof,) = _profiles(args.profile)
+    grid = grid_for_patch(prof, args.dx, args.dz)
+    layout = PatchLayout(grid, args.dx, args.dz, arrangement=arrangement)
     print(
         f"# {arrangement.name} arrangement, dx={args.dx}, dz={args.dz} "
         "(D data, x/z measure-ion homes, M/O/J sites)"
@@ -565,30 +489,21 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    complaint = _validate_sweep_distances(args.distances) or _validate_job_args(args)
-    if complaint:
-        print(complaint)
-        return 2
+    _check_sweep_distances(args.distances)
+    _check_job_args(args)
     stats: dict = {}
-    try:
-        profiles = _profiles(args.profile)
-        reports = sweep_operation(
-            args.op,
-            args.distances,
-            rounds=args.rounds,
-            profile=profiles,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            use_cache=not args.no_cache,
-            resume=args.resume,
-            stats=stats,
-            simd=args.simd,
-        )
-    except ValueError as err:
-        # Unknown operations/profiles and unusable checkpoint directories
-        # surface as one-line messages, not tracebacks (App. B style).
-        print(err)
-        return 2
+    reports = sweep_operation(
+        args.op,
+        args.distances,
+        rounds=args.rounds,
+        profile=_profiles(args.profile),
+        jobs=args.jobs,
+        checkpoint=args.checkpoint,
+        use_cache=not args.no_cache,
+        resume=args.resume,
+        stats=stats,
+        simd=args.simd,
+    )
     print(format_resource_table(reports, title=f"{args.op} resource sweep (§3.4)"))
     _print_job_summary(args, stats)
     return 0
@@ -601,29 +516,20 @@ def _cmd_profiles_list(args: argparse.Namespace) -> int:
         f"{'name':<16} {'fingerprint':<12} {'move_us':>8} {'junction_us':>11} "
         f"{'presets':<28} description"
     )
-    try:
-        for name in available_profiles():
-            p = get_profile(name)
-            presets = ",".join(p.preset_names)
-            print(
-                f"{p.name:<16} {p.fingerprint[:12]:<12} {p.move_us:>8g} "
-                f"{p.junction_us:>11g} {presets:<28} {p.description}"
-            )
-    except ValueError as err:
-        # A malformed shipped/registered profile file: one line, no traceback.
-        print(err)
-        return 2
+    for name in available_profiles():
+        p = get_profile(name)
+        presets = ",".join(p.preset_names)
+        print(
+            f"{p.name:<16} {p.fingerprint[:12]:<12} {p.move_us:>8g} "
+            f"{p.junction_us:>11g} {presets:<28} {p.description}"
+        )
     return 0
 
 
 def _cmd_profiles_show(args: argparse.Namespace) -> int:
     from repro.hardware.profile import get_profile
 
-    try:
-        p = get_profile(args.name)
-    except ValueError as err:
-        print(err)
-        return 2
+    p = get_profile(args.name)
     if args.json:
         print(p.dumps())
         return 0
@@ -826,7 +732,14 @@ def main(argv: list[str] | None = None) -> int:
     pp_show.set_defaults(fn=_cmd_profiles_show)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as err:
+        # The CLI's one error exit (App. B): every check above and every
+        # library refusal (ProfileError, CheckpointError, a decoder refusing
+        # its graph, ...) is a ValueError whose message is the whole report.
+        print(err)
+        return 2
 
 
 if __name__ == "__main__":

@@ -74,9 +74,11 @@ class PatchLayout:
         self.arrangement = arrangement
         self._or = 4 * origin[0]
         self._oc = 4 * origin[1]
-        # Fail fast if the tile does not fit on the grid.
+        # Fail fast if the tile does not fit on the grid; plaquettes then
+        # resolve their sites without bounds checks.
         self._site(4 * (dz - 1), 4 * dx)
         self._site(4 * dz - 1, 0)
+        self._site(0, 0)
 
     # ------------------------------------------------------------ site math
     def _site(self, rel_r: int, rel_c: int) -> int:
@@ -148,11 +150,6 @@ class PatchLayout:
             if 0 <= i < self.dz and 0 <= j < self.dx
         }
 
-    def _pocket(self, label: str, fi: int, fj: int) -> int:
-        rel_r = 4 * fi if label in ("a", "b") else 4 * fi + 4
-        rel_c = 4 * fj + 3 if label in ("a", "c") else 4 * fj + 5
-        return self._site(rel_r, rel_c)
-
     def build_plaquette(self, fi: int, fj: int) -> Plaquette:
         """Resolve face (fi, fj) into a :class:`Plaquette` with routing infra."""
         if not self.face_exists(fi, fj):
@@ -172,9 +169,19 @@ class PatchLayout:
         return self._resolve_plaquette(fi, fj, letter)
 
     def _resolve_plaquette(self, fi: int, fj: int, letter: str) -> Plaquette:
+        # Sites are offsets from the face's junctions J_N = (4fi, 4fj+4) and
+        # J_S = (4fi+4, 4fj+4), without GridManager.index: each one used is
+        # on the lattice (row 0 mod 4 for data sites, pockets and junctions,
+        # column 0 mod 4 for corridor and park sites) and inside the tile
+        # whose corners the constructor checked against the grid.
+        width = self.grid.width
+        j_n = (self._or + 4 * fi) * width + self._oc + 4 * fj + 4
+        j_s = j_n + 4 * width
         corners = self._corners(fi, fj)
-        data_sites = {lab: self.data_site(i, j) for lab, (i, j) in corners.items()}
-        pockets = {lab: self._pocket(lab, fi, fj) for lab in corners}
+        data = {"a": j_n - 2, "b": j_n + 2, "c": j_s - 2, "d": j_s + 2}
+        pocket = {"a": j_n - 1, "b": j_n + 1, "c": j_s - 1, "d": j_s + 1}
+        data_sites = {lab: data[lab] for lab in corners}
+        pockets = {lab: pocket[lab] for lab in corners}
 
         labels = frozenset(corners)
         graph: dict[int, list[int]] = {}
@@ -184,24 +191,18 @@ class PatchLayout:
             graph.setdefault(v, []).append(u)
 
         if labels == {"c", "d"}:  # top boundary face
-            j_s = self._site(4 * fi + 4, 4 * fj + 4)
             link(pockets["c"], j_s)
             link(pockets["d"], j_s)
             home = pockets["d"]
         elif labels == {"a", "b"}:  # bottom boundary face
-            j_n = self._site(4 * fi, 4 * fj + 4)
-            park = self._site(4 * fi + 1, 4 * fj + 4)
+            park = j_n + width
             link(pockets["a"], j_n)
             link(pockets["b"], j_n)
             link(park, j_n)
             home = park
         elif labels in ({"b", "d"}, {"a", "c"}, {"a", "b", "c", "d"}):
             # left boundary, right boundary, or interior: private corridor.
-            j_n = self._site(4 * fi, 4 * fj + 4)
-            j_s = self._site(4 * fi + 4, 4 * fj + 4)
-            m_n = self._site(4 * fi + 1, 4 * fj + 4)
-            hm = self._site(4 * fi + 2, 4 * fj + 4)
-            m_s = self._site(4 * fi + 3, 4 * fj + 4)
+            m_n, hm, m_s = j_n + width, j_n + 2 * width, j_n + 3 * width
             link(j_n, m_n)
             link(m_n, hm)
             link(hm, m_s)

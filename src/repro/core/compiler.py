@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,12 +77,35 @@ class TISCC:
     anything below 1 is a ``ValueError``).
     """
 
-    MNEMONICS = (
-        "PrepareZ", "PrepareX", "InjectY", "InjectT", "MeasureZ", "MeasureX",
-        "PauliX", "PauliY", "PauliZ", "Hadamard", "Idle", "MeasureZZ",
-        "MeasureXX", "BellPrepare", "BellMeasure", "Move", "ExtendSplit",
-        "MergeContract", "PatchExtension",
-    )
+    #: Mnemonic -> (argument signature, min arity, max arity, handler); a
+    #: handler takes ``(ops, circuit, *args)``, ``ops`` the compiler's
+    #: :class:`DerivedInstructions`.
+    INSTRUCTIONS: dict[str, tuple[str, int, int, Callable]] = {
+        "PrepareZ": ("(tile)", 1, 1, DerivedInstructions.prepare_z),
+        "PrepareX": ("(tile)", 1, 1, DerivedInstructions.prepare_x),
+        "InjectY": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.inject(circuit, tile, "Y")),
+        "InjectT": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.inject(circuit, tile, "T")),
+        "MeasureZ": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.measure(circuit, tile, "Z")),
+        "MeasureX": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.measure(circuit, tile, "X")),
+        "PauliX": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.pauli(circuit, tile, "X")),
+        "PauliY": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.pauli(circuit, tile, "Y")),
+        "PauliZ": ("(tile)", 1, 1, lambda ops, circuit, tile: ops.pauli(circuit, tile, "Z")),
+        "Hadamard": ("(tile)", 1, 1, DerivedInstructions.hadamard),
+        "Idle": ("(tile)", 1, 1, DerivedInstructions.idle),
+        "MeasureZZ": ("(tile_a, tile_b)", 2, 2, DerivedInstructions.measure_zz),
+        "MeasureXX": ("(tile_a, tile_b)", 2, 2, DerivedInstructions.measure_xx),
+        "BellPrepare": ("(tile_a, tile_b)", 2, 2, DerivedInstructions.bell_prepare),
+        "BellMeasure": ("(tile_a, tile_b)", 2, 2, DerivedInstructions.bell_measure),
+        "Move": ("(tile, direction='right')", 1, 2, DerivedInstructions.move),
+        "ExtendSplit": ("(tile, direction='right')", 1, 2, DerivedInstructions.extend_split),
+        "MergeContract": (
+            "(tile_a, tile_b, keep='near')", 2, 3, DerivedInstructions.merge_contract
+        ),
+        "PatchExtension": ("(tile, direction='right')", 1, 2, DerivedInstructions.patch_extension),
+    }
+    MNEMONICS = tuple(INSTRUCTIONS)
+    #: Mnemonic -> human-readable argument signature and accepted arity range.
+    SIGNATURES: dict[str, tuple[str, int, int]] = {m: row[:3] for m, row in INSTRUCTIONS.items()}
 
     def __init__(
         self,
@@ -105,29 +129,6 @@ class TISCC:
     def profile(self) -> "HardwareProfile":
         """The hardware profile every compiled circuit is timed against."""
         return self.tiles.grid.profile
-
-    #: Mnemonic -> human-readable argument signature and accepted arity range.
-    SIGNATURES: dict[str, tuple[str, int, int]] = {
-        "PrepareZ": ("(tile)", 1, 1),
-        "PrepareX": ("(tile)", 1, 1),
-        "InjectY": ("(tile)", 1, 1),
-        "InjectT": ("(tile)", 1, 1),
-        "MeasureZ": ("(tile)", 1, 1),
-        "MeasureX": ("(tile)", 1, 1),
-        "PauliX": ("(tile)", 1, 1),
-        "PauliY": ("(tile)", 1, 1),
-        "PauliZ": ("(tile)", 1, 1),
-        "Hadamard": ("(tile)", 1, 1),
-        "Idle": ("(tile)", 1, 1),
-        "MeasureZZ": ("(tile_a, tile_b)", 2, 2),
-        "MeasureXX": ("(tile_a, tile_b)", 2, 2),
-        "BellPrepare": ("(tile_a, tile_b)", 2, 2),
-        "BellMeasure": ("(tile_a, tile_b)", 2, 2),
-        "Move": ("(tile, direction='right')", 1, 2),
-        "ExtendSplit": ("(tile, direction='right')", 1, 2),
-        "MergeContract": ("(tile_a, tile_b, keep='near')", 2, 3),
-        "PatchExtension": ("(tile, direction='right')", 1, 2),
-    }
 
     def compile(
         self,
@@ -190,41 +191,18 @@ class TISCC:
         return compiled
 
     def _dispatch(self, circuit, mnemonic: str, args) -> InstructionResult:
-        ops = self.ops
-        table = {
-            "PrepareZ": lambda c: ops.prepare_z(circuit, c),
-            "PrepareX": lambda c: ops.prepare_x(circuit, c),
-            "InjectY": lambda c: ops.inject(circuit, c, "Y"),
-            "InjectT": lambda c: ops.inject(circuit, c, "T"),
-            "MeasureZ": lambda c: ops.measure(circuit, c, "Z"),
-            "MeasureX": lambda c: ops.measure(circuit, c, "X"),
-            "PauliX": lambda c: ops.pauli(circuit, c, "X"),
-            "PauliY": lambda c: ops.pauli(circuit, c, "Y"),
-            "PauliZ": lambda c: ops.pauli(circuit, c, "Z"),
-            "Hadamard": lambda c: ops.hadamard(circuit, c),
-            "Idle": lambda c: ops.idle(circuit, c),
-            "MeasureZZ": lambda a, b: ops.measure_zz(circuit, a, b),
-            "MeasureXX": lambda a, b: ops.measure_xx(circuit, a, b),
-            "BellPrepare": lambda a, b: ops.bell_prepare(circuit, a, b),
-            "BellMeasure": lambda a, b: ops.bell_measure(circuit, a, b),
-            "Move": lambda c, d="right": ops.move(circuit, c, d),
-            "ExtendSplit": lambda c, d="right": ops.extend_split(circuit, c, d),
-            "MergeContract": lambda a, b, k="near": ops.merge_contract(circuit, a, b, k),
-            "PatchExtension": lambda c, d="right": ops.patch_extension(circuit, c, d),
-        }
         try:
-            fn = table[mnemonic]
+            sig, lo, hi, handler = self.INSTRUCTIONS[mnemonic]
         except KeyError:
             raise ValueError(
                 f"unknown mnemonic {mnemonic!r}; supported: {', '.join(self.MNEMONICS)}"
             ) from None
-        sig, lo, hi = self.SIGNATURES[mnemonic]
         if not lo <= len(args) <= hi:
             raise ValueError(
                 f"wrong number of arguments for {mnemonic!r}: got {len(args)}, "
                 f"expected {mnemonic}{sig}"
             )
-        return fn(*args)
+        return handler(self.ops, circuit, *args)
 
     def simulate(
         self,

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.decode.base import Decoder, get_decoder, register_decoder
+from repro.decode.base import Decoder, register_decoder
 from repro.decode.graph import BOUNDARY, MatchingGraph
 from repro.decode.union_find import UnionFindDecoder
 
@@ -92,7 +92,7 @@ class _WindowKind:
     endpoints dropped), the XOR footprint a committed edge applies.
     """
 
-    decoder: Decoder
+    decoder: UnionFindDecoder
     min_slice: list[int]
     frame: list[int]
     endpoints: list[tuple[int, ...]]
@@ -109,9 +109,9 @@ class WindowedUnionFindDecoder(Decoder):
     ``n_faces`` is the number of detectors per time slice (the graph must
     hold ``n_slices * n_faces`` detectors laid out ``t * n_faces + f``,
     exactly the :meth:`MemoryExperiment.syndromes` layout); ``window`` and
-    ``commit`` are counted in slices.  ``inner`` names the registered
-    decoder run on each window subgraph (weighted union-find by default —
-    it must expose ``decode_edges``).
+    ``commit`` are counted in slices.  Each window subgraph is decoded by
+    the weighted :class:`UnionFindDecoder`, whose ``decode_edges`` names the
+    correction edges a window commits.
 
     Like the inner engine, one instance keeps mutable per-call scratch and
     must not run concurrent decodes; parallelize over instances.
@@ -129,7 +129,6 @@ class WindowedUnionFindDecoder(Decoder):
         n_faces: int,
         window: int,
         commit: int,
-        inner: str = "union_find",
     ):
         super().__init__(graph)
         if n_faces < 1 or graph.n_detectors % n_faces != 0:
@@ -141,7 +140,6 @@ class WindowedUnionFindDecoder(Decoder):
         self.n_slices = graph.n_detectors // n_faces
         self.window = int(window)
         self.commit = int(commit)
-        self.inner = inner
         self._spans = window_spans(self.n_slices, self.window, self.commit)
 
         # Each edge's earliest and latest real-endpoint slice, then each
@@ -166,7 +164,7 @@ class WindowedUnionFindDecoder(Decoder):
             kind = kinds.get(signature)
             if kind is None:
                 kind = _WindowKind(
-                    decoder=get_decoder(inner, local),
+                    decoder=UnionFindDecoder(local),
                     min_slice=(lo[mask] - s0).tolist(),
                     frame=local.frame.tolist(),
                     endpoints=[
@@ -174,11 +172,6 @@ class WindowedUnionFindDecoder(Decoder):
                         for u, v in zip(local.u.tolist(), local.v.tolist())
                     ],
                 )
-                if not hasattr(kind.decoder, "decode_edges"):
-                    raise ValueError(
-                        f"inner decoder {inner!r} does not expose decode_edges; "
-                        "windowed decoding needs explicit correction edges"
-                    )
                 kinds[signature] = kind
             self._span_kinds.append(kind)
         #: Distinct window subgraphs actually built (interior windows share).
@@ -308,7 +301,3 @@ class WindowedUnionFindDecoder(Decoder):
             f"({self.n_window_kinds} kinds, peak {self.peak_window_detectors} of "
             f"{self.n} detectors) over {self.graph!r}>"
         )
-
-
-# Referenced for the wants-layout protocol and the default inner engine.
-_ = UnionFindDecoder

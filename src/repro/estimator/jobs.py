@@ -283,19 +283,10 @@ def execute_cell(cell: SweepCell) -> dict:
         )
         return report.to_dict()
     if cell.kind == "resource":
-        from repro.core.compiler import TISCC
-        from repro.estimator.sweep import OPERATION_PROGRAMS
+        from repro.estimator.sweep import operation_compiler
 
-        build, shape = OPERATION_PROGRAMS[cell.op]
-        compiler = TISCC(
-            dx=spec.dx,
-            dz=spec.dz,
-            tile_rows=shape[0],
-            tile_cols=shape[1],
-            rounds=spec.rounds,
-            profile=spec.profile,
-        )
-        compiled = compiler.compile(build(), operation=cell.op, simd=spec.simd)
+        compiler, program = operation_compiler(cell.op, spec)
+        compiled = compiler.compile(program, operation=cell.op, simd=spec.simd)
         return compiled.resources.to_dict()
     raise ValueError(f"unknown sweep cell kind {cell.kind!r}")
 

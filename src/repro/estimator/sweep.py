@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.compiler import TISCC
 from repro.core.router import lattice_surgery_cnot_program
 from repro.estimator.jobs import (
     logical_error_cells,
@@ -32,6 +33,7 @@ from repro.sim.noise import NoiseModel
 
 __all__ = [
     "OPERATION_PROGRAMS",
+    "operation_compiler",
     "sweep_operation",
     "sweep_all",
     "logical_error_sweep",
@@ -99,6 +101,35 @@ OPERATION_PROGRAMS: dict[str, tuple] = {
 }
 
 
+def _operation(op: str) -> tuple:
+    """``OPERATION_PROGRAMS[op]``; an unknown name raises one line."""
+    try:
+        return OPERATION_PROGRAMS[op]
+    except KeyError:
+        raise ValueError(
+            f"unknown operation {op!r}; choose from {sorted(OPERATION_PROGRAMS)}"
+        ) from None
+
+
+def operation_compiler(op: str, spec: ExperimentSpec) -> tuple[TISCC, list[tuple]]:
+    """``(compiler, program)`` for operation ``op`` on its tile grid.
+
+    The compiler takes ``spec``'s distances, rounds and profile.  Unknown
+    operations, distances below 2 and rounds below 1 raise one-line
+    ``ValueError``s.
+    """
+    build, (tile_rows, tile_cols) = _operation(op)
+    compiler = TISCC(
+        dx=spec.dx,
+        dz=spec.dz,
+        tile_rows=tile_rows,
+        tile_cols=tile_cols,
+        rounds=spec.rounds,
+        profile=spec.profile,
+    )
+    return compiler, build()
+
+
 def _resource_sweep(
     ops: list[str],
     distances: list[int],
@@ -148,10 +179,7 @@ def sweep_operation(
     carry beam-pass counts; cache keys extend only for SIMD cells, so
     existing checkpoints stay valid.
     """
-    if name not in OPERATION_PROGRAMS:
-        raise ValueError(
-            f"unknown operation {name!r}; choose from {sorted(OPERATION_PROGRAMS)}"
-        )
+    _operation(name)
     return _resource_sweep(
         [name],
         distances,

@@ -23,7 +23,7 @@ import warnings
 
 from repro.hardware.circuit import HardwareCircuit
 from repro.hardware.grid import GridManager
-from repro.hardware.profile import DEFAULT_PROFILE, HardwareProfile
+from repro.hardware.profile import DEFAULT_PROFILE
 
 __all__ = ["GATE_TIMES_US", "HardwareModel", "NATIVE_GATES", "SINGLE_QUBIT_GATES"]
 
@@ -97,9 +97,9 @@ class HardwareModel:
     ``(t_start, t_end)`` of the emitted sequence.
     """
 
-    def __init__(self, grid: GridManager, profile: HardwareProfile | None = None):
+    def __init__(self, grid: GridManager):
         self.grid = grid
-        self.profile = profile or getattr(grid, "profile", DEFAULT_PROFILE)
+        self.profile = grid.profile
         self._times = self.profile.gate_times
 
     # ----------------------------------------------------------- primitives

@@ -105,6 +105,14 @@ class TestValidation:
         assert code == 2
         assert out == "--seed must be a non-negative integer (got -1)\n"
 
+    def test_negative_max_labels_is_one_line_error(self, capsys):
+        code, out = run_cli(
+            capsys, "sample", "--op", "MeasureZ", "--dx", "2", "--dz", "2",
+            "--shots", "5", "--outcomes", "--max-labels", "-3",
+        )
+        assert code == 2
+        assert out == "--max-labels must be at least 0 (got -3)\n"
+
     @pytest.mark.parametrize("cmd", ["compile", "sample"])
     def test_distance_below_two_is_one_line_error(self, capsys, cmd):
         code, out = run_cli(capsys, cmd, "--op", "Idle", "--dx", "1")

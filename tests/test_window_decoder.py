@@ -257,10 +257,6 @@ def test_windowed_decoder_validates_layout(memory3):
         WindowedUnionFindDecoder(
             memory3.graph, n_faces=len(memory3.faces) + 1, window=4, commit=2
         )
-    with pytest.raises(ValueError, match="decode_edges"):
-        WindowedUnionFindDecoder(
-            memory3.graph, n_faces=len(memory3.faces), window=4, commit=2, inner="lookup"
-        )
 
 
 def test_interior_windows_share_one_kind():
